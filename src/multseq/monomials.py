@@ -170,16 +170,6 @@ def colon_ideal(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[in
     return result
 
 
-def saturate_by_ideal(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a) : (b)^infinity."""
-    current = a
-    while True:
-        nxt = colon_ideal(lay, current, b)
-        if nxt == current:
-            return current
-        current = nxt
-
-
 def radical(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for g in gens:
@@ -344,7 +334,8 @@ def _numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
         if e[pivot_var] and e[pivot_var] == degree(lay, g) and e[pivot_var] <= pivot_exp:
             pivot_exp = e[pivot_var] - 1
             break
-    assert pivot_exp >= 1
+    if pivot_exp < 1:
+        raise RuntimeError(f"numerator pivot exponent {pivot_exp} is not positive")
     pivot = pack_single(lay, pivot_var, pivot_exp)
 
     plus = minimalize(lay, gens + (pivot,))
@@ -378,9 +369,10 @@ def numerator_difference_length(
 ) -> int:
     """Length of (outer)/(inner) for nested monomial ideals, via series.
 
-    inner must contain... the *smaller* ideal; outer the larger one:
-    length of outer/inner = sum over degrees of the Hilbert-function gap
-    between the two quotients, finite iff the gap series is a polynomial.
+    `inner` is the smaller ideal and `outer` the larger one.  The length
+    of outer/inner is the sum over degrees of the gap between the
+    Hilbert functions of the two quotients, finite iff the gap series is
+    a polynomial.
     """
     n_outer = hilbert_numerator(lay, outer)
     n_inner = hilbert_numerator(lay, inner)
@@ -443,6 +435,23 @@ def quotient_degree_and_dimension(lay: Layout, gens: tuple[int, ...]) -> tuple[i
 # -- bigraded column counts ----------------------------------------------
 
 
+_NO_CUT = 1 << 62  # cut height of a column that no cut generator ends
+
+
+def _envelope(points) -> tuple[tuple[int, int], ...]:
+    """Breakpoints (t, m) of t -> least degree m of a point at height <= t.
+
+    Heights rise and degrees strictly fall along the result.
+    """
+    out = []
+    best = _NO_CUT
+    for t, m in sorted(points):
+        if m < best:
+            out.append((t, m))
+            best = m
+    return tuple(out)
+
+
 def column_counts(
     lay: Layout,
     power_gens: tuple[int, ...],
@@ -451,46 +460,103 @@ def column_counts(
 ) -> list[int]:
     """Counts of monomials by depth below a power ideal, one column.
 
-    Walks the monomials z in (power_gens) but outside (cut_gens);
-    each such z sits at depth D(z) = deg z - min degree of a dividing
+    Counts the monomials z in (power_gens) but outside (cut_gens); each
+    such z sits at depth D(z) = deg z - min degree of a dividing
     generator, and the returned list has, at index i <= u_max, the
-    number of z with D(z) = i.  Children of z have strictly larger
-    depth, so the walk prunes at depth u_max.
+    number of z with D(z) = i.  The count at depth i does not depend on
+    u_max: a larger u_max only appends entries.
+
+    The monomials are counted in runs along the last variable.  A
+    generator lies over a prefix p of the other exponents when its own
+    prefix divides p.  The monomials (p, t) of the power ideal start at
+    the least last exponent of a power generator over p and stop below
+    the cut height, the least last exponent of a cut generator over p
+    (or never).  The least dividing degree changes only at the last
+    exponents of the power generators over p, so between two such
+    breakpoints the depth rises by exactly one per step, and each run
+    adds one over a range of depths.
+
+    Prefixes are searched from those of the power generators, and one
+    is extended while its column holds a depth below u_max.  Nothing is
+    missed: for a counted z and a least-degree generator g dividing it,
+    every monomial strictly between g and z is in the power ideal,
+    outside the cut, and of smaller depth than z, so on any path of
+    prefixes from g's to z's every prefix before z's is extended.  A
+    child prefix p + e_k takes its cut height and breakpoints from p,
+    adding only the generators whose k-th exponent equals the child's.
     """
     guard = lay.guard
-    steps = lay.var_steps
     deg_shift = lay.deg_shift
-    counts = [0] * (u_max + 1)
+    last = lay.arity - 1
+    last_shift = lay.var_shifts[last]
+    last_step = lay.var_steps[last]
+    shifts = lay.var_shifts[:last]
+    steps = lay.var_steps[:last]
 
-    def in_cut(z: int) -> bool:
-        for g in cut_gens:
-            if g > z:
-                return False
-            if not (z - g) & guard:
-                return True
-        return False
-
-    stack = [g for g in power_gens if not in_cut(g)]
-    seen = set(stack)
-    while stack:
-        z = stack.pop()
-        mindeg = None
-        for g in power_gens:
-            if g > z:
-                break
-            if not (z - g) & guard:
-                mindeg = g >> deg_shift
-                break
-        if mindeg is None:
-            raise AssertionError("walk left the power ideal")
-        depth = (z >> deg_shift) - mindeg
-        if depth <= u_max:
-            counts[depth] += 1
-        if depth >= u_max:
+    # each generator as (prefix word, last exponent[, degree]); the
+    # prefix word keeps the total degree of the prefix in its top lane.
+    # A power generator inside the cut divides no counted monomial.
+    powers = []
+    for g in power_gens:
+        if member(lay, g, cut_gens):
             continue
-        for step in steps:
-            child = z + step
-            if child not in seen and not in_cut(child):
+        t = (g >> last_shift) & LANE_MASK
+        powers.append((g - t * last_step, t, g >> deg_shift))
+    cuts = []
+    for h in cut_gens:
+        t = (h >> last_shift) & LANE_MASK
+        cuts.append((h - t * last_step, t))
+    # powers_at[k][e] and cuts_at[k][e]: the generators whose k-th exponent is e
+    powers_at = [{} for _ in shifts]
+    cuts_at = [{} for _ in shifts]
+    for k, s in enumerate(shifts):
+        for entry in powers:
+            powers_at[k].setdefault((entry[0] >> s) & LANE_MASK, []).append(entry)
+        for entry in cuts:
+            cuts_at[k].setdefault((entry[0] >> s) & LANE_MASK, []).append(entry)
+
+    top = u_max + 1
+    diff = [0] * (top + 1)
+    seen = set()
+    for root in sorted({q for q, _, _ in powers}):
+        if root in seen:
+            continue
+        seen.add(root)
+        env = _envelope([(t, d) for q, t, d in powers if not (root - q) & guard])
+        cut = min((t for q, t in cuts if not (root - q) & guard), default=_NO_CUT)
+        stack = [(root, cut, env)]
+        while stack:
+            p, cut, env = stack.pop()
+            size = p >> deg_shift
+            # the run starting at breakpoint (t0, m) covers depths from
+            # size + t0 - m up; these starts rise along the column
+            final = len(env) - 1
+            for b, (t0, m) in enumerate(env):
+                lo = size + t0 - m
+                if t0 >= cut or lo > u_max:
+                    break
+                end = env[b + 1][0] if b < final else _NO_CUT
+                hi = lo + (end if end < cut else cut) - t0
+                diff[lo] += 1
+                diff[hi if hi < top else top] -= 1
+            t0, m = env[0]
+            if t0 >= cut or size + t0 - m >= u_max:
+                continue
+            for k in range(last):
+                child = p + steps[k]
+                if child in seen:
+                    continue
                 seen.add(child)
-                stack.append(child)
-    return counts
+                e = (child >> shifts[k]) & LANE_MASK
+                child_cut = cut
+                for q, t in cuts_at[k].get(e, ()):
+                    if t < child_cut and not (child - q) & guard:
+                        child_cut = t
+                child_env = env
+                entries = powers_at[k].get(e)
+                if entries:
+                    new = [(t, d) for q, t, d in entries if not (child - q) & guard]
+                    if new:
+                        child_env = _envelope(env + tuple(new))
+                stack.append((child, child_cut, child_env))
+    return list(itertools.accumulate(diff[:top]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import monomials as mo
 from ._jobs import parallel_map
 from .config import Params
-from .errors import PreconditionError, StabilizationError
+from .errors import EngineLimit, PreconditionError, StabilizationError
 from .hilbert import krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
 from .poly import Polynomial, PolyRing
@@ -301,6 +301,14 @@ def hilbert_table(
     comps = []
     if ipacked is not None and kpacked is not None:
         lay = mo.layout(ring.arity)
+        # the columns take powers up to I^(vmax+1) and count up to umax
+        # degrees above I^vmax; every degree must fit a packed lane
+        reach = max(mo.degree(lay, g) for g in ipacked) * (vmax + 1) + umax
+        if reach > mo.MAX_EXPONENT:
+            raise EngineLimit(
+                f"a {umax}x{vmax} table reaches degree {reach}, "
+                f"past the packable {mo.MAX_EXPONENT}"
+            )
         cache_key = (ring.key, ipacked, kpacked)
         columns = [
             _monomial_column(lay, ipacked, kpacked, j, umax, cache_key)

@@ -60,7 +60,8 @@ def is_reduction(
     for n in range(n_max + 1):
         if equal_at(n):
             # equality propagates upward; one step is a cheap engine check
-            assert equal_at(n + 1), "reduction equality failed to propagate"
+            if not equal_at(n + 1):
+                raise RuntimeError(f"reduction equality at {n} failed to propagate")
             return n
     return None
 

@@ -109,6 +109,23 @@ class TestCompute:
         _, out, _ = run(capsys, ["--task", "compute", "--input", path2])
         assert json.loads(out)["sequence"]["table_shape"][0] == 10
 
+    def test_degrees_past_packed_lanes_exit_four(self, tmp_path, capsys):
+        # the square of x^20000*y no longer fits a packed exponent lane
+        path = write(
+            tmp_path,
+            "wide.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y"]},
+                "ideals": {"I": ["x^20000*y"], "K": []},
+            },
+        )
+        code, out, err = run(capsys, ["--task", "compute", "--input", path])
+        assert code == 4
+        assert out == ""
+        assert "EngineLimit" in err
+        assert "packable" in err
+
 
 class TestVerdictExits:
     def test_formula_match_exits_zero(self, tmp_path, capsys):

@@ -55,17 +55,38 @@ class TestTables:
                 assert table.values[u][v] == want
 
     def test_cells_match_independent_length_route(self):
-        r = ring("x", "y")
+        # (variables, I, K, umax, vmax); column j = 0 of every table has
+        # the unit ideal as I^j
         cases = [
-            (ideal(r, "x"), module(r, "x*y")),
-            (ideal(r, "x^2", "y^2"), free_module(r)),
-            (ideal(r, "x^2 - y^2"), free_module(r)),
+            (("x", "y"), ("x",), ("x*y",), 4, 4),
+            (("x", "y"), ("x^2", "y^2"), (), 4, 4),
+            (("x", "y"), ("x^2 - y^2",), (), 4, 4),
+            # one variable: every column lies over the empty prefix
+            (("x",), ("x^2",), (), 5, 5),
+            (("x",), ("x^3",), ("x^5",), 5, 5),
+            # over x^3 the depth runs from z^0 to the breakpoint of the
+            # pure power z^2 (the empty prefix), and the cut x^3*z ends
+            # that run between the two breakpoints
+            (("x", "y", "z"), ("x^3", "z^2"), ("x^3*z",), 4, 4),
+            (("x", "y", "z"), ("x^2*y", "y^2*z", "x*z^3"), ("y^3*z^2",), 4, 4),
+            # at height 1 the search does not reach the prefix of y^(3j)
+            # from the generators y^(3j-2)*z, ... below it, yet their
+            # breakpoints set the depths over it
+            (("x", "y", "z"), ("y*z", "y^3"), (), 1, 4),
+            # z is free: no cut generator lies over x^a with a < j + 1,
+            # so those columns are clipped only by the table height
+            (("x", "y", "z"), ("x^2", "x*y"), (), 4, 4),
+            (("x", "y", "z", "w"), ("x*y", "z*w^2", "w^3"), ("x^2*w",), 3, 3),
+            (("x", "y", "z", "w"), ("x^2", "y*w"), (), 3, 3),
         ]
-        for a, m in cases:
-            table = hilbert_table(a, m, 4, 4)
-            for i in range(5):
-                for j in range(5):
-                    assert table.components[i][j] == component_length(a, m, i, j)
+        for names, gens, relations, umax, vmax in cases:
+            r = ring(*names)
+            a, m = ideal(r, *gens), module(r, *relations)
+            table = hilbert_table(a, m, umax, vmax)
+            for i in range(umax + 1):
+                for j in range(vmax + 1):
+                    want = component_length(a, m, i, j)
+                    assert table.components[i][j] == want, (gens, relations, i, j)
 
     def test_monotone_in_both_arguments(self):
         r = ring("x", "y", "z")
