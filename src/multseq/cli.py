@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         NonHomogeneousInput,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, StabilizationError):
+            for window, cells in exc.residuals.items():
+                print(f"  residual {window}: {cells}", file=sys.stderr)
         return EXIT_LIMIT
     except Exception as exc:  # pragma: no cover - bug guard
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

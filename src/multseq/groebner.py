@@ -1,15 +1,22 @@
 """Buchberger's algorithm with the classical pair criteria.
 
-Pairs are processed smallest-lcm first; the coprime criterion and the
-chain criterion prune them.  Reduced bases are monic, mutually fully
+Pending pairs sit in a heap keyed by the order's sort key of their lcm,
+computed once when the pair is pushed, so the pair with the smallest
+lcm comes out first; equal lcms break by the pair's indices, so the
+run is deterministic.  A set of the same pairs serves the membership
+test of the chain criterion; the coprime criterion needs only the
+leads.  Both criteria hold for any selection order (Becker-Weispfenning,
+*Groebner Bases*, ch. 5).  Reduced bases are monic, mutually fully
 reduced, and sorted, hence unique per (ideal, order): equality of
-ideals can be tested by comparing them.  A process-wide cache keyed by
-(ring, generators, order) backs all callers; population happens at
-most once per key even under concurrent readers.
+ideals can be tested by comparing them, and the selection order never
+shows in a result.  A process-wide cache keyed by (ring, generators,
+order) backs all callers; population happens at most once per key even
+under concurrent readers.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 
 from .errors import EngineLimit
@@ -40,10 +47,7 @@ def normal_form(
     work = dict(f.terms)
     remainder: dict = {}
     while work:
-        mu = None
-        for exps in work:
-            if mu is None or order.compare(exps, mu) > 0:
-                mu = exps
+        mu = max(work, key=order.sort_key)
         c = work[mu]
         for lt, lc, g in pairs:
             if monomial_divides(lt, mu):
@@ -91,30 +95,33 @@ def buchberger(
         basis.append(f)
         lts.append(f.leading_monomial(order))
         single_term.append(f.is_term())
+    key = order.sort_key
+    heap: list = []
     pending: set[tuple[int, int]] = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            # the s-polynomial of two monic terms is identically zero
-            if not (single_term[i] and single_term[j]):
-                pending.add((j, i))
 
-    while pending:
-        best = None
-        best_lcm = None
-        for pair in pending:
-            lc = monomial_lcm(lts[pair[0]], lts[pair[1]])
-            if best is None or _lcm_less(lc, best_lcm, order):
-                best, best_lcm = pair, lc
-        i, j = best
-        pending.discard(best)
+    def push(i: int, j: int) -> None:
+        # the s-polynomial of two monic terms is identically zero
+        if single_term[i] and single_term[j]:
+            return
+        lcm = monomial_lcm(lts[i], lts[j])
+        heapq.heappush(heap, (key(lcm), i, j, lcm))
+        pending.add((i, j))
 
-        if monomial_mul(lts[i], lts[j]) == best_lcm:
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+
+        if monomial_mul(lts[i], lts[j]) == lcm:
             continue  # coprime leads
         chained = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if monomial_divides(lts[k], best_lcm):
+            if monomial_divides(lts[k], lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -134,22 +141,14 @@ def buchberger(
             raise EngineLimit(f"basis grew past {limit} elements")
         t = len(basis) - 1
         for k in range(t):
-            if not (single_term[k] and single_term[t]):
-                pending.add((k, t))
+            push(k, t)
     return basis
-
-
-def _lcm_less(a, b, order) -> bool:
-    c = order.compare(a, b)
-    if c != 0:
-        return c < 0
-    return False
 
 
 def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
     """Minimal, tail-reduced, monic, canonically sorted basis."""
     items = [(g.leading_monomial(order), g) for g in basis if not g.is_zero()]
-    items.sort(key=lambda it: _OrderKey(order, it[0]))
+    items.sort(key=lambda it: order.sort_key(it[0]))
     kept: list[tuple[tuple[int, ...], Polynomial]] = []
     for lt, g in items:
         if any(monomial_divides(lt2, lt) for lt2, _ in kept):
@@ -159,19 +158,8 @@ def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
     for idx, (lt, g) in enumerate(kept):
         others = [h for k, (_, h) in enumerate(kept) if k != idx]
         reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda p: _OrderKey(order, p.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda p: order.sort_key(p.leading_monomial(order)), reverse=True)
     return tuple(reduced)
-
-
-class _OrderKey:
-    __slots__ = ("order", "exps")
-
-    def __init__(self, order, exps):
-        self.order = order
-        self.exps = exps
-
-    def __lt__(self, other) -> bool:
-        return self.order.compare(self.exps, other.exps) < 0
 
 
 _CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
@@ -218,9 +206,3 @@ def groebner_basis(
             _PENDING.pop(key, None)
         event.set()
         return value
-
-
-def clear_cache() -> None:
-    with _LOCK:
-        _CACHE.clear()
-        _PENDING.clear()

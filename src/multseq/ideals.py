@@ -250,10 +250,7 @@ def _divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
     from .poly import monomial_div, monomial_divides, monomial_mul
 
     while work:
-        mu = None
-        for exps in work:
-            if mu is None or order.compare(exps, mu) > 0:
-                mu = exps
+        mu = max(work, key=order.sort_key)
         if not monomial_divides(lt_f, mu):
             raise ArithmeticError("division witness failed: quotient is not exact")
         shift = monomial_div(mu, lt_f)

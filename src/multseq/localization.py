@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from . import monomials as mo
 from .config import Params
 from .errors import PreconditionError
-from .hilbert import quotient_degree
 from .ideals import Ideal
 from .multiplicity import (
     CyclicModule,
@@ -385,8 +384,3 @@ def support_primes(ideal: Ideal, module: CyclicModule) -> list[MonomialPrime]:
         MonomialPrime.from_indices(ideal.ring, p)
         for p in mo.minimal_primes(lay, jp)
     ]
-
-
-def general_residue_degree(prime_ideal: Ideal) -> int:
-    """Degree of the quotient by a homogeneous prime given by generators."""
-    return quotient_degree(prime_ideal)

@@ -1,16 +1,19 @@
 """Monomial orders on exponent tuples.
 
-An order compares exponent tuples of equal arity and returns -1/0/+1.
-Three kinds are supported: degree-reverse-lexicographic (the default
-everywhere), lexicographic, and a two-block elimination order that
-compares the first `block` coordinates grevlex-first (so eliminating
-the leading block of variables is a matter of discarding basis elements
-whose lead involves them).
+An order compares exponent tuples of equal arity and returns -1/0/+1,
+and `sort_key` maps a tuple to a plain tuple that Python orders the
+same way, for `sorted`, `max` and heaps.  Three kinds are supported:
+degree-reverse-lexicographic (the default everywhere), lexicographic,
+and a two-block elimination order that compares the first `block`
+coordinates grevlex-first (so eliminating the leading block of
+variables is a matter of discarding basis elements whose lead involves
+them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -26,6 +29,11 @@ def _cmp_grevlex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
             # smaller exponent in the latest differing slot wins
             return 1 if a[i] < b[i] else -1
     return 0
+
+
+def _grevlex_key(a: tuple[int, ...]) -> tuple:
+    # the smaller exponent in the latest differing slot wins
+    return (sum(a), tuple(map(neg, a[::-1])))
 
 
 def _cmp_lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -62,6 +70,15 @@ class MonomialOrder:
         if c:
             return c
         return _cmp_grevlex(a[k:], b[k:])
+
+    def sort_key(self, exps: tuple[int, ...]) -> tuple:
+        """Plain tuple ordered as `compare` orders exponent tuples."""
+        if self.kind == GREVLEX:
+            return _grevlex_key(exps)
+        if self.kind == LEX:
+            return exps
+        k = self.block
+        return (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
 
     @property
     def key(self) -> tuple:

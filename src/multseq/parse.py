@@ -148,7 +148,7 @@ def format_polynomial(poly: Polynomial) -> str:
         return "0"
     ring = poly.ring
     order = ring.order
-    exps_sorted = sorted(poly.terms, key=_sort_key(order), reverse=True)
+    exps_sorted = sorted(poly.terms, key=order.sort_key, reverse=True)
     pieces = []
     for exps in exps_sorted:
         c = poly.terms[exps]
@@ -184,18 +184,3 @@ def _format_coeff(c) -> str:
             return str(c.numerator)
         return f"{c.numerator}/{c.denominator}"
     return str(c)
-
-
-class _OrderKey:
-    __slots__ = ("order", "exps")
-
-    def __init__(self, order, exps):
-        self.order = order
-        self.exps = exps
-
-    def __lt__(self, other) -> bool:
-        return self.order.compare(self.exps, other.exps) < 0
-
-
-def _sort_key(order):
-    return lambda exps: _OrderKey(order, exps)

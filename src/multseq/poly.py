@@ -172,11 +172,14 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial over a PolyRing."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        # (order, leading monomial) of the last lookup, stored as one tuple
+        # so that a concurrent reader sees a whole entry or None
+        self._lead = None
 
     # -- predicates -------------------------------------------------------
 
@@ -205,11 +208,10 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         order = order or self.ring.order
-        best = None
-        for exps in self.terms:
-            if best is None or order.compare(exps, best) > 0:
-                best = exps
-        return best
+        lead = self._lead
+        if lead is None or lead[0] is not order:
+            lead = self._lead = (order, max(self.terms, key=order.sort_key))
+        return lead[1]
 
     def leading_coefficient(self, order: MonomialOrder | None = None):
         return self.terms[self.leading_monomial(order)]

@@ -126,6 +126,28 @@ class TestCompute:
         assert "EngineLimit" in err
         assert "packable" in err
 
+    def test_unstable_window_prints_residuals(self, tmp_path, capsys):
+        # (x^3, y^2) needs a table wider than 6x6; the windows that failed
+        # certification follow the message on stderr
+        path = write(
+            tmp_path,
+            "cap.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y"]},
+                "ideals": {"I": ["x^3", "y^2"], "K": []},
+            },
+        )
+        code, out, err = run(
+            capsys, ["--task", "compute", "--input", path, "--grow-cap", "6"]
+        )
+        assert code == 4
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "StabilizationError: no stable window within a 6x6 table"
+        assert "  residual order (3,0): [0, 0, 0, 15, 21, 28, 0, 0, 0]" in lines
+        assert all(line.startswith("  residual order (") for line in lines[1:])
+
 
 class TestVerdictExits:
     def test_formula_match_exits_zero(self, tmp_path, capsys):

@@ -5,12 +5,22 @@ defining properties (remainder freeness, ideal membership, s-polynomial
 reduction) verified directly.
 """
 
+import itertools
 import random
+from functools import cmp_to_key
 
 import pytest
 
 from conftest import ideal, poly, ring
-from multseq import grevlex, groebner_basis, lex, normal_form
+from multseq import (
+    PolyRing,
+    Polynomial,
+    elimination_order,
+    grevlex,
+    groebner_basis,
+    lex,
+    normal_form,
+)
 from multseq.groebner import buchberger, reduce_basis, s_polynomial
 
 
@@ -42,6 +52,42 @@ class TestNormalForm:
         r = ring("x")
         f = poly(r, "x^2 + 1")
         assert normal_form(f, []) == f
+
+
+class TestSortKey:
+    ORDERS = (grevlex(), lex(), elimination_order(1), elimination_order(2))
+
+    def test_sorting_by_key_agrees_with_compare(self):
+        rng = random.Random(5)
+        for order in self.ORDERS:
+            for arity in (3, 4, 5):
+                exps = set()
+                while len(exps) < 60:
+                    exps.add(tuple(rng.randrange(4) for _ in range(arity)))
+                # equal-degree ties, and tuples that differ only in the
+                # second block of either elimination order
+                exps |= {(1, 1, 0) + (0,) * (arity - 3), (1, 0, 1) + (0,) * (arity - 3)}
+                exps |= {(2, 1) + (1, 0, 0)[: arity - 2], (2, 1) + (0, 0, 1)[: arity - 2]}
+                exps = sorted(exps)
+                rng.shuffle(exps)
+                by_key = sorted(exps, key=order.sort_key)
+                assert by_key == sorted(exps, key=cmp_to_key(order.compare))
+                for a, b in zip(by_key, by_key[1:]):
+                    assert order.compare(a, b) < 0
+
+
+def rees_presentation(gens):
+    """Relations g_i - t*f_i in (t, x, y, z, g...) under elimination_order(1)."""
+    base = ring("x", "y", "z")
+    tags = tuple(f"g{i}" for i in range(len(gens)))
+    ext = PolyRing(("t",) + base.variables + tags, 0, elimination_order(1))
+    t = ext.variable("t")
+    pad = (0,) * len(tags)
+    relations = []
+    for tag, text in zip(tags, gens):
+        f = Polynomial(ext, {(0,) + e + pad: c for e, c in poly(base, text).terms.items()})
+        relations.append(ext.variable(tag) - t * f)
+    return ext, relations
 
 
 class TestBuchberger:
@@ -112,6 +158,19 @@ class TestBuchberger:
 
 
 class TestReducedBasis:
+    @pytest.mark.parametrize(
+        "gens",
+        [("x^2", "x*y", "y^2", "z^3"), ("x^2 - y*z", "x*y + z^2", "y^3")],
+    )
+    def test_rees_basis_independent_of_generator_order(self, gens):
+        ext, relations = rees_presentation(gens)
+        order = ext.order
+        expected = reduce_basis(buchberger(relations, order), order)
+        assert any(any(e[0] for e in g.terms) for g in expected)
+        assert any(not any(e[0] for e in g.terms) for g in expected)
+        for perm in itertools.permutations(relations):
+            assert reduce_basis(buchberger(list(perm), order), order) == expected
+
     def test_reduced_basis_is_canonical(self):
         r = ring("x", "y")
         a = basis_of(r, "x^2 - y^2", "x*y + y^2")

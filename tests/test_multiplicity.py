@@ -342,6 +342,24 @@ class TestInvariantsOfThePair:
         assert analytic_spread(ideal(r, "x"), m) == 1
         assert analytic_spread(ideal(r, "x^2", "x*y", "y^2"), m) == 2
 
+    @pytest.mark.parametrize(
+        "variables, gens, relations, spread",
+        [
+            # 1 + the largest dimension of a compact face of the Newton
+            # polyhedron
+            ("xyz", ("x^4", "y^4", "z^4"), (), 3),
+            ("xyz", ("x*y", "y*z", "x*z"), (), 3),
+            ("xyz", ("x*y", "y*z"), (), 2),
+            ("xyz", ("x^2", "x*y", "y^2", "z^3"), (), 3),
+            ("xyz", ("x^5", "x^4*y", "x*y^4", "y^5", "z^5"), (), 3),
+            # mu(I^n) = 2 outside K = (xy): x^n and y^n
+            ("xy", ("x", "y"), ("x*y",), 1),
+        ],
+    )
+    def test_spread_hand_derived(self, variables, gens, relations, spread):
+        r = ring(*variables)
+        assert analytic_spread(ideal(r, *gens), module(r, *relations)) == spread
+
     def test_spread_bounds_vanishing(self):
         # c_i = 0 below d - ell; the principal ideal on the plane has
         # ell = 1 so c_0 must vanish

@@ -123,6 +123,17 @@ class TestOrders:
         assert f.leading_monomial() == (2, 1)
         assert f.leading_monomial(lex()) == (2, 1)
 
+    def test_leading_monomial_follows_each_order(self):
+        # the lead is remembered per polynomial; asking under another
+        # order must not return the stale one
+        r = ring("x", "y", "z")
+        f = poly(r, "x + y^2 + z^3")
+        for _ in range(2):
+            assert f.leading_monomial(lex()) == (1, 0, 0)
+            assert f.leading_monomial() == (0, 0, 3)
+            assert f.leading_monomial(elimination_order(1)) == (1, 0, 0)
+            assert f.leading_coefficient(lex()) == 1
+
     def test_multiplicative_invariance(self):
         # a well order on monomials must be stable under common factors
         o = grevlex()
