@@ -60,7 +60,6 @@ _PARAM_FLAGS = (
     "nmax",
     "trials",
     "seed",
-    "jobs",
 )
 
 
@@ -93,7 +92,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--nmax", type=int, help="reduction power budget")
     parser.add_argument("--trials", type=int, help="superficial trial budget")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--jobs", type=int, help="worker processes for table columns")
     corpus = parser.add_argument_group("corpus")
     corpus.add_argument("--count", type=int, default=10)
     corpus.add_argument("--n-vars", type=int, dest="n_vars", default=3)

@@ -24,7 +24,6 @@ class Params:
     trials: int = 10  # superficial search attempts
     coeff_bound: int = 5  # initial coefficient box for random combinations
     seed: int = 0
-    jobs: int = 1
 
     def replace(self, **kw) -> Params:
         return replace(self, **kw)

@@ -10,14 +10,12 @@ leads.  Both criteria hold for any selection order (Becker-Weispfenning,
 reduced, and sorted, hence unique per (ideal, order): equality of
 ideals can be tested by comparing them, and the selection order never
 shows in a result.  A process-wide cache keyed by (ring, generators,
-order) backs all callers; population happens at most once per key even
-under concurrent readers.
+order) backs all callers.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 
 from .errors import EngineLimit
 from .orders import MonomialOrder
@@ -163,8 +161,6 @@ def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
 
 
 _CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
-_PENDING: dict[tuple, threading.Event] = {}
-_LOCK = threading.Lock()
 
 
 def groebner_basis(
@@ -173,36 +169,11 @@ def groebner_basis(
     order: MonomialOrder | None = None,
     limit: int = DEFAULT_BASIS_LIMIT,
 ) -> tuple[Polynomial, ...]:
-    """Reduced basis of the ideal; cached, populated at most once per key."""
+    """Reduced basis of the ideal, cached per (ring, generators, order)."""
     order = order or ring.order
     live = [g for g in gens if not g.is_zero()]
     key = (ring.key, tuple(sorted(g.key() for g in live)), order.key)
-    while True:
-        got = _CACHE.get(key)
-        if got is not None:
-            return got
-        with _LOCK:
-            got = _CACHE.get(key)
-            if got is not None:
-                return got
-            event = _PENDING.get(key)
-            if event is None:
-                event = _PENDING[key] = threading.Event()
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            event.wait()
-            continue
-        try:
-            value = reduce_basis(buchberger(live, order, limit), order)
-        except BaseException:
-            with _LOCK:
-                _PENDING.pop(key, None)
-            event.set()
-            raise
-        with _LOCK:
-            _CACHE[key] = value
-            _PENDING.pop(key, None)
-        event.set()
-        return value
+    got = _CACHE.get(key)
+    if got is None:
+        got = _CACHE[key] = reduce_basis(buchberger(live, order, limit), order)
+    return got

@@ -5,12 +5,17 @@ plus a top lane holding the total degree.  Divisibility is then a
 single subtraction against a guard mask, and multiplying by a variable
 is one addition.  All functions below take and return packed ints;
 ideals are canonical sorted tuples of packed minimal generators.
-Exponents must stay below 2^15 so lane borrows are detectable.
+Exponents and degrees must stay below 2^15 so lane borrows are
+detectable; `pack` and `multiply` raise `EngineLimit` past that.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
+
+from .errors import EngineLimit
 
 LANE_BITS = 16
 LANE_MASK = (1 << LANE_BITS) - 1
@@ -52,12 +57,15 @@ def pack(lay: Layout, exponents: tuple[int, ...]) -> int:
     word = 0
     total = 0
     for e, shift in zip(exponents, lay.var_shifts):
-        if e < 0 or e > MAX_EXPONENT:
-            raise ValueError(f"exponent {e} out of packable range")
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
         word |= e << shift
         total += e
     if total > MAX_EXPONENT:
-        raise ValueError("total degree out of packable range")
+        # no exponent exceeds the total
+        raise EngineLimit(
+            f"degree {total} out of packable range (at most {MAX_EXPONENT})"
+        )
     return word | (total << lay.deg_shift)
 
 
@@ -117,7 +125,13 @@ def add(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def multiply(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return ()
-    return minimalize(lay, (x + y for x in a for y in b))
+    products = [x + y for x in a for y in b]
+    # a lane sum past MAX_EXPONENT sets that lane's guard bit
+    if reduce(or_, products) & lay.guard:
+        raise EngineLimit(
+            f"a product of monomials passes the packable degree {MAX_EXPONENT}"
+        )
+    return minimalize(lay, products)
 
 
 _POWER_CACHE: dict[tuple, tuple[int, ...]] = {}
@@ -264,7 +278,7 @@ def restrict(
 # -- Hilbert numerators ---------------------------------------------------
 
 
-_NUMERATOR_CACHE: dict[tuple, tuple[int, ...]] = {}
+_NUMERATOR_CACHE: dict[tuple, dict[tuple[int, int], int]] = {}
 
 
 def _poly_add(a: list[int], b: list[int]) -> list[int]:
@@ -276,37 +290,47 @@ def _poly_add(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_shift_mul(a: list[int], shift: int) -> list[int]:
-    return [0] * shift + list(a)
-
-
-def _poly_mul_one_minus_t(a: list[int], d: int) -> list[int]:
-    # multiply by (1 - t^d)
-    out = list(a) + [0] * d
-    for i, c in enumerate(a):
-        out[i + d] -= c
-    return out
-
-
 def hilbert_numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Numerator N(t) with series of the quotient = N(t) / (1-t)^arity.
+    """Numerator N(t) with series of the quotient = N(t) / (1-t)^arity."""
+    numer = bigraded_numerator(lay, gens, lay.arity)
+    out = [0] * (1 + max((p for p, _ in numer), default=0))
+    for (p, _), c in numer.items():
+        out[p] = c
+    return tuple(out)
 
-    Pivot recursion: N(I) = N(I + (p)) + t^deg(p) * N(I : p) for any
-    monomial pivot p, with the pure-power product as base case.
+
+def bigraded_numerator(
+    lay: Layout, gens: tuple[int, ...], split: int
+) -> dict[tuple[int, int], int]:
+    """Numerator Q(s, t) of the bigraded series of the quotient.
+
+    The first `split` variables have degree (1, 0) and the others
+    (0, 1), so the series is Q(s, t) / ((1-s)^split (1-t)^(arity-split)).
+    Returns {(p, q): coefficient of s^p t^q}, nonzero coefficients only;
+    the result is cached and must not be modified.
     """
     gens = minimalize(lay, gens)
-    return _numerator(lay, gens)
-
-
-def _numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
-    if not gens:
-        return (1,)
-    if gens[0] == 0:
-        return (0,)
-    key = (lay.arity, gens)
+    key = (lay.arity, split, gens)
     got = _NUMERATOR_CACHE.get(key)
-    if got is not None:
-        return got
+    if got is None:
+        numer = _numerator(lay, gens, split)
+        got = _NUMERATOR_CACHE[key] = {pq: c for pq, c in numer.items() if c}
+    return got
+
+
+def _numerator(
+    lay: Layout, gens: tuple[int, ...], split: int
+) -> dict[tuple[int, int], int]:
+    """Pivot recursion: Q(I) = Q(I + (p)) + s^a t^b * Q(I : p).
+
+    Holds for any monomial pivot p of bidegree (a, b); the base case is
+    a set of generators with pairwise disjoint supports, whose quotient
+    has the product of the (1 - s^a t^b) as numerator.
+    """
+    if not gens:
+        return {(0, 0): 1}
+    if gens[0] == 0:
+        return {}
 
     exps = [unpack(lay, g) for g in gens]
     per_var = [0] * lay.arity
@@ -318,21 +342,24 @@ def _numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
 
     if per_var[pivot_var] <= 1:
         # pairwise disjoint supports: a regular sequence of monomials
-        out = [1]
-        for g in gens:
-            out = _poly_mul_one_minus_t(out, degree(lay, g))
-        result = tuple(out)
-        _NUMERATOR_CACHE[key] = result
-        return result
+        out = {(0, 0): 1}
+        for e in exps:
+            a, b = sum(e[:split]), sum(e[split:])
+            nxt = dict(out)
+            for (p, q), c in out.items():
+                nxt[p + a, q + b] = nxt.get((p + a, q + b), 0) - c
+            out = nxt
+        return out
 
     positives = sorted(e[pivot_var] for e in exps if e[pivot_var])
     pivot_exp = positives[len(positives) // 2]
     # a pure pivot-variable power of exponent <= pivot_exp would make the
     # plus branch a no-op; in a minimal set it is the unique such power
-    # and every other generator in the variable sits strictly below it
+    # and every other generator in the variable sits strictly below it.
+    # Halving it keeps the depth logarithmic in its exponent.
     for g, e in zip(gens, exps):
         if e[pivot_var] and e[pivot_var] == degree(lay, g) and e[pivot_var] <= pivot_exp:
-            pivot_exp = e[pivot_var] - 1
+            pivot_exp = e[pivot_var] // 2
             break
     if pivot_exp < 1:
         raise RuntimeError(f"numerator pivot exponent {pivot_exp} is not positive")
@@ -347,15 +374,11 @@ def _numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
         )
     colon = minimalize(lay, quotients)
 
-    result_list = _poly_add(
-        list(_numerator(lay, plus)),
-        _poly_shift_mul(_numerator(lay, colon), pivot_exp),
-    )
-    while result_list and result_list[-1] == 0:
-        result_list.pop()
-    result = tuple(result_list) if result_list else (0,)
-    _NUMERATOR_CACHE[key] = result
-    return result
+    out = _numerator(lay, plus, split)
+    a, b = (pivot_exp, 0) if pivot_var < split else (0, pivot_exp)
+    for (p, q), c in _numerator(lay, colon, split).items():
+        out[p + a, q + b] = out.get((p + a, q + b), 0) + c
+    return out
 
 
 def pack_single(lay: Layout, var: int, exp: int) -> int:
@@ -430,133 +453,3 @@ def quotient_degree_and_dimension(lay: Layout, gens: tuple[int, ...]) -> tuple[i
     if value <= 0:
         raise ValueError("quotient is zero or numerator not positive at 1")
     return value, remaining
-
-
-# -- bigraded column counts ----------------------------------------------
-
-
-_NO_CUT = 1 << 62  # cut height of a column that no cut generator ends
-
-
-def _envelope(points) -> tuple[tuple[int, int], ...]:
-    """Breakpoints (t, m) of t -> least degree m of a point at height <= t.
-
-    Heights rise and degrees strictly fall along the result.
-    """
-    out = []
-    best = _NO_CUT
-    for t, m in sorted(points):
-        if m < best:
-            out.append((t, m))
-            best = m
-    return tuple(out)
-
-
-def column_counts(
-    lay: Layout,
-    power_gens: tuple[int, ...],
-    cut_gens: tuple[int, ...],
-    u_max: int,
-) -> list[int]:
-    """Counts of monomials by depth below a power ideal, one column.
-
-    Counts the monomials z in (power_gens) but outside (cut_gens); each
-    such z sits at depth D(z) = deg z - min degree of a dividing
-    generator, and the returned list has, at index i <= u_max, the
-    number of z with D(z) = i.  The count at depth i does not depend on
-    u_max: a larger u_max only appends entries.
-
-    The monomials are counted in runs along the last variable.  A
-    generator lies over a prefix p of the other exponents when its own
-    prefix divides p.  The monomials (p, t) of the power ideal start at
-    the least last exponent of a power generator over p and stop below
-    the cut height, the least last exponent of a cut generator over p
-    (or never).  The least dividing degree changes only at the last
-    exponents of the power generators over p, so between two such
-    breakpoints the depth rises by exactly one per step, and each run
-    adds one over a range of depths.
-
-    Prefixes are searched from those of the power generators, and one
-    is extended while its column holds a depth below u_max.  Nothing is
-    missed: for a counted z and a least-degree generator g dividing it,
-    every monomial strictly between g and z is in the power ideal,
-    outside the cut, and of smaller depth than z, so on any path of
-    prefixes from g's to z's every prefix before z's is extended.  A
-    child prefix p + e_k takes its cut height and breakpoints from p,
-    adding only the generators whose k-th exponent equals the child's.
-    """
-    guard = lay.guard
-    deg_shift = lay.deg_shift
-    last = lay.arity - 1
-    last_shift = lay.var_shifts[last]
-    last_step = lay.var_steps[last]
-    shifts = lay.var_shifts[:last]
-    steps = lay.var_steps[:last]
-
-    # each generator as (prefix word, last exponent[, degree]); the
-    # prefix word keeps the total degree of the prefix in its top lane.
-    # A power generator inside the cut divides no counted monomial.
-    powers = []
-    for g in power_gens:
-        if member(lay, g, cut_gens):
-            continue
-        t = (g >> last_shift) & LANE_MASK
-        powers.append((g - t * last_step, t, g >> deg_shift))
-    cuts = []
-    for h in cut_gens:
-        t = (h >> last_shift) & LANE_MASK
-        cuts.append((h - t * last_step, t))
-    # powers_at[k][e] and cuts_at[k][e]: the generators whose k-th exponent is e
-    powers_at = [{} for _ in shifts]
-    cuts_at = [{} for _ in shifts]
-    for k, s in enumerate(shifts):
-        for entry in powers:
-            powers_at[k].setdefault((entry[0] >> s) & LANE_MASK, []).append(entry)
-        for entry in cuts:
-            cuts_at[k].setdefault((entry[0] >> s) & LANE_MASK, []).append(entry)
-
-    top = u_max + 1
-    diff = [0] * (top + 1)
-    seen = set()
-    for root in sorted({q for q, _, _ in powers}):
-        if root in seen:
-            continue
-        seen.add(root)
-        env = _envelope([(t, d) for q, t, d in powers if not (root - q) & guard])
-        cut = min((t for q, t in cuts if not (root - q) & guard), default=_NO_CUT)
-        stack = [(root, cut, env)]
-        while stack:
-            p, cut, env = stack.pop()
-            size = p >> deg_shift
-            # the run starting at breakpoint (t0, m) covers depths from
-            # size + t0 - m up; these starts rise along the column
-            final = len(env) - 1
-            for b, (t0, m) in enumerate(env):
-                lo = size + t0 - m
-                if t0 >= cut or lo > u_max:
-                    break
-                end = env[b + 1][0] if b < final else _NO_CUT
-                hi = lo + (end if end < cut else cut) - t0
-                diff[lo] += 1
-                diff[hi if hi < top else top] -= 1
-            t0, m = env[0]
-            if t0 >= cut or size + t0 - m >= u_max:
-                continue
-            for k in range(last):
-                child = p + steps[k]
-                if child in seen:
-                    continue
-                seen.add(child)
-                e = (child >> shifts[k]) & LANE_MASK
-                child_cut = cut
-                for q, t in cuts_at[k].get(e, ()):
-                    if t < child_cut and not (child - q) & guard:
-                        child_cut = t
-                child_env = env
-                entries = powers_at[k].get(e)
-                if entries:
-                    new = [(t, d) for q, t, d in entries if not (child - q) & guard]
-                    if new:
-                        child_env = _envelope(env + tuple(new))
-                stack.append((child, child_cut, child_env))
-    return list(itertools.accumulate(diff[:top]))

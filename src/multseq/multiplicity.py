@@ -9,6 +9,14 @@ sequence interpolates between the classical multiplicity (c_0 when
 I has finite colength) and the j-multiplicity style invariants of
 non-finite-colength ideals.
 
+The mixed quotients are the bigraded pieces of gr_m(gr_I(M)).  Every
+table is counted from one Gröbner basis of a presentation of gr_I(M)
+in k[x, T], one T_i per generator of I, under a weight order that
+reads the m-adic filtration off the leading monomials; a bigraded
+Hilbert numerator of those leading monomials gives all cells at once
+(`hilbert_table`).  The per-cell `component_length` is the independent
+route the tests check tables against.
+
 Tables are exact integer arrays; stabilization is certified by
 constant finite differences over a corner window plus the vanishing of
 all next-order differences, growing the table geometrically until the
@@ -22,11 +30,12 @@ import math
 from dataclasses import dataclass
 
 from . import monomials as mo
-from ._jobs import parallel_map
 from .config import Params
-from .errors import EngineLimit, PreconditionError, StabilizationError
+from .errors import PreconditionError, StabilizationError
+from .groebner import groebner_basis
 from .hilbert import krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
+from .orders import elimination_order, grevlex, weight_order
 from .poly import Polynomial, PolyRing
 
 
@@ -137,218 +146,93 @@ class BigradedTable:
         return self.values[u][v]
 
 
-_COLUMN_CACHE: dict[tuple, list[int]] = {}
-_GENERAL_COLUMN_CACHE: dict[tuple, list[int]] = {}
+def _rees_relations(ideal: Ideal, module: CyclicModule):
+    """Generators f_i of I and the relations of the Rees module of M = R/K.
 
-
-class _Echelon:
-    """Incremental row reduction with exact arithmetic, sparse rows.
-
-    Rows are dicts keyed by column index.  Over the rationals the rows
-    stay integral (cross-multiplication, gcd-normalized); in positive
-    characteristic entries live mod p.  Monomial generators contribute
-    singleton rows that pivot immediately, which is what keeps the
-    mixed monomial-plus-one-form inputs fast.
+    In k[t, x, T] under `elimination_order(1)`, the t-free part of the
+    basis of (K, T_i - t*f_i) presents the Rees module, the sum of the
+    I^j M = I^j / (I^j ∩ K) as a quotient of k[x, T].  K enters before
+    t is eliminated: added afterwards it would present I^j / K*I^j.
+    Returns (f_i, names of the T_i, the term dicts of the t-free
+    relations over the exponents of (x, T)).
     """
-
-    __slots__ = ("char", "pivots", "rank")
-
-    def __init__(self, char: int):
-        self.char = char
-        self.pivots: dict[int, dict[int, int]] = {}
-        self.rank = 0
-
-    def add(self, row: dict[int, int]) -> bool:
-        p = self.char
-        while row:
-            col = max(row)
-            piv = self.pivots.get(col)
-            if piv is None:
-                if p:
-                    inv = pow(row[col], p - 2, p)
-                    row = {c: (v * inv) % p for c, v in row.items()}
-                else:
-                    g = math.gcd(*row.values()) if len(row) > 1 else abs(row[col])
-                    if row[col] < 0:
-                        g = -g
-                    row = {c: v // g for c, v in row.items()}
-                self.pivots[col] = row
-                self.rank += 1
-                return True
-            if p:
-                factor = row[col]
-                for c, v in piv.items():
-                    row[c] = (row.get(c, 0) - factor * v) % p
-                row = {c: v for c, v in row.items() if v}
-            else:
-                a, b = piv[col], row[col]
-                g = math.gcd(a, b)
-                a, b = a // g, b // g
-                new = {c: v * a for c, v in row.items()}
-                for c, v in piv.items():
-                    new[c] = new.get(c, 0) - b * v
-                row = {c: v for c, v in new.items() if v}
-        return False
-
-
-def _integral_terms(p: Polynomial) -> list[tuple[tuple[int, ...], int]]:
-    # scale a rational polynomial to integer coefficients; spans are unchanged
-    if p.ring.characteristic:
-        return [(e, int(c)) for e, c in p.terms.items()]
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return [(e, int(c * denom)) for e, c in p.terms.items()]
-
-
-def _monomials_of_degree(n: int, deg: int):
-    if n == 1:
-        yield (deg,)
-        return
-    for first in range(deg + 1):
-        for rest in _monomials_of_degree(n - 1, deg - first):
-            yield (first,) + rest
-
-
-def _general_column(
-    ring: PolyRing,
-    t_gens: list[Polynomial],
-    c_gens: list[Polynomial],
-    umax: int,
-) -> list[int]:
-    """comp(i, j) for i = 0..umax, by degreewise prefix ranks.
-
-    In degree deg the space (m^i T + C)_deg is spanned by C_deg plus
-    all multiples of the T-generators of degree at most deg - i, so
-    feeding generator groups into the echelon in ascending degree
-    yields the ranks for every i from a single pass.
-    """
-    n = ring.arity
-    t_data = sorted(
-        ((p.total_degree(), _integral_terms(p)) for p in t_gens),
-        key=lambda pair: pair[0],
+    ring = ideal.ring
+    gens = _minimal_generators(ideal)
+    tags = _fresh_names(ring, "g", len(gens))
+    (aux,) = _fresh_names(ring, "t", 1)
+    ext = PolyRing(
+        (aux,) + ring.variables + tags,
+        ring.characteristic,
+        elimination_order(1),
     )
-    c_data = [(p.total_degree(), _integral_terms(p)) for p in c_gens]
-    mindeg = t_data[0][0]
-    maxdeg = max(d for d, _ in t_data)
-    comp = [0] * (umax + 1)
-    # the i-th piece is killed by the variables and generated in
-    # degrees i + deg(g), so nothing lives above umax + maxdeg
-    for deg in range(umax + maxdeg + 1):
-        cols = {e: k for k, e in enumerate(_monomials_of_degree(n, deg))}
-        ech = _Echelon(ring.characteristic)
+    pad = (0,) * len(tags)
 
-        def feed(gen_deg: int, terms) -> None:
-            for mu in _monomials_of_degree(n, deg - gen_deg):
-                row = {}
-                for e, c in terms:
-                    shifted = tuple(a + b for a, b in zip(mu, e))
-                    row[cols[shifted]] = row.get(cols[shifted], 0) + c
-                ech.add({c: v for c, v in row.items() if v})
+    def lift(p: Polynomial) -> Polynomial:
+        return Polynomial(ext, {(0,) + e + pad: c for e, c in p.terms.items()})
 
-        for gen_deg, terms in c_data:
-            if gen_deg <= deg:
-                feed(gen_deg, terms)
-        base_rank = ech.rank
-        ranks = {}  # threshold -> rank of C_deg plus T-gens of degree <= threshold
-        idx = 0
-        for threshold in range(mindeg, deg + 1):
-            while idx < len(t_data) and t_data[idx][0] <= threshold:
-                feed(t_data[idx][0], t_data[idx][1])
-                idx += 1
-            ranks[threshold] = ech.rank
-
-        def rank_at(threshold: int) -> int:
-            if threshold < mindeg:
-                return base_rank
-            return ranks[min(threshold, deg)]
-
-        for i in range(min(umax, deg - mindeg) + 1):
-            comp[i] += rank_at(deg - i) - rank_at(deg - i - 1)
-    return comp
-
-
-def _monomial_column(
-    lay: mo.Layout,
-    ipacked: tuple[int, ...],
-    kpacked: tuple[int, ...],
-    j: int,
-    umax: int,
-    cache_key: tuple,
-) -> list[int]:
-    key = (cache_key, j, umax)
-    got = _COLUMN_CACHE.get(key)
-    if got is None:
-        tj = mo.power(lay, ipacked, j)
-        cut = mo.add(lay, mo.power(lay, ipacked, j + 1), kpacked)
-        got = _COLUMN_CACHE[key] = mo.column_counts(lay, tj, cut, umax)
-    return got
-
-
-def _column_job(args) -> list[int]:
-    ring, t_gens, c_gens, umax = args
-    return _general_column(ring, t_gens, c_gens, umax)
+    t_var = ext.variable(aux)
+    relations = [lift(p) for p in module.relations.gens]
+    for idx, g in enumerate(gens):
+        relations.append(ext.variable(tags[idx]) - t_var * lift(g))
+    gb = groebner_basis(ext, relations, ext.order)
+    rees = [
+        {e[1:]: c for e, c in p.terms.items()}
+        for p in gb
+        if not any(e[0] for e in p.terms)
+    ]
+    return gens, tags, rees
 
 
 def hilbert_table(
-    ideal: Ideal, module: CyclicModule, umax: int, vmax: int, jobs: int = 1
+    ideal: Ideal, module: CyclicModule, umax: int, vmax: int
 ) -> BigradedTable:
-    """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax."""
+    """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax.
+
+    The cells count gr_m(gr_I(M)).  J = (Rees relations, f_1..f_r)
+    presents gr_I(M) in S = k[x, T]; the m-adic filtration of each piece
+    is read off the lowest x-degree forms, which under deg T_i = deg f_i
+    are the forms of largest weight w(x) = 0, w(T_i) = deg f_i.  With
+    that weight refined by grevlex, comp(i, j) is the number of
+    monomials of x-degree i and T-degree j outside the leading ideal N
+    of J, the coefficient of s^i t^j in Q(s, t) / ((1-s)^n (1-t)^r).
+    The basis comes from the cached `groebner_basis` and Q from the
+    cached numerator, so later growth rounds only redo the division.
+    """
     _check_pair(ideal, module)
     ring = ideal.ring
-    ipacked = ideal.packed()
-    kpacked = module.relations.packed()
-    comps = []
-    if ipacked is not None and kpacked is not None:
-        lay = mo.layout(ring.arity)
-        # the columns take powers up to I^(vmax+1) and count up to umax
-        # degrees above I^vmax; every degree must fit a packed lane
-        reach = max(mo.degree(lay, g) for g in ipacked) * (vmax + 1) + umax
-        if reach > mo.MAX_EXPONENT:
-            raise EngineLimit(
-                f"a {umax}x{vmax} table reaches degree {reach}, "
-                f"past the packable {mo.MAX_EXPONENT}"
-            )
-        cache_key = (ring.key, ipacked, kpacked)
-        columns = [
-            _monomial_column(lay, ipacked, kpacked, j, umax, cache_key)
-            for j in range(vmax + 1)
-        ]
-        comps = [
-            tuple(columns[j][i] for j in range(vmax + 1)) for i in range(umax + 1)
-        ]
-    else:
-        ck = (ideal.key(), module.key())
-        columns = [None] * (vmax + 1)
-        pending = []
-        for j in range(vmax + 1):
-            key = (ck, j, umax)
-            got = _GENERAL_COLUMN_CACHE.get(key)
-            if got is None:
-                t_gens = list(ideal.power(j).gens) or [ring.one()]
-                c_gens = list(ideal.power(j + 1).gens) + list(module.relations.gens)
-                pending.append((j, key, (ring, t_gens, c_gens, umax)))
-            else:
-                columns[j] = got
-        fresh = parallel_map(_column_job, [a for _, _, a in pending], jobs)
-        for (j, key, _), got in zip(pending, fresh):
-            _GENERAL_COLUMN_CACHE[key] = got
-            columns[j] = got
-        comps = [
-            tuple(columns[j][i] for j in range(vmax + 1)) for i in range(umax + 1)
-        ]
-    values = []
-    prev_row = None
-    for i in range(umax + 1):
-        row = []
-        running = 0
-        for j in range(vmax + 1):
-            running += comps[i][j]
-            above = prev_row[j] if prev_row is not None else 0
-            row.append(above + running)
-        values.append(tuple(row))
-        prev_row = row
-    return BigradedTable(tuple(values), tuple(tuple(r) for r in comps), umax, vmax)
+    gens, tags, rees = _rees_relations(ideal, module)
+    n, r = ring.arity, len(gens)
+    order = weight_order((0,) * n + tuple(g.total_degree() for g in gens))
+    s_ring = PolyRing(ring.variables + tags, ring.characteristic, order)
+    pad = (0,) * r
+    # the Rees relations already contain K
+    presentation = [Polynomial(s_ring, terms) for terms in rees]
+    presentation += [
+        Polynomial(s_ring, {e + pad: c for e, c in g.terms.items()}) for g in gens
+    ]
+    lay = mo.layout(n + r)
+    basis = groebner_basis(s_ring, presentation, order)
+    leads = tuple(mo.pack(lay, p.leading_monomial(order)) for p in basis)
+    grid = [[0] * (vmax + 1) for _ in range(umax + 1)]
+    for (p, q), c in mo.bigraded_numerator(lay, leads, n).items():
+        if p <= umax and q <= vmax:
+            grid[p][q] = c
+    # dividing by (1-s) or (1-t) is a running sum down or across; the
+    # cells are Q / ((1-s)^n (1-t)^r), and h sums them once more each way
+    for _ in range(n):
+        _sum_down(grid)
+    for _ in range(r):
+        grid = [list(itertools.accumulate(row)) for row in grid]
+    comps = tuple(map(tuple, grid))
+    _sum_down(grid)
+    values = tuple(tuple(itertools.accumulate(row)) for row in grid)
+    return BigradedTable(values, comps, umax, vmax)
+
+
+def _sum_down(grid: list[list[int]]) -> None:
+    for above, row in zip(grid, grid[1:]):
+        for j, c in enumerate(above):
+            row[j] += c
 
 
 # -- extraction -----------------------------------------------------------
@@ -440,7 +324,7 @@ def multiplicity_sequence(
     u = max(params.umax or 0, d + 4, d + width)
     v = max(params.vmax or 0, d + 4, d + width)
     while True:
-        table = hilbert_table(ideal, module, u, v, jobs=params.jobs)
+        table = hilbert_table(ideal, module, u, v)
         entries, residuals = extract_top_coefficients(table.values, d, width)
         if entries is not None:
             if any(c < 0 for c in entries):
@@ -530,47 +414,19 @@ def _minimal_generators(ideal: Ideal) -> list[Polynomial]:
 def analytic_spread(ideal: Ideal, module: CyclicModule) -> int:
     """Dimension of the special fiber of the I-filtration on the module.
 
-    One tag variable per generator is matched to generator times an
-    internal grading variable; eliminating that variable presents the
-    blowup algebra, and killing the ring variables leaves the fiber in
-    the tags alone.
+    The Rees relations present the blowup algebra in the ring variables
+    and one tag per generator; killing the ring variables leaves the
+    fiber in the tags alone.
     """
-    from .orders import elimination_order, grevlex
-
     _check_pair(ideal, module)
     ring = ideal.ring
-    gens = _minimal_generators(ideal)
-    tags = _fresh_names(ring, "g", len(gens))
-    (aux,) = _fresh_names(ring, "t", 1)
-    ext = PolyRing(
-        (aux,) + ring.variables + tags,
-        ring.characteristic,
-        elimination_order(1),
-    )
+    _, tags, rees = _rees_relations(ideal, module)
     n = ring.arity
-    pad = (0,) * len(tags)
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(ext, {(0,) + e + pad: c for e, c in p.terms.items()})
-
-    t_var = ext.variable(aux)
-    relations = [lift(p) for p in module.relations.gens]
-    for idx, g in enumerate(gens):
-        relations.append(ext.variable(tags[idx]) - t_var * lift(g))
-    from .groebner import groebner_basis
-
-    gb = groebner_basis(ext, relations, ext.order)
     tag_ring = PolyRing(tags, ring.characteristic, grevlex())
     fiber_gens = []
-    for p in gb:
-        if any(e[0] for e in p.terms):
-            continue  # still involves the grading variable
+    for relation in rees:
         # kill the ring variables: keep only pure tag terms
-        terms = {}
-        for e, c in p.terms.items():
-            if any(e[1 : 1 + n]):
-                continue
-            terms[e[1 + n :]] = c
+        terms = {e[n:]: c for e, c in relation.items() if not any(e[:n])}
         if terms:
             fiber_gens.append(Polynomial(tag_ring, terms))
     return krull_dimension(Ideal(tag_ring, fiber_gens))

@@ -2,22 +2,24 @@
 
 An order compares exponent tuples of equal arity and returns -1/0/+1,
 and `sort_key` maps a tuple to a plain tuple that Python orders the
-same way, for `sorted`, `max` and heaps.  Three kinds are supported:
+same way, for `sorted`, `max` and heaps.  Four kinds are supported:
 degree-reverse-lexicographic (the default everywhere), lexicographic,
-and a two-block elimination order that compares the first `block`
+a two-block elimination order that compares the first `block`
 coordinates grevlex-first (so eliminating the leading block of
 variables is a matter of discarding basis elements whose lead involves
-them).
+them), and a weight order that compares the nonnegative weight w·a
+first and breaks ties by grevlex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
+from operator import mul, neg
 
 GREVLEX = "grevlex"
 LEX = "lex"
 BLOCK = "block"
+WEIGHT = "weight"
 
 
 def _cmp_grevlex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -47,15 +49,24 @@ def _cmp_lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 class MonomialOrder:
     kind: str = GREVLEX
     block: int | None = None  # size of the eliminated leading block
+    weights: tuple[int, ...] | None = None  # one per variable, weight kind only
 
     def __post_init__(self) -> None:
-        if self.kind not in (GREVLEX, LEX, BLOCK):
+        if self.kind not in (GREVLEX, LEX, BLOCK, WEIGHT):
             raise ValueError(f"unknown order kind {self.kind!r}")
         if self.kind == BLOCK:
             if not isinstance(self.block, int) or self.block < 1:
                 raise ValueError("block order needs a positive block size")
         elif self.block is not None:
             raise ValueError(f"{self.kind} order takes no block size")
+        if self.kind == WEIGHT:
+            # nonnegative weights keep 1 the smallest monomial
+            if not isinstance(self.weights, tuple) or any(
+                not isinstance(w, int) or w < 0 for w in self.weights
+            ):
+                raise ValueError("weight order needs a tuple of nonnegative ints")
+        elif self.weights is not None:
+            raise ValueError(f"{self.kind} order takes no weights")
 
     def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
         """Return +1 if a is larger, -1 if b is larger, 0 if equal."""
@@ -65,6 +76,14 @@ class MonomialOrder:
             return _cmp_grevlex(a, b)
         if self.kind == LEX:
             return _cmp_lex(a, b)
+        if self.kind == WEIGHT:
+            if len(a) != len(self.weights):
+                raise ValueError("exponent tuple and weights of different arity")
+            wa = sum(w * x for w, x in zip(self.weights, a))
+            wb = sum(w * x for w, x in zip(self.weights, b))
+            if wa != wb:
+                return 1 if wa > wb else -1
+            return _cmp_grevlex(a, b)
         k = self.block
         c = _cmp_grevlex(a[:k], b[:k])
         if c:
@@ -77,12 +96,14 @@ class MonomialOrder:
             return _grevlex_key(exps)
         if self.kind == LEX:
             return exps
+        if self.kind == WEIGHT:
+            return (sum(map(mul, self.weights, exps)), _grevlex_key(exps))
         k = self.block
         return (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
 
     @property
     def key(self) -> tuple:
-        return (self.kind, self.block)
+        return (self.kind, self.block, self.weights)
 
 
 def grevlex() -> MonomialOrder:
@@ -96,3 +117,8 @@ def lex() -> MonomialOrder:
 def elimination_order(block: int) -> MonomialOrder:
     """Order eliminating the first `block` variables."""
     return MonomialOrder(BLOCK, block)
+
+
+def weight_order(weights) -> MonomialOrder:
+    """Largest weight w·a leads; grevlex breaks ties."""
+    return MonomialOrder(WEIGHT, weights=tuple(weights))

@@ -177,8 +177,8 @@ class Polynomial:
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        # (order, leading monomial) of the last lookup, stored as one tuple
-        # so that a concurrent reader sees a whole entry or None
+        # (order, leading monomial) of the last lookup; normal_form asks
+        # every basis element for its lead on every call
         self._lead = None
 
     # -- predicates -------------------------------------------------------

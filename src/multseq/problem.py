@@ -37,7 +37,6 @@ _PARAM_FIELDS = frozenset(
         "trials",
         "coeff_bound",
         "seed",
-        "jobs",
     )
 )
 

@@ -27,7 +27,6 @@ from .multiplicity import (
     CyclicModule,
     MultiplicitySequence,
     _minimal_generators,
-    _monomials_of_degree,
     _variables_ideal,
     analytic_spread,
     height_on_module,
@@ -183,6 +182,15 @@ def _positive_spread(ideal: Ideal, module: CyclicModule) -> bool:
         lay = mo.layout(ideal.ring.arity)
         return not mo.contains(lay, mo.radical(lay, kp), ip)
     return analytic_spread(ideal, module) > 0
+
+
+def _monomials_of_degree(n: int, deg: int):
+    if n == 1:
+        yield (deg,)
+        return
+    for first in range(deg + 1):
+        for rest in _monomials_of_degree(n - 1, deg - first):
+            yield (first,) + rest
 
 
 def _degree_classes(gens: list[Polynomial]) -> list[tuple[int, list[Polynomial]]]:

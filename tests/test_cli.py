@@ -110,10 +110,27 @@ class TestCompute:
         assert json.loads(out)["sequence"]["table_shape"][0] == 10
 
     def test_degrees_past_packed_lanes_exit_four(self, tmp_path, capsys):
-        # the square of x^20000*y no longer fits a packed exponent lane
+        # x^40000 does not fit a packed exponent lane
         path = write(
             tmp_path,
             "wide.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y"]},
+                "ideals": {"I": ["x^40000*y"], "K": []},
+            },
+        )
+        code, out, err = run(capsys, ["--task", "compute", "--input", path])
+        assert code == 4
+        assert out == ""
+        assert "EngineLimit" in err
+        assert "packable" in err
+        # x^20000*y fits; its table is the Hilbert function of R/(x^20000*y)
+        # in every column, cubic in (u, v) below degree 20001, so no window
+        # within the grow cap certifies
+        path = write(
+            tmp_path,
+            "deep.json",
             {
                 "schema": 1,
                 "ring": {"variables": ["x", "y"]},
@@ -123,8 +140,23 @@ class TestCompute:
         code, out, err = run(capsys, ["--task", "compute", "--input", path])
         assert code == 4
         assert out == ""
-        assert "EngineLimit" in err
-        assert "packable" in err
+        assert "StabilizationError" in err
+
+    def test_high_degree_generators_exit_four(self, tmp_path, capsys):
+        # the numerator recursion must not nest once per exponent step
+        path = write(
+            tmp_path,
+            "high.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y", "z"]},
+                "ideals": {"I": ["x^1000*z", "y^999*z", "x*y*z^500"], "K": []},
+            },
+        )
+        code, out, err = run(capsys, ["--task", "compute", "--input", path])
+        assert code == 4
+        assert out == ""
+        assert "internal error" not in err
 
     def test_unstable_window_prints_residuals(self, tmp_path, capsys):
         # (x^3, y^2) needs a table wider than 6x6; the windows that failed
@@ -284,6 +316,13 @@ class TestUsage:
             ["--task", "compute", "--input", golden(tmp_path), "--explode"],
         )
         assert code == 3
+        # the table work runs in one process; there is no worker count
+        code, _, err = run(
+            capsys,
+            ["--task", "compute", "--input", golden(tmp_path), "--jobs", "2"],
+        )
+        assert code == 3
+        assert "usage error" in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(

@@ -22,6 +22,7 @@ from multseq import (
     normal_form,
 )
 from multseq.groebner import buchberger, reduce_basis, s_polynomial
+from multseq.orders import weight_order
 
 
 def basis_of(r, *texts):
@@ -55,12 +56,23 @@ class TestNormalForm:
 
 
 class TestSortKey:
-    ORDERS = (grevlex(), lex(), elimination_order(1), elimination_order(2))
+    @staticmethod
+    def orders(arity):
+        return (
+            grevlex(),
+            lex(),
+            elimination_order(1),
+            elimination_order(2),
+            # zero weights on a leading block, as for the x variables of
+            # a bigraded presentation, and all-distinct weights
+            weight_order((0,) * (arity - 2) + (2, 1)),
+            weight_order(tuple(range(arity))),
+        )
 
     def test_sorting_by_key_agrees_with_compare(self):
         rng = random.Random(5)
-        for order in self.ORDERS:
-            for arity in (3, 4, 5):
+        for arity in (3, 4, 5):
+            for order in self.orders(arity):
                 exps = set()
                 while len(exps) < 60:
                     exps.add(tuple(rng.randrange(4) for _ in range(arity)))
@@ -158,6 +170,17 @@ class TestBuchberger:
 
 
 class TestReducedBasis:
+    def test_cache_tells_weight_orders_apart(self):
+        # one ring, the same generators, two weights: the cached basis of
+        # the first order must not answer for the second
+        r = ring("x", "y", "z")
+        gens = [poly(r, "x^2 - y*z"), poly(r, "y^2 - x*z")]
+        orders = (weight_order((1, 0, 0)), weight_order((0, 0, 1)))
+        cached = [groebner_basis(r, gens, o) for o in orders]
+        assert cached[0] != cached[1]
+        for o, got in zip(orders, cached):
+            assert got == reduce_basis(buchberger(gens, o), o)
+
     @pytest.mark.parametrize(
         "gens",
         [("x^2", "x*y", "y^2", "z^3"), ("x^2 - y*z", "x*y + z^2", "y^3")],

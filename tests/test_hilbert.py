@@ -6,6 +6,7 @@ the fast engine reports must agree with that count on small inputs.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,7 +19,8 @@ from multseq import (
     quotient_degree,
     total_length,
 )
-from multseq.errors import PreconditionError
+from multseq import monomials as mo
+from multseq.errors import EngineLimit, PreconditionError
 from multseq.hilbert import length_subquotient
 
 
@@ -79,6 +81,86 @@ class TestSeries:
         r = ring("x", "y")
         with pytest.raises(Exception):
             hilbert_series(ideal(r, "x^2 - y"))
+
+
+class TestBigradedNumerator:
+    def test_matches_brute_force_standard_monomials(self):
+        # n variables of degree (1, 0) then r of degree (0, 1); the cell
+        # (i, j) of Q(s, t) / ((1-s)^n (1-t)^r) counts the monomials of
+        # bidegree (i, j) outside the ideal
+        rng = random.Random(31)
+        top = 5
+        for n, r in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)):
+            lay = mo.layout(n + r)
+            for _ in range(6):
+                gens = [
+                    tuple(rng.randrange(4) for _ in range(n + r))
+                    for _ in range(rng.randrange(1, 5))
+                ]
+                gens = [e for e in gens if any(e)] or [(1,) + (0,) * (n + r - 1)]
+                numer = mo.bigraded_numerator(
+                    lay, tuple(mo.pack(lay, e) for e in gens), n
+                )
+                for i in range(top + 1):
+                    for j in range(top + 1):
+                        got = sum(
+                            c
+                            * math.comb(i - p + n - 1, n - 1)
+                            * math.comb(j - q + r - 1, r - 1)
+                            for (p, q), c in numer.items()
+                            if p <= i and q <= j
+                        )
+                        want = sum(
+                            1
+                            for exps in itertools.product(range(top + 1), repeat=n + r)
+                            if sum(exps[:n]) == i
+                            and sum(exps[n:]) == j
+                            and not any(
+                                all(a >= b for a, b in zip(exps, g)) for g in gens
+                            )
+                        )
+                        assert got == want, (n, r, gens, i, j)
+
+    def test_single_grading_collapses_to_hilbert_numerator(self):
+        rng = random.Random(37)
+        lay = mo.layout(3)
+        for _ in range(20):
+            gens = tuple(
+                mo.pack(lay, tuple(rng.randrange(4) for _ in range(3)))
+                for _ in range(rng.randrange(1, 5))
+            )
+            numer = mo.bigraded_numerator(lay, gens, 3)
+            assert all(q == 0 for _, q in numer)
+            flat = mo.hilbert_numerator(lay, gens)
+            assert flat == tuple(numer.get((p, 0), 0) for p in range(len(flat)))
+
+
+class TestPacking:
+    def test_pack_past_the_lanes_is_an_engine_limit(self):
+        lay = mo.layout(2)
+        with pytest.raises(EngineLimit):
+            mo.pack(lay, (mo.MAX_EXPONENT + 1, 0))
+        with pytest.raises(EngineLimit):
+            mo.pack(lay, (mo.MAX_EXPONENT, 1))  # total degree
+        with pytest.raises(ValueError):
+            mo.pack(lay, (-1, 0))
+
+    def test_multiply_checks_every_lane(self):
+        lay = mo.layout(2)
+        half = mo.MAX_EXPONENT // 2 + 1
+        a = (mo.pack(lay, (half, 0)),)
+        b = (mo.pack(lay, (half, 0)), mo.pack(lay, (0, 1)))
+        with pytest.raises(EngineLimit):
+            mo.multiply(lay, a, b)
+        # the same degrees spread over both lanes still fit a lane each
+        # but not the total-degree lane
+        with pytest.raises(EngineLimit):
+            mo.multiply(lay, a, (mo.pack(lay, (0, half)),))
+        with pytest.raises(EngineLimit):
+            mo.power(lay, a, 2)
+        assert mo.multiply(lay, a, (mo.pack(lay, (0, 1)),)) == (
+            mo.pack(lay, (half, 1)),
+        )
 
 
 class TestLengthAndDimension:

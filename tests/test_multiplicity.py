@@ -55,38 +55,51 @@ class TestTables:
                 assert table.values[u][v] == want
 
     def test_cells_match_independent_length_route(self):
-        # (variables, I, K, umax, vmax); column j = 0 of every table has
-        # the unit ideal as I^j
+        # (ring, I, K, umax, vmax); column j = 0 of every table has the
+        # unit ideal as I^j
         cases = [
-            (("x", "y"), ("x",), ("x*y",), 4, 4),
-            (("x", "y"), ("x^2", "y^2"), (), 4, 4),
-            (("x", "y"), ("x^2 - y^2",), (), 4, 4),
-            # one variable: every column lies over the empty prefix
-            (("x",), ("x^2",), (), 5, 5),
-            (("x",), ("x^3",), ("x^5",), 5, 5),
-            # over x^3 the depth runs from z^0 to the breakpoint of the
-            # pure power z^2 (the empty prefix), and the cut x^3*z ends
-            # that run between the two breakpoints
-            (("x", "y", "z"), ("x^3", "z^2"), ("x^3*z",), 4, 4),
-            (("x", "y", "z"), ("x^2*y", "y^2*z", "x*z^3"), ("y^3*z^2",), 4, 4),
-            # at height 1 the search does not reach the prefix of y^(3j)
-            # from the generators y^(3j-2)*z, ... below it, yet their
-            # breakpoints set the depths over it
-            (("x", "y", "z"), ("y*z", "y^3"), (), 1, 4),
-            # z is free: no cut generator lies over x^a with a < j + 1,
-            # so those columns are clipped only by the table height
-            (("x", "y", "z"), ("x^2", "x*y"), (), 4, 4),
-            (("x", "y", "z", "w"), ("x*y", "z*w^2", "w^3"), ("x^2*w",), 3, 3),
-            (("x", "y", "z", "w"), ("x^2", "y*w"), (), 3, 3),
+            (ring("x", "y"), ("x",), ("x*y",), 4, 4),
+            (ring("x", "y"), ("x^2", "y^2"), (), 4, 4),
+            (ring("x", "y"), ("x^2 - y^2",), (), 4, 4),
+            # one variable, with and without relations
+            (ring("x"), ("x^2",), (), 5, 5),
+            (ring("x"), ("x^3",), ("x^5",), 5, 5),
+            # K meets I^j in more than K*I^j: x^3*z lies in I but is not
+            # a multiple of a relation times a generator
+            (ring("x", "y", "z"), ("x^3", "z^2"), ("x^3*z",), 4, 4),
+            (ring("x", "y", "z"), ("x^2*y", "y^2*z", "x*z^3"), ("y^3*z^2",), 4, 4),
+            # generators of different degrees: the weights of T_i differ
+            (ring("x", "y", "z"), ("y*z", "y^3"), (), 1, 4),
+            # z is free, so the columns are clipped only by the table height
+            (ring("x", "y", "z"), ("x^2", "x*y"), (), 4, 4),
+            (ring("x", "y", "z", "w"), ("x*y", "z*w^2", "w^3"), ("x^2*w",), 3, 3),
+            (ring("x", "y", "z", "w"), ("x^2", "y*w"), (), 3, 3),
+            # non-monomial ideals and relations
+            (ring("x", "y", "z"), ("x + 2*y", "y^2 + 3*y*z + 5*x*z"), (), 3, 3),
+            (ring("x", "y", "z"), ("x^2 + y^2 + z^2", "x*y + y*z"), (), 3, 3),
+            (ring("x", "y", "z"), ("x*z + y^2", "x^2"), ("x*y*z + z^3",), 3, 3),
+            # a linear and a quadric generator: the weight orders the T_i
+            (ring("x", "y", "z"), ("x", "y^2 + x*z"), (), 4, 4),
+            # a redundant generating set: T_3 - T_1 - T_2 is a relation
+            (ring("x", "y"), ("x^2", "x*y", "x^2 + x*y"), (), 4, 4),
+            (ring("x", "y", "z", char=101), ("x^2 + 50*y*z", "y^2 - z^2"), ("x*y*z",), 3, 3),
         ]
-        for names, gens, relations, umax, vmax in cases:
-            r = ring(*names)
+        for r, gens, relations, umax, vmax in cases:
             a, m = ideal(r, *gens), module(r, *relations)
             table = hilbert_table(a, m, umax, vmax)
             for i in range(umax + 1):
                 for j in range(vmax + 1):
                     want = component_length(a, m, i, j)
                     assert table.components[i][j] == want, (gens, relations, i, j)
+
+    def test_large_exponent_lengths(self):
+        # (x^9000, y) in two variables: I^j / m*I^j has the j + 1
+        # generators x^(9000a) y^(j-a); the numerator recursion halves a
+        # pure power instead of stepping it down one at a time
+        r = ring("x", "y")
+        a = ideal(r, "x^9000", "y")
+        for j in range(3):
+            assert component_length(a, free_module(r), 0, j) == j + 1
 
     def test_monotone_in_both_arguments(self):
         r = ring("x", "y", "z")
@@ -115,17 +128,6 @@ class TestTables:
         ta = hilbert_table(mono, free_module(r), 5, 5)
         tb = hilbert_table(alias, free_module(r), 5, 5)
         assert ta.values == tb.values
-
-    def test_parallel_columns_identical(self):
-        r = ring("x", "y")
-        a = ideal(r, "x^2", "x^2 + x*y")
-        m = free_module(r)
-        serial = hilbert_table(a, m, 5, 5)
-        import multseq.multiplicity as impl
-
-        impl._GENERAL_COLUMN_CACHE.clear()
-        fanned = hilbert_table(a, m, 5, 5, jobs=2)
-        assert serial.values == fanned.values
 
 
 class TestExtraction:
@@ -195,6 +197,15 @@ class TestSequences:
         r = ring("x", "y")
         seq, _ = multiplicity_sequence(ideal(r, "x"), module(r, "x*y"))
         assert seq.entries == (1, 1)
+
+    def test_linear_section_of_a_monomial_ideal(self):
+        r = ring("x", "y", "z", "w")
+        seq, _ = multiplicity_sequence(
+            ideal(r, "z*w", "y^2*z", "y*z^2", "x^2*y*w"),
+            module(r, "3*x + 5*y + 7*z + 2*w"),
+        )
+        assert seq.entries == (8, 5, 0, 0)
+        assert seq.window["u"] == [9, 11]
 
     def test_hyperplane_section_general_path(self):
         r = ring("x", "y")

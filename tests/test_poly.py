@@ -14,6 +14,7 @@ from multseq import (
     lex,
     parse_polynomial,
 )
+from multseq.orders import MonomialOrder, weight_order
 
 
 class TestRing:
@@ -116,6 +117,16 @@ class TestOrders:
         o = elimination_order(1)
         assert o.compare((1, 0, 0), (0, 9, 9)) > 0
         assert o.compare((1, 2, 0), (1, 0, 1)) > 0  # ties fall to grevlex
+
+    def test_weight_dominates_then_grevlex(self):
+        o = weight_order((0, 0, 1))
+        assert o.compare((0, 0, 1), (5, 0, 0)) > 0
+        assert o.compare((2, 0, 1), (0, 1, 1)) > 0  # equal weight: grevlex
+        assert o.compare((1, 0, 0), (0, 0, 0)) > 0  # 1 stays the least
+        with pytest.raises(ValueError):
+            weight_order((0, -1))
+        with pytest.raises(ValueError):
+            MonomialOrder("grevlex", weights=(1, 1))
 
     def test_leading_monomial_respects_order(self):
         r = ring("x", "y")
