@@ -117,15 +117,19 @@ def _version() -> str:
 
 
 def _effective_params(problem: Problem | None, args) -> Params:
-    params = params_from_env(Params())
-    if problem is not None:
-        params = problem.effective_params(params)
     overrides = {}
     for name in _PARAM_FLAGS:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    return params.replace(**overrides) if overrides else params
+    try:
+        params = params_from_env(Params())
+        if problem is not None:
+            params = problem.effective_params(params)
+        return params.replace(**overrides) if overrides else params
+    except ValueError as exc:
+        # an out-of-range flag or environment override is bad input
+        raise _UsageError(str(exc)) from None
 
 
 def _base_report(task: str, params: Params, inputs) -> dict:

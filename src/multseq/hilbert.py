@@ -3,14 +3,17 @@
 The series of a graded quotient is stored as an integer numerator over
 (1-t)^arity.  Monomial ideals feed the combinatorial numerator engine
 directly; other homogeneous ideals go through their initial ideal,
-which has the same series.  Lengths of nested quotients are series
-differences, evaluated after exact division by every (1-t) factor.
+which has the same series.  `HilbertSeries.reduced` is the one
+division by (1-t): the degree is the reduced numerator at 1, and a
+length (of a quotient, or of a nested pair through the difference of
+two numerators) is that value once every (1-t) has cancelled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import monomials as mo
 from .errors import PreconditionError
@@ -53,6 +56,13 @@ class HilbertSeries:
             numer.pop()
         return tuple(numer) if numer else (0,), remaining
 
+    def length(self) -> int:
+        """Value at 1 once every (1-t) cancels; infinite length raises."""
+        numer, remaining = self.reduced()
+        if remaining:
+            raise PreconditionError("quotient has infinite length")
+        return sum(numer)
+
 
 def _packed_of(ideal: Ideal) -> tuple[mo.Layout, tuple[int, ...]]:
     lay = mo.layout(ideal.ring.arity)
@@ -80,22 +90,16 @@ def length_subquotient(larger: Ideal, smaller: Ideal) -> int:
     require_homogeneous(smaller, "length")
     if not smaller.subset_of(larger):
         raise PreconditionError("length of a non-nested pair")
-    lay, packed_large = _packed_of(larger)
-    _, packed_small = _packed_of(smaller)
-    try:
-        return mo.numerator_difference_length(lay, packed_small, packed_large)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    big = hilbert_series(larger).numerator
+    small = hilbert_series(smaller).numerator
+    gap = tuple(a - b for a, b in zip_longest(small, big, fillvalue=0))
+    return HilbertSeries(gap, larger.ring.arity).length()
 
 
 def total_length(ideal: Ideal) -> int:
     """Length of the whole quotient; finite only for zero-dimensional ones."""
     require_homogeneous(ideal, "length")
-    lay, packed = _packed_of(ideal)
-    try:
-        return mo.quotient_total_length(lay, packed)
-    except ValueError:
-        raise PreconditionError("quotient has infinite length") from None
+    return hilbert_series(ideal).length()
 
 
 def krull_dimension(ideal: Ideal) -> int:
@@ -109,11 +113,10 @@ def krull_dimension(ideal: Ideal) -> int:
 def quotient_degree(ideal: Ideal) -> int:
     """Multiplicity (degree) of the quotient by a homogeneous ideal."""
     require_homogeneous(ideal, "degree")
-    lay, packed = _packed_of(ideal)
-    if mo.is_unit(packed):
+    series = hilbert_series(ideal)
+    if series.numerator == (0,):
         raise PreconditionError("degree of the zero ring")
-    value, _dim = mo.quotient_degree_and_dimension(lay, packed)
-    return value
+    return sum(series.reduced()[0])
 
 
 def minimal_primes_monomial(ideal: Ideal) -> list[tuple[int, ...]]:

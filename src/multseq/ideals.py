@@ -39,19 +39,12 @@ class Ideal:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_strings(cls, ring: PolyRing, texts) -> Ideal:
-        return cls(ring, [ring.parse(t) for t in texts])
-
-    @classmethod
     def from_packed(cls, ring: PolyRing, packed: tuple[int, ...]) -> Ideal:
         lay = mo.layout(ring.arity)
         gens = [ring.monomial(mo.unpack(lay, w)) for w in packed]
         ideal = cls(ring, gens)
         ideal._packed = tuple(packed)
         return ideal
-
-    def key(self) -> tuple:
-        return (self.ring.key, tuple(sorted(g.key() for g in self.gens)))
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -61,9 +54,6 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def is_monomial(self) -> bool:
-        return self.packed() is not None
 
     def packed(self) -> tuple[int, ...] | None:
         """Canonical packed minimal generators, when all gens are terms."""

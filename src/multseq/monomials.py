@@ -281,15 +281,6 @@ def restrict(
 _NUMERATOR_CACHE: dict[tuple, dict[tuple[int, int], int]] = {}
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
 def hilbert_numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
     """Numerator N(t) with series of the quotient = N(t) / (1-t)^arity."""
     numer = bigraded_numerator(lay, gens, lay.arity)
@@ -385,71 +376,3 @@ def pack_single(lay: Layout, var: int, exp: int) -> int:
     exps = [0] * lay.arity
     exps[var] = exp
     return pack(lay, tuple(exps))
-
-
-def numerator_difference_length(
-    lay: Layout, inner: tuple[int, ...], outer: tuple[int, ...]
-) -> int:
-    """Length of (outer)/(inner) for nested monomial ideals, via series.
-
-    `inner` is the smaller ideal and `outer` the larger one.  The length
-    of outer/inner is the sum over degrees of the gap between the
-    Hilbert functions of the two quotients, finite iff the gap series is
-    a polynomial.
-    """
-    n_outer = hilbert_numerator(lay, outer)
-    n_inner = hilbert_numerator(lay, inner)
-    diff = _poly_add(list(n_inner), [-c for c in n_outer])
-    return polynomial_value_after_division(diff, lay.arity)
-
-
-def polynomial_value_after_division(coeffs: list[int], times: int) -> int:
-    """Divide by (1-t) `times` times exactly, then evaluate at t=1.
-
-    Raises ValueError if any division leaves a remainder (the quotient
-    module has infinite length).
-    """
-    current = list(coeffs)
-    for _ in range(times):
-        # divide by (1 - t): running prefix sums, remainder = total sum
-        total = 0
-        out = []
-        for c in current:
-            total += c
-            out.append(total)
-        if total != 0:
-            raise ValueError("series difference is not a polynomial (infinite length)")
-        if out:
-            out.pop()  # top slot only carried the (zero) remainder
-        current = out
-    return sum(current)
-
-
-def quotient_total_length(lay: Layout, gens: tuple[int, ...]) -> int:
-    """Length of the full quotient by an m-primary monomial ideal."""
-    numer = hilbert_numerator(lay, gens)
-    return polynomial_value_after_division(list(numer), lay.arity)
-
-
-def quotient_degree_and_dimension(lay: Layout, gens: tuple[int, ...]) -> tuple[int, int]:
-    """(multiplicity, dimension) of the quotient by a monomial ideal.
-
-    The Hilbert series numerator is reduced against powers of (1-t);
-    the leftover value at 1 is the degree, the leftover denominator
-    exponent the dimension.
-    """
-    numer = list(hilbert_numerator(lay, gens))
-    remaining = lay.arity
-    while remaining > 0 and sum(numer) == 0:
-        total = 0
-        out = []
-        for c in numer:
-            total += c
-            out.append(total)
-        out.pop()
-        numer = out
-        remaining -= 1
-    value = sum(numer)
-    if value <= 0:
-        raise ValueError("quotient is zero or numerator not positive at 1")
-    return value, remaining

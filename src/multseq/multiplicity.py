@@ -71,9 +71,6 @@ class CyclicModule:
             self._dim = krull_dimension(self.relations)
         return self._dim
 
-    def key(self) -> tuple:
-        return self.relations.key()
-
     def __repr__(self) -> str:
         return f"<module ring mod {self.relations!r}>"
 

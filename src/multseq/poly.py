@@ -48,10 +48,6 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(a: tuple[int, ...]) -> int:
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class PolyRing:
     variables: tuple[str, ...]
@@ -131,32 +127,10 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {tuple(exponents): c})
 
-    def poly(self, terms: dict) -> Polynomial:
-        clean = {}
-        for exps, coefficient in terms.items():
-            exps = tuple(exps)
-            if len(exps) != self.arity or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps}")
-            c = self.coeff(coefficient)
-            if c != 0:
-                clean[exps] = c
-        return Polynomial(self, clean)
-
-    def parse(self, text: str) -> Polynomial:
-        from .parse import parse_polynomial
-
-        return parse_polynomial(self, text)
-
     # -- derived rings ----------------------------------------------------
 
     def with_order(self, order: MonomialOrder) -> PolyRing:
         return PolyRing(self.variables, self.characteristic, order)
-
-    def restrict(self, names: tuple[str, ...]) -> PolyRing:
-        for name in names:
-            if name not in self.variables:
-                raise KeyError(f"no variable {name!r} in ring")
-        return PolyRing(tuple(names), self.characteristic, grevlex())
 
     def extend_front(self, names: tuple[str, ...], order: MonomialOrder) -> PolyRing:
         for name in names:

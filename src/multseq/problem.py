@@ -11,7 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .config import Params
 from .ideals import Ideal
@@ -24,21 +24,7 @@ from .reduction import ReductionReport, SuperficialCandidate
 
 MAX_PROBLEM_VARIABLES = 8
 
-_PARAM_FIELDS = frozenset(
-    (
-        "umax",
-        "vmax",
-        "window_width",
-        "grow_cap",
-        "nmax",
-        "nmax_escalation",
-        "power_cap",
-        "nzd_cap",
-        "trials",
-        "coeff_bound",
-        "seed",
-    )
-)
+_PARAM_FIELDS = frozenset(f.name for f in fields(Params))
 
 _ORDERS = {"grevlex": grevlex, "lex": lex}
 
@@ -203,6 +189,10 @@ def problem_from_dict(doc: dict) -> Problem:
             "parameters are integers",
             f"params.{key}",
         )
+    try:
+        Params(**params_doc)
+    except ValueError as exc:
+        raise ProblemError(str(exc), "params") from None
 
     label = doc.get("label")
     _expect(

@@ -243,32 +243,6 @@ def _nzd_exponent(
     return None
 
 
-def _localized_element(
-    element: Polynomial, ring, prime_vars: tuple[str, ...]
-) -> Polynomial | None:
-    """Image of the element with outside variables set to one.
-
-    Returns None when the image is no longer homogeneous, in which case
-    the localized preservation check does not apply.
-    """
-    from .orders import grevlex
-    from .poly import PolyRing
-
-    keep = [i for i, v in enumerate(ring.variables) if v in prime_vars]
-    sub = PolyRing(tuple(ring.variables[i] for i in keep), ring.characteristic, grevlex())
-    terms: dict[tuple[int, ...], object] = {}
-    for e, c in element.terms.items():
-        cut = tuple(e[i] for i in keep)
-        if cut in terms:
-            terms[cut] = terms[cut] + c
-        else:
-            terms[cut] = c
-    image = Polynomial(sub, {e: c for e, c in terms.items() if c})
-    if image.is_zero() or not image.is_homogeneous():
-        return None
-    return image
-
-
 def _run_trial(
     ideal: Ideal,
     module: CyclicModule,
@@ -277,7 +251,6 @@ def _run_trial(
     baseline: MultiplicitySequence,
     m_times_ideal: Ideal,
     classes: list[tuple[int, list[Polynomial]]],
-    local_check: bool,
 ) -> tuple[TrialRecord, SuperficialCandidate | None]:
     ring = ideal.ring
     d = module.dim
@@ -324,33 +297,6 @@ def _run_trial(
     evidence.append(
         EvidenceItem("preservation", f"entries {list(got)} match below top", True)
     )
-    if local_check:
-        from .localization import enumerate_lambda, local_c0, localize_ideal, localize_module
-
-        for k in range(d + 1):
-            for prime in enumerate_lambda(ideal, module, k).primes:
-                if local_c0(ideal, module, prime, params) == 0:
-                    continue
-                image = _localized_element(element, ring, prime.variables)
-                name = f"local-preservation at ({', '.join(prime.variables)})"
-                if image is None:
-                    evidence.append(
-                        EvidenceItem(name, "image inhomogeneous; not applicable", True)
-                    )
-                    continue
-                li = localize_ideal(ideal, prime)
-                lm = localize_module(module, prime)
-                dloc = lm.dim
-                base_loc, _ = multiplicity_sequence(li, lm, params)
-                quot_loc = CyclicModule(
-                    lm.ring, lm.relations.add(Ideal(lm.ring, [image]))
-                )
-                if quot_loc.dim != dloc - 1:
-                    return record(f"{name}: local dimension did not drop"), None
-                seq_loc, _ = multiplicity_sequence(li, quot_loc, params)
-                if seq_loc.entries[: dloc - 1] != base_loc.entries[: dloc - 1]:
-                    return record(f"{name}: local entries changed"), None
-                evidence.append(EvidenceItem(name, "low local entries match", True))
     candidate = SuperficialCandidate(
         element=element,
         c_exponent=c,
@@ -367,7 +313,6 @@ def superficial_search(
     ideal: Ideal,
     module: CyclicModule,
     params: Params | None = None,
-    local_check: bool = False,
 ) -> SuperficialCandidate:
     """Find a seeded random combination of generators acting superficially.
 
@@ -389,7 +334,7 @@ def superficial_search(
     records = []
     for trial in range(params.trials):
         rec, candidate = _run_trial(
-            ideal, module, params, trial, baseline, m_times_ideal, classes, local_check
+            ideal, module, params, trial, baseline, m_times_ideal, classes
         )
         records.append(rec)
         if candidate is not None:
@@ -406,7 +351,6 @@ def revalidate(
     ideal: Ideal,
     module: CyclicModule,
     params: Params | None = None,
-    local_check: bool = False,
 ) -> bool:
     """Re-run the candidate's trial from its seed and compare evidence."""
     params = (params or Params()).replace(seed=candidate.seed)
@@ -415,14 +359,7 @@ def revalidate(
     classes = _degree_classes(gens)
     m_times_ideal = _variables_ideal(ideal.ring).multiply(ideal)
     rec, redone = _run_trial(
-        ideal,
-        module,
-        params,
-        candidate.trial,
-        baseline,
-        m_times_ideal,
-        classes,
-        local_check,
+        ideal, module, params, candidate.trial, baseline, m_times_ideal, classes
     )
     if redone is None:
         return False

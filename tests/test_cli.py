@@ -332,6 +332,48 @@ class TestUsage:
         assert "input error" in err
 
 
+# at window_width 1 this input exited 0 with (0, 45, 6, 0); a one-cell
+# window certifies any table
+UNSTABLE = {
+    "schema": 1,
+    "ring": {"variables": ["x", "y", "z"]},
+    "ideals": {"I": ["y^5*z^6", "x^3*y^6*z"], "K": []},
+}
+
+
+class TestParameterRanges:
+    def test_default_window_on_the_unstable_input(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", UNSTABLE)
+        code, out, _ = run(capsys, ["--task", "compute", "--input", path])
+        assert code == 0
+        assert json.loads(out)["sequence"]["entries"] == [0, 49, 6, 0]
+
+    @pytest.mark.parametrize(
+        "params, flags, env, named",
+        [
+            ({"window_width": 1}, [], {}, "window_width"),
+            ({"power_cap": 0}, [], {}, "power_cap"),
+            ({"coeff_bound": -2}, [], {}, "coeff_bound"),
+            ({}, ["--window-width", "1"], {}, "window_width"),
+            ({}, ["--nmax", "-3"], {}, "nmax"),
+            ({}, ["--trials", "-1"], {}, "trials"),
+            ({}, [], {"MULTSEQ_UMAX": "abc"}, "MULTSEQ_UMAX"),
+            ({}, [], {"MULTSEQ_NZD_CAP": "0"}, "MULTSEQ_NZD_CAP"),
+        ],
+    )
+    def test_out_of_range_exits_three(
+        self, tmp_path, capsys, monkeypatch, params, flags, env, named
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = write(tmp_path, "p.json", dict(UNSTABLE, params=params))
+        code, out, err = run(capsys, ["--task", "compute", "--input", path, *flags])
+        assert code == 3
+        assert out == ""
+        assert named in err
+        assert "internal error" not in err
+
+
 class TestCorpusTask:
     def test_inline_documents_deterministic(self, capsys):
         argv = ["--task", "corpus", "--count", "4", "--seed", "5"]

@@ -186,6 +186,33 @@ class TestLengthAndDimension:
         # (x)/(x^2, xy) has basis {x}: finite even though both quotients are not
         assert length_subquotient(ideal(r, "x"), ideal(r, "x^2", "x*y")) == 1
 
+    def test_infinite_subquotient_rejected(self):
+        r = ring("x", "y")
+        # (x)/(x^2) contains x*k[y]
+        with pytest.raises(PreconditionError):
+            length_subquotient(ideal(r, "x"), ideal(r, "x^2"))
+
+    def test_series_division_against_independent_routes(self):
+        # the (1-t) factors left after reduced() count the dimension, which
+        # krull_dimension reads from variable subsets; on m-primary ideals
+        # the length is the number of standard monomials
+        rng = random.Random(41)
+        names = ("x", "y", "z", "w")
+        for arity in (2, 3, 4):
+            r = ring(*names[:arity])
+            for _ in range(10):
+                a = random_monomial_ideal(r, rng, max_degree=3)
+                assert hilbert_series(a).reduced()[1] == krull_dimension(a), a
+                powers = [rng.randrange(1, 4) for _ in range(arity)]
+                primary = ideal(
+                    r,
+                    *[str(g) for g in a.gens],
+                    *[f"{v}^{e}" for v, e in zip(names, powers)],
+                )
+                top = sum(powers) - arity
+                want = sum(standard_count(r, primary.gens, d) for d in range(top + 1))
+                assert total_length(primary) == want, primary
+
     def test_dimension_examples(self):
         r = ring("x", "y", "z")
         assert krull_dimension(ideal(r)) == 3

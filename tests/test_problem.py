@@ -1,9 +1,12 @@
 """Problem documents: schema checks, error locations, canonical JSON."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import multseq
 from multseq import (
     Params,
     ProblemError,
@@ -11,6 +14,7 @@ from multseq import (
     load_problem,
     problem_from_dict,
 )
+from multseq.config import MINIMUMS
 
 
 def doc(**overrides):
@@ -114,6 +118,18 @@ class TestRejection:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ProblemError, match="unknown parameter"):
             problem_from_dict(doc(params={"depth": 3}))
+
+    def test_out_of_range_parameter_rejected(self):
+        with pytest.raises(ProblemError, match="params: window_width must be at least 2"):
+            problem_from_dict(doc(params={"window_width": 1}))
+        with pytest.raises(ValueError, match="power_cap"):
+            Params(power_cap=0)
+
+    def test_schema_lists_every_parameter_and_minimum(self):
+        path = Path(multseq.__file__).parent / "schema" / "problem.schema.json"
+        schema = json.loads(path.read_text())["properties"]["params"]["properties"]
+        assert set(schema) == {f.name for f in fields(Params)}
+        assert {k: v["minimum"] for k, v in schema.items() if "minimum" in v} == MINIMUMS
 
 
 class TestLoading:
