@@ -1,22 +1,48 @@
-"""Buchberger's algorithm with the classical pair criteria.
+"""Buchberger's algorithm with the classical pair criteria, on packed words.
 
-Pending pairs sit in a heap keyed by the order's sort key of their lcm,
-computed once when the pair is pushed, so the pair with the smallest
-lcm comes out first; equal lcms break by the pair's indices, so the
-run is deterministic.  A set of the same pairs serves the membership
-test of the chain criterion; the coprime criterion needs only the
-leads.  Both criteria hold for any selection order (Becker-Weispfenning,
-*Groebner Bases*, ch. 5).  Reduced bases are monic, mutually fully
-reduced, and sorted, hence unique per (ideal, order): equality of
-ideals can be tested by comparing them, and the selection order never
-shows in a result.  A process-wide cache keyed by (ring, generators,
-order) backs all callers.
+`buchberger` and `reduce_basis` pack their input once, run on integer
+words and unpack their result once.  A monomial's word (a
+`monomials.Layout` with the order's `rows` and 32-bit lanes) holds its
+exponents in the low lanes, one per variable, and above them the value
+of each row of the order, the most significant row in the top lane.
+The word of a is sum(a_i * step_i), so, while every lane stays below
+its guard bit:
+- the word of a product is the sum of the words;
+- the order compares monomials as Python compares their words, so
+  `max(work)` and the pair heap need no key function;
+- a | b is `not (b - a) & guard`;
+- two leads are coprime when their lcm is their sum.
+Exponents and row values must stay below 2^31.  Packing checks every
+lane; the lcm of a pair is checked before the pair is reduced (an lcm
+is at most twice a lane, so it never carries and still orders exactly);
+and a product is checked, before it is formed, against the OR of the
+factor's tail words, which bounds each lane.  A hit raises
+`EngineLimit`, so no wrapped word is ever used.
+
+Pending pairs sit in a heap keyed by the word of their lcm, so the pair
+with the smallest lcm comes out first; equal lcms break by the pair's
+indices, so the run is deterministic.  A set of the same pairs serves
+the membership test of the chain criterion; the coprime criterion needs
+only the leads.  Both criteria hold for any selection order
+(Becker-Weispfenning, *Groebner Bases*, ch. 5).  Reduced bases are
+monic, mutually fully reduced, and sorted, hence unique per (ideal,
+order): equality of ideals can be tested by comparing them, and the
+selection order never shows in a result.  A process-wide cache keyed by
+(ring, generators, order) backs all callers.
+
+`normal_form` and `s_polynomial` stay on exponent tuples: they serve
+callers outside the kernel, and the tests use them as the independent
+route.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
+from functools import reduce
+from operator import mul, or_
 
+from . import monomials as mo
 from .errors import EngineLimit
 from .orders import MonomialOrder
 from .poly import (
@@ -78,48 +104,149 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return a - b
 
 
+LANE_BITS = 32
+_RANGE = (
+    "a Groebner basis monomial passes the packable range"
+    f" (lanes below 2^{LANE_BITS - 1})"
+)
+
+
+class _Packed:
+    """Monic polynomials of one ring and order, as packed words.
+
+    Element k is `leads[k]`, with coefficient 1, plus `tails[k]`, a list
+    of (word, coefficient); `bounds[k]` is the OR of the tail's words and
+    `exps[k]` the exponents of its lead.
+    """
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder):
+        self.ring = ring
+        self.lay = mo.layout(ring.arity, order.rows(ring.arity), LANE_BITS)
+        self.guard = self.lay.guard
+        self.p = ring.characteristic
+        self.leads: list[int] = []
+        self.tails: list[list[tuple[int, object]]] = []
+        self.bounds: list[int] = []
+        self.exps: list[tuple[int, ...]] = []
+
+    def pack(self, f: Polynomial) -> dict:
+        """A new dict of f's terms, keyed by word."""
+        lay = self.lay
+        return {mo.pack(lay, e): c for e, c in f.terms.items()}
+
+    def append(self, terms: dict) -> None:
+        """Add the monic multiple of a nonzero packed polynomial; takes `terms`."""
+        lead = max(terms)
+        lc = terms.pop(lead)
+        if lc != 1:
+            inv = self.ring.coeff(self.ring.coeff_inv(lc))
+            p = self.p
+            for w, c in terms.items():
+                terms[w] = c * inv % p if p else c * inv
+        self.leads.append(lead)
+        self.tails.append(list(terms.items()))
+        self.bounds.append(reduce(or_, terms, 0))
+        self.exps.append(mo.unpack(self.lay, lead))
+
+    def polynomial(self, lead: int, tail) -> Polynomial:
+        """The monic polynomial with lead word `lead` and (word, coeff) `tail`."""
+        lay = self.lay
+        terms = {mo.unpack(lay, lead): self.ring.coeff(1)}
+        for w, c in tail:
+            terms[mo.unpack(lay, w)] = c
+        return Polynomial(self.ring, terms)
+
+    def lcm(self, i: int, j: int) -> int:
+        """Word of the lcm of two leads; a lane may pass its guard bit.
+
+        Each lane is below the sum of two guard-free lanes, so none
+        carries, and such words still order and add exactly.
+        """
+        return sum(map(mul, map(max, self.exps[i], self.exps[j]), self.lay.var_steps))
+
+    def multiple(self, k: int, shift: int) -> Iterator[tuple[int, object]]:
+        """Tail of element k times the monomial of word `shift`."""
+        tail, guard = self.tails[k], self.guard
+        # the OR of the tail's words bounds each lane, within a factor
+        # of two; only past that bound is each product tested
+        if (self.bounds[k] + shift) & guard:
+            if any((w + shift) & guard for w, _ in tail):
+                raise EngineLimit(_RANGE)
+        return ((w + shift, c) for w, c in tail)
+
+    def s_polynomial(self, i: int, j: int, lcm: int) -> dict:
+        """S-polynomial of elements i and j, whose leads have lcm `lcm`."""
+        work = dict(self.multiple(i, lcm - self.leads[i]))
+        _subtract(work, self.multiple(j, lcm - self.leads[j]), 1, self.p)
+        return work
+
+    def remainder(self, work: dict, among) -> dict:
+        """Full remainder of `work`, consumed, against the elements `among`."""
+        guard, p, leads = self.guard, self.p, self.leads
+        reducers = [(leads[k], k) for k in among]
+        out: dict = {}
+        while work:
+            mu = max(work)
+            c = work.pop(mu)
+            for lt, k in reducers:
+                shift = mu - lt
+                if not shift & guard:
+                    _subtract(work, self.multiple(k, shift), c, p)
+                    break
+            else:
+                out[mu] = c
+        return out
+
+
+def _subtract(work: dict, terms, factor, p: int) -> None:
+    """work -= factor * terms, in place."""
+    get = work.get
+    for w, c in terms:
+        s = get(w, 0) - factor * c
+        if p:
+            s %= p
+        if s:
+            work[w] = s
+        else:
+            work.pop(w, None)
+
+
 def buchberger(
     gens,
     order: MonomialOrder,
     limit: int = DEFAULT_BASIS_LIMIT,
 ) -> list[Polynomial]:
-    basis: list[Polynomial] = []
-    lts: list[tuple[int, ...]] = []
-    single_term: list[bool] = []
+    gens = [f for f in gens if not f.is_zero()]
+    if not gens:
+        return []
+    basis = _Packed(gens[0].ring, order)
     for f in gens:
-        if f.is_zero():
-            continue
-        f = f.monic(order)
-        basis.append(f)
-        lts.append(f.leading_monomial(order))
-        single_term.append(f.is_term())
-    key = order.sort_key
+        basis.append(basis.pack(f))
+    leads, tails, guard = basis.leads, basis.tails, basis.guard
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int) -> None:
         # the s-polynomial of two monic terms is identically zero
-        if single_term[i] and single_term[j]:
-            return
-        lcm = monomial_lcm(lts[i], lts[j])
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
-        pending.add((i, j))
+        if tails[i] or tails[j]:
+            heapq.heappush(heap, (basis.lcm(i, j), i, j))
+            pending.add((i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         for i in range(j):
             push(i, j)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
 
-        if monomial_mul(lts[i], lts[j]) == lcm:
+        if leads[i] + leads[j] == lcm:
             continue  # coprime leads
+        if lcm & guard:
+            raise EngineLimit(_RANGE)
         chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lts[k], lcm):
+        for k, lt in enumerate(leads):
+            if k != i and k != j and not (lcm - lt) & guard:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -128,35 +255,39 @@ def buchberger(
         if chained:
             continue
 
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if remainder.is_zero():
+        remainder = basis.remainder(basis.s_polynomial(i, j, lcm), range(len(leads)))
+        if not remainder:
             continue
-        remainder = remainder.monic(order)
         basis.append(remainder)
-        lts.append(remainder.leading_monomial(order))
-        single_term.append(remainder.is_term())
-        if len(basis) > limit:
+        if len(leads) > limit:
             raise EngineLimit(f"basis grew past {limit} elements")
-        t = len(basis) - 1
+        t = len(leads) - 1
         for k in range(t):
             push(k, t)
-    return basis
+    return [basis.polynomial(lt, tail) for lt, tail in zip(leads, tails)]
 
 
 def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
     """Minimal, tail-reduced, monic, canonically sorted basis."""
-    items = [(g.leading_monomial(order), g) for g in basis if not g.is_zero()]
-    items.sort(key=lambda it: order.sort_key(it[0]))
-    kept: list[tuple[tuple[int, ...], Polynomial]] = []
-    for lt, g in items:
-        if any(monomial_divides(lt2, lt) for lt2, _ in kept):
-            continue
-        kept.append((lt, g))
+    basis = [g for g in basis if not g.is_zero()]
+    if not basis:
+        return ()
+    packed = _Packed(basis[0].ring, order)
+    for g in basis:
+        packed.append(packed.pack(g))
+    leads, guard = packed.leads, packed.guard
+    kept: list[int] = []
+    # ascending leads: a divisor of a lead is examined before it
+    for k in sorted(range(len(leads)), key=leads.__getitem__):
+        if not any(not (leads[k] - leads[q]) & guard for q in kept):
+            kept.append(k)
     reduced = []
-    for idx, (lt, g) in enumerate(kept):
-        others = [h for k, (_, h) in enumerate(kept) if k != idx]
-        reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda p: order.sort_key(p.leading_monomial(order)), reverse=True)
+    for k in sorted(kept, key=leads.__getitem__, reverse=True):
+        # the lead is divisible by no other kept lead, so only the
+        # tail reduces
+        others = [q for q in kept if q != k]
+        tail = packed.remainder(dict(packed.tails[k]), others)
+        reduced.append(packed.polynomial(leads[k], tail.items()))
     return tuple(reduced)
 
 

@@ -1,85 +1,106 @@
 """Combinatorics of monomial ideals on packed exponent vectors.
 
-A monomial is packed into one int: 16-bit lanes, one per variable,
-plus a top lane holding the total degree.  Divisibility is then a
-single subtraction against a guard mask, and multiplying by a variable
-is one addition.  All functions below take and return packed ints;
-ideals are canonical sorted tuples of packed minimal generators.
-Exponents and degrees must stay below 2^15 so lane borrows are
+A monomial is packed into one int of equal lanes: one per variable,
+holding its exponent, and above them one per row of a nonnegative
+integer matrix, holding that row's value on the exponents, with the
+first row in the top lane.  The word of a is then sum(a_i * step_i),
+so the word of a product is the sum of the words, and a | b is a
+single subtraction against a mask of each lane's top (guard) bit.
+Comparing words as integers compares the row values
+lexicographically, then the exponents from the last variable down.
+
+`layout(arity)` has 16-bit lanes and the single row (1, ..., 1), the
+total degree, so ascending words are ascending degrees; every function
+below takes and returns words of such a layout, and ideals are
+canonical sorted tuples of packed minimal generators.  Lane values
+must stay below the guard bit, 2^15 here, so lane borrows are
 detectable; `pack` and `multiply` raise `EngineLimit` past that.
+`groebner` packs with an order's rows and wider lanes.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 
 from .errors import EngineLimit
 
 LANE_BITS = 16
-LANE_MASK = (1 << LANE_BITS) - 1
-_GUARD_BIT = 1 << (LANE_BITS - 1)
-MAX_EXPONENT = _GUARD_BIT - 1
+MAX_EXPONENT = (1 << (LANE_BITS - 1)) - 1
 
 
 class Layout:
-    """Packing geometry for a fixed number of variables."""
+    """Packing geometry: arity, rows (most significant first), lane width."""
 
-    __slots__ = ("arity", "deg_shift", "guard", "var_steps", "var_shifts")
+    __slots__ = (
+        "arity", "rows", "lane_mask", "max_lane", "safe_degree",
+        "top_shift", "guard", "var_steps", "var_shifts",
+    )
 
-    def __init__(self, arity: int):
+    def __init__(self, arity: int, rows=None, lane_bits: int = LANE_BITS):
+        rows = ((1,) * arity,) if rows is None else tuple(map(tuple, rows))
+        if any(len(row) != arity or min(row, default=0) < 0 for row in rows):
+            raise ValueError("rows must be nonnegative and of the layout's arity")
         self.arity = arity
-        self.deg_shift = LANE_BITS * arity
+        self.rows = rows
+        self.lane_mask = (1 << lane_bits) - 1
+        self.max_lane = (1 << (lane_bits - 1)) - 1
+        # below this degree no lane can pass max_lane, so `pack` skips
+        # computing the rows
+        entry = max((max(row, default=0) for row in rows), default=0)
+        self.safe_degree = self.max_lane // max(entry, 1)
+        lanes = arity + len(rows)
+        self.top_shift = lane_bits * (lanes - 1)
         guard = 0
-        for lane in range(arity + 1):
-            guard |= _GUARD_BIT << (LANE_BITS * lane)
+        for lane in range(lanes):
+            guard |= (self.max_lane + 1) << (lane_bits * lane)
         self.guard = guard
-        self.var_shifts = tuple(LANE_BITS * v for v in range(arity))
+        self.var_shifts = tuple(lane_bits * v for v in range(arity))
+        # row k sits in lane arity + len(rows) - 1 - k
+        row_shifts = [lane_bits * (lanes - 1 - k) for k in range(len(rows))]
         self.var_steps = tuple(
-            (1 << s) + (1 << self.deg_shift) for s in self.var_shifts
+            (1 << self.var_shifts[v])
+            + sum(row[v] << s for row, s in zip(rows, row_shifts))
+            for v in range(arity)
         )
 
 
-_LAYOUTS: dict[int, Layout] = {}
+_LAYOUTS: dict[tuple, Layout] = {}
 
 
-def layout(arity: int) -> Layout:
-    lay = _LAYOUTS.get(arity)
+def layout(arity: int, rows=None, lane_bits: int = LANE_BITS) -> Layout:
+    key = (arity, rows, lane_bits)
+    lay = _LAYOUTS.get(key)
     if lay is None:
-        lay = _LAYOUTS[arity] = Layout(arity)
+        lay = _LAYOUTS[key] = Layout(arity, rows, lane_bits)
     return lay
 
 
 def pack(lay: Layout, exponents: tuple[int, ...]) -> int:
     if len(exponents) != lay.arity:
         raise ValueError("arity mismatch")
-    word = 0
-    total = 0
-    for e, shift in zip(exponents, lay.var_shifts):
-        if e < 0:
-            raise ValueError(f"negative exponent {e}")
-        word |= e << shift
-        total += e
-    if total > MAX_EXPONENT:
-        # no exponent exceeds the total
-        raise EngineLimit(
-            f"degree {total} out of packable range (at most {MAX_EXPONENT})"
-        )
-    return word | (total << lay.deg_shift)
+    if exponents and min(exponents) < 0:
+        raise ValueError(f"negative exponent {min(exponents)}")
+    if sum(exponents) > lay.safe_degree:
+        top = max(exponents)
+        for row in lay.rows:
+            top = max(top, sum(map(mul, row, exponents)))
+        if top > lay.max_lane:
+            raise EngineLimit(
+                f"degree {top} out of packable range (at most {lay.max_lane})"
+            )
+    return sum(map(mul, exponents, lay.var_steps))
 
 
 def unpack(lay: Layout, word: int) -> tuple[int, ...]:
-    return tuple((word >> s) & LANE_MASK for s in lay.var_shifts)
+    mask = lay.lane_mask
+    return tuple((word >> s) & mask for s in lay.var_shifts)
 
 
 def degree(lay: Layout, word: int) -> int:
-    return word >> lay.deg_shift
-
-
-def divides(guard: int, a: int, b: int) -> bool:
-    """a | b as monomials."""
-    return not (b - a) & guard
+    """Value of the top row: the total degree in `layout(arity)`."""
+    return word >> lay.top_shift
 
 
 def minimalize(lay: Layout, words) -> tuple[int, ...]:
@@ -126,10 +147,10 @@ def multiply(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, 
     if not a or not b:
         return ()
     products = [x + y for x in a for y in b]
-    # a lane sum past MAX_EXPONENT sets that lane's guard bit
+    # a lane sum past max_lane sets that lane's guard bit
     if reduce(or_, products) & lay.guard:
         raise EngineLimit(
-            f"a product of monomials passes the packable degree {MAX_EXPONENT}"
+            f"a product of monomials passes the packable degree {lay.max_lane}"
         )
     return minimalize(lay, products)
 

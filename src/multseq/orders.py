@@ -1,20 +1,34 @@
 """Monomial orders on exponent tuples.
 
-An order compares exponent tuples of equal arity and returns -1/0/+1,
-and `sort_key` maps a tuple to a plain tuple that Python orders the
-same way, for `sorted`, `max` and heaps.  Four kinds are supported:
-degree-reverse-lexicographic (the default everywhere), lexicographic,
-a two-block elimination order that compares the first `block`
-coordinates grevlex-first (so eliminating the leading block of
-variables is a matter of discarding basis elements whose lead involves
-them), and a weight order that compares the nonnegative weight w·a
-first and breaks ties by grevlex.
+Four kinds are supported: degree-reverse-lexicographic (the default
+everywhere), lexicographic, a two-block elimination order that compares
+the first `block` coordinates grevlex-first (so eliminating the leading
+block of variables is a matter of discarding basis elements whose lead
+involves them), and a weight order that compares the nonnegative weight
+w·a first and breaks ties by grevlex.
+
+Every order here is a nonnegative matrix order (Robbiano, EUROCAL
+1985): nonnegative integer `rows`, the most significant first, such
+that a < b exactly when the row values of a are lexicographically
+smaller than those of b.  Each order is stated once, by `_shape`: an
+optional weight row, then consecutive blocks of variables, each ordered
+grevlex, whose rows are the block's prefix sums, longest first
+((Σa, Σa − a_n, ..., a_1) for one block of all n variables).
+- grevlex: one block;
+- lex: one block per variable, so the rows are the identity;
+- block: the eliminated leading block, then the rest;
+- weight: w, then one block.
+`rows` spells the shape out as a matrix, which `groebner` packs into
+one integer word per monomial, and `sort_key` evaluates it on one
+exponent tuple, for `sorted`, `max` and heaps.  `compare`, written out
+per kind, is the independent statement the tests hold both to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import mul, neg
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -33,11 +47,6 @@ def _cmp_grevlex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return 0
 
 
-def _grevlex_key(a: tuple[int, ...]) -> tuple:
-    # the smaller exponent in the latest differing slot wins
-    return (sum(a), tuple(map(neg, a[::-1])))
-
-
 def _cmp_lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     for x, y in zip(a, b):
         if x != y:
@@ -50,6 +59,7 @@ class MonomialOrder:
     kind: str = GREVLEX
     block: int | None = None  # size of the eliminated leading block
     weights: tuple[int, ...] | None = None  # one per variable, weight kind only
+    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (GREVLEX, LEX, BLOCK, WEIGHT):
@@ -90,16 +100,43 @@ class MonomialOrder:
             return c
         return _cmp_grevlex(a[k:], b[k:])
 
+    def rows(self, arity: int) -> tuple[tuple[int, ...], ...]:
+        """The order's rows on `arity` variables, most significant first."""
+        weights, blocks = self._shape(arity)
+        rows = [weights] if weights else []
+        for lo, hi in blocks:
+            # Σa over the block first; on equal degree a smaller last
+            # exponent wins, then a smaller one before it, ...
+            rows += [
+                (0,) * lo + (1,) * k + (0,) * (arity - lo - k)
+                for k in range(hi - lo, 0, -1)
+            ]
+        return tuple(rows)
+
     def sort_key(self, exps: tuple[int, ...]) -> tuple:
-        """Plain tuple ordered as `compare` orders exponent tuples."""
-        if self.kind == GREVLEX:
-            return _grevlex_key(exps)
-        if self.kind == LEX:
-            return exps
-        if self.kind == WEIGHT:
-            return (sum(map(mul, self.weights, exps)), _grevlex_key(exps))
-        k = self.block
-        return (_grevlex_key(exps[:k]), _grevlex_key(exps[k:]))
+        """Row values of exps: a tuple ordered as `compare` orders exponents."""
+        weights, blocks = self._shape(len(exps))
+        key = [sum(map(mul, weights, exps))] if weights else []
+        for lo, hi in blocks:
+            key += reversed(tuple(accumulate(exps[lo:hi])))
+        return tuple(key)
+
+    def _shape(self, n: int) -> tuple:
+        """The weight row, if any, and the consecutive blocks of grevlex rows."""
+        got = self._shapes.get(n)
+        if got is None:
+            weights, cuts = None, (0, n)
+            if self.kind == LEX:
+                cuts = tuple(range(n + 1))
+            elif self.kind == BLOCK:
+                cuts = (0, min(self.block, n), n)
+            elif self.kind == WEIGHT:
+                if len(self.weights) != n:
+                    raise ValueError("exponent tuple and weights of different arity")
+                weights = self.weights
+            blocks = tuple((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi)
+            got = self._shapes[n] = (weights, blocks)
+        return got
 
     @property
     def key(self) -> tuple:

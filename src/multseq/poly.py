@@ -146,14 +146,11 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial over a PolyRing."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
-        # (order, leading monomial) of the last lookup; normal_form asks
-        # every basis element for its lead on every call
-        self._lead = None
 
     # -- predicates -------------------------------------------------------
 
@@ -182,10 +179,7 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         order = order or self.ring.order
-        lead = self._lead
-        if lead is None or lead[0] is not order:
-            lead = self._lead = (order, max(self.terms, key=order.sort_key))
-        return lead[1]
+        return max(self.terms, key=order.sort_key)
 
     def leading_coefficient(self, order: MonomialOrder | None = None):
         return self.terms[self.leading_monomial(order)]

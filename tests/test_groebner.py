@@ -2,7 +2,9 @@
 
 Oracles: hand-checked reduced bases for small classics, plus the
 defining properties (remainder freeness, ideal membership, s-polynomial
-reduction) verified directly.
+reduction) verified directly.  The basis kernel runs on packed words;
+`normal_form` and `s_polynomial` stay on exponent tuples and are the
+independent route its results are checked with.
 """
 
 import itertools
@@ -21,7 +23,9 @@ from multseq import (
     lex,
     normal_form,
 )
-from multseq.groebner import buchberger, reduce_basis, s_polynomial
+from multseq import monomials as mo
+from multseq.errors import EngineLimit
+from multseq.groebner import LANE_BITS, buchberger, reduce_basis, s_polynomial
 from multseq.orders import weight_order
 
 
@@ -86,6 +90,137 @@ class TestSortKey:
                 assert by_key == sorted(exps, key=cmp_to_key(order.compare))
                 for a, b in zip(by_key, by_key[1:]):
                     assert order.compare(a, b) < 0
+
+
+def random_orders(rng, arity):
+    """Every order kind on `arity` variables; weights include zeros."""
+    return (
+        grevlex(),
+        lex(),
+        elimination_order(1),
+        elimination_order(2),
+        weight_order((0,) * arity),
+        weight_order(tuple(rng.randrange(3) for _ in range(arity))),
+        weight_order(tuple(rng.randrange(1, 6) for _ in range(arity))),
+    )
+
+
+class TestRows:
+    """The rows of an order state it: row values order as `compare` does."""
+
+    def test_rows_agree_with_compare_and_pack_additively(self):
+        rng = random.Random(8)
+        for arity in range(1, 6):
+            for order in random_orders(rng, arity):
+                rows = order.rows(arity)
+                assert all(min(row) >= 0 and len(row) == arity for row in rows)
+                lay = mo.layout(arity, rows, LANE_BITS)
+                exps = [
+                    tuple(rng.randrange(4) for _ in range(arity))
+                    for _ in range(40)
+                ]
+                exps += [
+                    tuple(rng.randrange(2) for _ in range(arity))
+                    for _ in range(20)
+                ]
+                for a, b in zip(exps, exps[1:] + exps[:1]):
+                    values = [
+                        tuple(sum(r * x for r, x in zip(row, e)) for row in rows)
+                        for e in (a, b)
+                    ]
+                    assert order.sort_key(a) == values[0]
+                    want = order.compare(a, b)
+                    assert (values[0] > values[1]) - (values[0] < values[1]) == want
+                    wa, wb = mo.pack(lay, a), mo.pack(lay, b)
+                    assert (wa > wb) - (wa < wb) == want
+                    product = tuple(x + y for x, y in zip(a, b))
+                    assert mo.pack(lay, product) == wa + wb
+                    divides = all(x <= y for x, y in zip(a, b))
+                    assert (not (wb - wa) & lay.guard) == divides
+
+    def test_rows_by_kind(self):
+        assert grevlex().rows(3) == ((1, 1, 1), (1, 1, 0), (1, 0, 0))
+        assert lex().rows(2) == ((1, 0), (0, 1))
+        assert elimination_order(1).rows(3) == ((1, 0, 0), (0, 1, 1), (0, 1, 0))
+        assert weight_order((0, 2)).rows(2) == ((0, 2), (1, 1), (1, 0))
+
+
+class TestLaneRange:
+    """A lane that would reach its guard bit is an engine limit."""
+
+    TOP = 1 << (LANE_BITS - 1)
+
+    @pytest.mark.parametrize(
+        "order, gens",
+        [
+            # a generator past the lanes
+            (grevlex(), [f"x^{TOP} - y"]),
+            # two leads of degree 2^30 + 1 whose lcm passes 2^31
+            (grevlex(), [f"x^{TOP // 2}*y + z", f"y*z^{TOP // 2} + x"]),
+            # the lead x has weight 1, so the tail y^(2^30 + 1) times
+            # x^(2^30 - 1) in the s-polynomial has degree 2^31
+            (weight_order((1, 0, 0)), [f"x - y^{TOP // 2 + 1}", f"x^{TOP // 2} - z"]),
+            # x leads by elimination, and z times the tail y^(2^31 - 1)
+            # passes the degree lane; that product is the whole
+            # s-polynomial and the only new element, whose pairs are
+            # coprime or of two terms, so only the check on the product
+            # sees it
+            (elimination_order(1), [f"x - y^{TOP - 1}", "x*z"]),
+        ],
+    )
+    def test_overflow_raises(self, order, gens):
+        r = ring("x", "y", "z")
+        with pytest.raises(EngineLimit):
+            buchberger([poly(r, g) for g in gens], order)
+
+    def test_largest_lane_value_computes(self):
+        # y^top fills the degree lane; the pair of y^top with the first
+        # generator has an lcm past the lanes, but coprime leads skip it
+        r = ring("x", "y")
+        top = self.TOP - 1
+        gens = [poly(r, f"x^{top - 1} + y^{top - 1}"), poly(r, "x*y")]
+        got = reduce_basis(buchberger(gens, grevlex()), grevlex())
+        assert [str(g) for g in got] == [
+            f"y^{top}", f"x^{top - 1} + y^{top - 1}", "x*y"
+        ]
+
+
+class TestRandomBases:
+    """Seeded bases, checked through the tuple routes only."""
+
+    @staticmethod
+    def random_poly(rng, r):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(3) for _ in range(r.arity))
+            terms[e] = r.coeff(rng.randrange(1, 7) * rng.choice((1, -1)))
+        return Polynomial(r, terms)
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_reduced_and_every_s_polynomial_reduces_to_zero(self, char):
+        rng = random.Random(3 + char)
+        for arity in (2, 3, 4):
+            names = ("x", "y", "z", "w")[:arity]
+            for order in random_orders(rng, arity):
+                r = PolyRing(names, char, order)
+                gens = [self.random_poly(rng, r) for _ in range(rng.randrange(2, 4))]
+                gb = reduce_basis(buchberger(gens, order), order)
+                leads = [g.leading_monomial(order) for g in gb]
+                for g, lead in zip(gb, leads):
+                    assert g.leading_coefficient(order) == 1
+                    for e in g.terms:
+                        divisible = [
+                            all(x <= y for x, y in zip(other, e)) for other in leads
+                        ]
+                        assert divisible.count(True) == (1 if e == lead else 0)
+                for a, b in zip(leads, leads[1:]):
+                    assert order.compare(a, b) > 0
+                for i, f in enumerate(gb):
+                    for g in gb[:i]:
+                        s = s_polynomial(f, g, order)
+                        assert normal_form(s, gb, order).is_zero()
+                for f in gens:
+                    assert normal_form(f, gb, order).is_zero()
 
 
 def rees_presentation(gens):

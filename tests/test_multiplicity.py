@@ -101,6 +101,16 @@ class TestTables:
         for j in range(3):
             assert component_length(a, free_module(r), 0, j) == j + 1
 
+    def test_high_degree_rees_basis_fits_the_lanes(self):
+        # the Groebner words hold the weight row of k[x, y, T]: T1*T3 has
+        # weight 40000, past a 16-bit lane, so the lanes must be wider
+        r = ring("x", "y")
+        a = ideal(r, "x^20000", "x^10000*y^10000", "y^20000")
+        table = hilbert_table(a, free_module(r), 3, 3)
+        assert table.components == (
+            (1, 3, 5, 7), (2, 6, 10, 14), (3, 9, 15, 21), (4, 12, 20, 28)
+        )
+
     def test_monotone_in_both_arguments(self):
         r = ring("x", "y", "z")
         table = hilbert_table(ideal(r, "x*y", "z^2"), free_module(r), 5, 5)
