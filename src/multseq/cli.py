@@ -144,7 +144,7 @@ def _base_report(task: str, params: Params, inputs) -> dict:
 def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
     seq, _ = multiplicity_sequence(problem.ideal, module, params)
-    diag = diagnostics(problem.ideal, module, params, include_spread=True)
+    diag = diagnostics(problem.ideal, module, params)
     report = _base_report("compute", params, problem.source)
     report["sequence"] = sequence_dict(seq)
     report["diagnostics"] = diagnostics_dict(diag)

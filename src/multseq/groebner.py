@@ -1,7 +1,9 @@
 """Buchberger's algorithm with the classical pair criteria, on packed words.
 
-`buchberger` and `reduce_basis` pack their input once, run on integer
-words and unpack their result once.  A monomial's word (a
+`buchberger` packs its input once, runs the pair loop and then the
+inter-reduction on integer words, and unpacks the reduced basis once.
+A basis that grows past `DEFAULT_BASIS_LIMIT` elements raises
+`EngineLimit`.  A monomial's word (a
 `monomials.Layout` with the order's `rows` and 32-bit lanes) holds its
 exponents in the low lanes, one per variable, and above them the value
 of each row of the order, the most significant row in the top lane.
@@ -211,14 +213,11 @@ def _subtract(work: dict, terms, factor, p: int) -> None:
             work.pop(w, None)
 
 
-def buchberger(
-    gens,
-    order: MonomialOrder,
-    limit: int = DEFAULT_BASIS_LIMIT,
-) -> list[Polynomial]:
+def buchberger(gens, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """Reduced basis: minimal, tail-reduced, monic, canonically sorted."""
     gens = [f for f in gens if not f.is_zero()]
     if not gens:
-        return []
+        return ()
     basis = _Packed(gens[0].ring, order)
     for f in gens:
         basis.append(basis.pack(f))
@@ -259,23 +258,12 @@ def buchberger(
         if not remainder:
             continue
         basis.append(remainder)
-        if len(leads) > limit:
-            raise EngineLimit(f"basis grew past {limit} elements")
+        if len(leads) > DEFAULT_BASIS_LIMIT:
+            raise EngineLimit(f"basis grew past {DEFAULT_BASIS_LIMIT} elements")
         t = len(leads) - 1
         for k in range(t):
             push(k, t)
-    return [basis.polynomial(lt, tail) for lt, tail in zip(leads, tails)]
 
-
-def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
-    """Minimal, tail-reduced, monic, canonically sorted basis."""
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis:
-        return ()
-    packed = _Packed(basis[0].ring, order)
-    for g in basis:
-        packed.append(packed.pack(g))
-    leads, guard = packed.leads, packed.guard
     kept: list[int] = []
     # ascending leads: a divisor of a lead is examined before it
     for k in sorted(range(len(leads)), key=leads.__getitem__):
@@ -286,8 +274,8 @@ def reduce_basis(basis, order: MonomialOrder) -> tuple[Polynomial, ...]:
         # the lead is divisible by no other kept lead, so only the
         # tail reduces
         others = [q for q in kept if q != k]
-        tail = packed.remainder(dict(packed.tails[k]), others)
-        reduced.append(packed.polynomial(leads[k], tail.items()))
+        tail = basis.remainder(dict(tails[k]), others)
+        reduced.append(basis.polynomial(leads[k], tail.items()))
     return tuple(reduced)
 
 
@@ -295,10 +283,7 @@ _CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
 
 
 def groebner_basis(
-    ring: PolyRing,
-    gens,
-    order: MonomialOrder | None = None,
-    limit: int = DEFAULT_BASIS_LIMIT,
+    ring: PolyRing, gens, order: MonomialOrder | None = None
 ) -> tuple[Polynomial, ...]:
     """Reduced basis of the ideal, cached per (ring, generators, order)."""
     order = order or ring.order
@@ -306,5 +291,5 @@ def groebner_basis(
     key = (ring.key, tuple(sorted(g.key() for g in live)), order.key)
     got = _CACHE.get(key)
     if got is None:
-        got = _CACHE[key] = reduce_basis(buchberger(live, order, limit), order)
+        got = _CACHE[key] = buchberger(live, order)
     return got

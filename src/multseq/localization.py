@@ -29,6 +29,7 @@ from .ideals import Ideal
 from .multiplicity import (
     CyclicModule,
     MultiplicitySequence,
+    _monomial_strata,
     height_on_module,
     multiplicity_sequence,
     star_condition,
@@ -138,8 +139,6 @@ def enumerate_lambda(
     not listed here (see `moving_residual`).  Otherwise a user-supplied
     list is filtered by the same predicates.
     """
-    import itertools as it
-
     ring = ideal.ring
     n = ring.arity
     d = module.dim
@@ -148,26 +147,14 @@ def enumerate_lambda(
         raise PreconditionError("support of the colength module is empty")
     if not 0 <= k <= d:
         return LambdaSet(k, (), True, "index outside 0..dim")
-    jp = joined.packed()
-    kp = module.relations.packed()
-    if jp is not None and kp is not None:
-        lay = mo.layout(n)
-        supports = mo.supports(lay, jp)
-        found = []
-        size = n - k
-        for subset in it.combinations(range(n), size):
-            s = set(subset)
-            if not all(sp & s for sp in supports):
-                continue
-            restricted = mo.restrict(lay, kp, subset)
-            if mo.is_unit(restricted):
-                continue
-            local_dim = (
-                mo.dimension(mo.layout(size), restricted) if size else 0
-            )
-            if local_dim == d - k:
-                found.append(MonomialPrime.from_indices(ring, subset))
-        return LambdaSet(k, tuple(found), True)
+    strata = _monomial_strata(ideal, module)
+    if strata is not None:
+        found = tuple(
+            MonomialPrime.from_indices(ring, subset)
+            for subset, local_dim in strata.items()
+            if len(subset) == n - k and local_dim == d - k
+        )
+        return LambdaSet(k, found, True)
     if user_primes is None:
         return LambdaSet(
             k, (), False, "general input: supply candidate primes to enumerate"
@@ -370,17 +357,3 @@ def verify_formula(
         verdict = "lower-bound"
     return FormulaReport(seq, het, star, tuple(rows), all_complete, verdict)
 
-
-def support_primes(ideal: Ideal, module: CyclicModule) -> list[MonomialPrime]:
-    """Minimal primes of the support of M/IM, for monomial input."""
-    joined = ideal.add(module.relations)
-    jp = joined.packed()
-    if jp is None:
-        raise PreconditionError("support enumeration needs monomial input")
-    if not joined.is_proper():
-        return []
-    lay = mo.layout(ideal.ring.arity)
-    return [
-        MonomialPrime.from_indices(ideal.ring, p)
-        for p in mo.minimal_primes(lay, jp)
-    ]

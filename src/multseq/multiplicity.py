@@ -13,9 +13,16 @@ The mixed quotients are the bigraded pieces of gr_m(gr_I(M)).  Every
 table is counted from one Gröbner basis of a presentation of gr_I(M)
 in k[x, T], one T_i per generator of I, under a weight order that
 reads the m-adic filtration off the leading monomials; a bigraded
-Hilbert numerator of those leading monomials gives all cells at once
-(`hilbert_table`).  The per-cell `component_length` is the independent
-route the tests check tables against.
+Hilbert numerator Q(s, t) of those leading monomials (`_gr_numerator`)
+gives all cells at once (`hilbert_table`), and its u = 0 column, the
+fiber of I on M, gives the analytic spread.  The per-cell
+`component_length` is the independent route the tests check tables
+against.
+
+For monomial data one map (`_monomial_strata`) sends each
+variable-subset prime over I + K to the local dimension of M there;
+the height, the star condition and the support strata of
+`localization.enumerate_lambda` all read it.
 
 Tables are exact integer arrays; stabilization is certified by
 constant finite differences over a corner window plus the vanishing of
@@ -33,9 +40,9 @@ from . import monomials as mo
 from .config import Params
 from .errors import PreconditionError, StabilizationError
 from .groebner import groebner_basis
-from .hilbert import krull_dimension, length_subquotient, total_length
+from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
-from .orders import elimination_order, grevlex, weight_order
+from .orders import elimination_order, weight_order
 from .poly import Polynomial, PolyRing
 
 
@@ -95,14 +102,6 @@ def _variables_ideal(ring: PolyRing) -> Ideal:
 def component_ideal(ideal: Ideal, module: CyclicModule, i: int, j: int) -> Ideal:
     """m^i I^j + I^(j+1) + K, the numerator ideal of the (i, j) piece."""
     ring = ideal.ring
-    packed = ideal.packed()
-    kp = module.relations.packed()
-    if packed is not None and kp is not None:
-        lay = mo.layout(ring.arity)
-        part = mo.multiply(lay, mo.irrelevant_power(lay, i), mo.power(lay, packed, j))
-        part = mo.add(lay, part, mo.power(lay, packed, j + 1))
-        part = mo.add(lay, part, kp)
-        return Ideal.from_packed(ring, part)
     m_i = Ideal.from_packed(ring, mo.irrelevant_power(mo.layout(ring.arity), i))
     return (
         m_i.multiply(ideal.power(j))
@@ -180,22 +179,19 @@ def _rees_relations(ideal: Ideal, module: CyclicModule):
     return gens, tags, rees
 
 
-def hilbert_table(
-    ideal: Ideal, module: CyclicModule, umax: int, vmax: int
-) -> BigradedTable:
-    """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax.
+def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
+    """(n, r, Q): the bigraded numerator of gr_m(gr_I(M)).
 
-    The cells count gr_m(gr_I(M)).  J = (Rees relations, f_1..f_r)
-    presents gr_I(M) in S = k[x, T]; the m-adic filtration of each piece
-    is read off the lowest x-degree forms, which under deg T_i = deg f_i
-    are the forms of largest weight w(x) = 0, w(T_i) = deg f_i.  With
-    that weight refined by grevlex, comp(i, j) is the number of
-    monomials of x-degree i and T-degree j outside the leading ideal N
-    of J, the coefficient of s^i t^j in Q(s, t) / ((1-s)^n (1-t)^r).
-    The basis comes from the cached `groebner_basis` and Q from the
-    cached numerator, so later growth rounds only redo the division.
+    J = (Rees relations, f_1..f_r) presents gr_I(M) in S = k[x, T]; the
+    m-adic filtration of each piece is read off the lowest x-degree
+    forms, which under deg T_i = deg f_i are the forms of largest weight
+    w(x) = 0, w(T_i) = deg f_i.  With that weight refined by grevlex,
+    the pieces of gr_m(gr_I(M)) count the monomials outside the leading
+    ideal N of J, and its series is Q(s, t) / ((1-s)^n (1-t)^r), with s
+    marking x-degree and t marking T-degree.  The basis comes from the
+    cached `groebner_basis` and Q from the cached numerator, so every
+    table and the analytic spread of one pair share them.
     """
-    _check_pair(ideal, module)
     ring = ideal.ring
     gens, tags, rees = _rees_relations(ideal, module)
     n, r = ring.arity, len(gens)
@@ -210,8 +206,22 @@ def hilbert_table(
     lay = mo.layout(n + r)
     basis = groebner_basis(s_ring, presentation, order)
     leads = tuple(mo.pack(lay, p.leading_monomial(order)) for p in basis)
+    return n, r, mo.bigraded_numerator(lay, leads, n)
+
+
+def hilbert_table(
+    ideal: Ideal, module: CyclicModule, umax: int, vmax: int
+) -> BigradedTable:
+    """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax.
+
+    comp(i, j) is the coefficient of s^i t^j in the series
+    Q(s, t) / ((1-s)^n (1-t)^r) of gr_m(gr_I(M)) (`_gr_numerator`);
+    later growth rounds only redo the division.
+    """
+    _check_pair(ideal, module)
+    n, r, numerator = _gr_numerator(ideal, module)
     grid = [[0] * (vmax + 1) for _ in range(umax + 1)]
-    for (p, q), c in mo.bigraded_numerator(lay, leads, n).items():
+    for (p, q), c in numerator.items():
         if p <= umax and q <= vmax:
             grid[p][q] = c
     # dividing by (1-s) or (1-t) is a running sum down or across; the
@@ -411,46 +421,46 @@ def _minimal_generators(ideal: Ideal) -> list[Polynomial]:
 def analytic_spread(ideal: Ideal, module: CyclicModule) -> int:
     """Dimension of the special fiber of the I-filtration on the module.
 
-    The Rees relations present the blowup algebra in the ring variables
-    and one tag per generator; killing the ring variables leaves the
-    fiber in the tags alone.
+    The fiber, the sum of the I^j M / m*I^j M, is the u = 0 column of
+    gr_m(gr_I(M)), with series Q(0, t) / (1-t)^r; its dimension is the
+    order of the pole at t = 1, r - ord_{t=1} Q(0, t).
     """
     _check_pair(ideal, module)
-    ring = ideal.ring
-    _, tags, rees = _rees_relations(ideal, module)
-    n = ring.arity
-    tag_ring = PolyRing(tags, ring.characteristic, grevlex())
-    fiber_gens = []
-    for relation in rees:
-        # kill the ring variables: keep only pure tag terms
-        terms = {e[n:]: c for e, c in relation.items() if not any(e[:n])}
-        if terms:
-            fiber_gens.append(Polynomial(tag_ring, terms))
-    return krull_dimension(Ideal(tag_ring, fiber_gens))
+    _, r, numerator = _gr_numerator(ideal, module)
+    # Q(0, 0) = 1: the (0, 0) piece is M / (m + I)M = k
+    fiber = [0] * (1 + max(q for p, q in numerator if not p))
+    for (p, q), c in numerator.items():
+        if not p:
+            fiber[q] = c
+    return HilbertSeries(tuple(fiber), r).reduced()[1]
 
 
 # -- heights and the dimension condition ---------------------------------
 
 
-def dimension_at_monomial_prime(
-    module: CyclicModule, prime_vars: tuple[int, ...]
-) -> int:
-    """Dimension of the localized module at a variable-subset prime.
+def _monomial_strata(ideal: Ideal, module: CyclicModule) -> dict | None:
+    """Each variable-subset prime over I + K, mapped to dim M_p.
 
-    Outside variables become units; the relations restrict to the kept
-    variables and the local dimension is read off there.  Requires the
-    prime to lie in the support.
+    Keys are sorted variable-index tuples, by size and then in
+    `itertools.combinations` order; None unless I and K are monomial.
+    Outside variables become units, so K restricts to the kept
+    variables, where the local dimension is read off; a prime over
+    I + K contains K, so the restriction is never the unit ideal.
     """
+    jp = ideal.add(module.relations).packed()
     kp = module.relations.packed()
-    if kp is None:
-        raise PreconditionError("monomial localization needs monomial relations")
-    lay = mo.layout(module.ring.arity)
-    restricted = mo.restrict(lay, kp, tuple(prime_vars))
-    if mo.is_unit(restricted):
-        raise PreconditionError("prime is outside the support of the module")
-    if not prime_vars:
-        return 0
-    return mo.dimension(mo.layout(len(prime_vars)), restricted)
+    if jp is None or kp is None:
+        return None
+    n = ideal.ring.arity
+    lay = mo.layout(n)
+    supports = mo.supports(lay, jp)
+    strata = {}
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if all(sp.intersection(subset) for sp in supports):
+                local = mo.restrict(lay, kp, subset)
+                strata[subset] = mo.dimension(mo.layout(size), local)
+    return strata
 
 
 def height_on_module(ideal: Ideal, module: CyclicModule) -> int:
@@ -463,16 +473,9 @@ def height_on_module(ideal: Ideal, module: CyclicModule) -> int:
     joined = ideal.add(module.relations)
     if not joined.is_proper():
         raise PreconditionError("no primes contain the ideal on this module")
-    jp = joined.packed()
-    kp = module.relations.packed()
-    if jp is not None and kp is not None:
-        lay = mo.layout(module.ring.arity)
-        best = None
-        for prime in mo.minimal_primes(lay, jp):
-            local = dimension_at_monomial_prime(module, tuple(sorted(prime)))
-            if best is None or local < best:
-                best = local
-        return best
+    strata = _monomial_strata(ideal, module)
+    if strata is not None:
+        return min(strata.values())
     if not module.equidimensional:
         raise PreconditionError(
             "height on a general module needs the equidimensionality assertion"
@@ -494,34 +497,24 @@ def star_condition(
     _check_pair(ideal, module)
     if height_on_module(ideal, module) > 0:
         return True
-    ip = ideal.packed()
-    kp = module.relations.packed()
-    if ip is None or kp is None:
+    strata = _monomial_strata(ideal, module)
+    if strata is None:
         return None
-    ring = module.ring
-    lay = mo.layout(ring.arity)
-    joined = mo.add(lay, ip, kp)
-    supp = mo.supports(lay, joined)
-    n_vars = ring.arity
-    for size in range(1, n_vars + 1):
-        for subset in itertools.combinations(range(n_vars), size):
-            s = frozenset(subset)
-            if not all(sp & s for sp in supp):
-                continue  # prime does not contain I + K
-            kept = tuple(subset)
-            sub_lay = mo.layout(len(kept))
-            k_local = mo.restrict(lay, kp, kept)
-            i_local = mo.restrict(lay, ip, kept)
-            d_local = mo.dimension(sub_lay, k_local)
-            for n in range(1, params.power_cap + 1):
-                colon = mo.colon_ideal(sub_lay, k_local, mo.power(sub_lay, i_local, n))
-                if mo.is_unit(colon):
-                    # the power kills the localized module, which only a
-                    # zero-dimensional localization survives
-                    if d_local != 0:
-                        return False
-                elif mo.dimension(sub_lay, colon) != d_local:
+    lay = mo.layout(ideal.ring.arity)
+    ip, kp = ideal.packed(), module.relations.packed()
+    for kept, d_local in strata.items():
+        sub_lay = mo.layout(len(kept))
+        k_local = mo.restrict(lay, kp, kept)
+        i_local = mo.restrict(lay, ip, kept)
+        for n in range(1, params.power_cap + 1):
+            colon = mo.colon_ideal(sub_lay, k_local, mo.power(sub_lay, i_local, n))
+            if mo.is_unit(colon):
+                # the power kills the localized module, which only a
+                # zero-dimensional localization survives
+                if d_local != 0:
                     return False
+            elif mo.dimension(sub_lay, colon) != d_local:
+                return False
     return True
 
 
@@ -535,7 +528,7 @@ class Diagnostics:
     height: int
     star: bool | None
     finite_colength: bool
-    spread: int | None
+    spread: int
     consistent: bool
 
 
@@ -543,17 +536,13 @@ def diagnostics(
     ideal: Ideal,
     module: CyclicModule,
     params: Params | None = None,
-    include_spread: bool = False,
 ) -> Diagnostics:
     params = params or Params()
     _check_pair(ideal, module)
     q = krull_dimension(ideal.add(module.relations))
     het = height_on_module(ideal, module)
     star = star_condition(ideal, module, params)
-    spread = analytic_spread(ideal, module) if include_spread else None
-    consistent = True
-    if spread is not None and module.dim - spread > q:
-        consistent = False
+    spread = analytic_spread(ideal, module)
     return Diagnostics(
         dim=module.dim,
         colength_dim=q,
@@ -561,5 +550,5 @@ def diagnostics(
         star=star,
         finite_colength=(q == 0),
         spread=spread,
-        consistent=consistent,
+        consistent=module.dim - spread <= q,
     )

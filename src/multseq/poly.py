@@ -129,9 +129,6 @@ class PolyRing:
 
     # -- derived rings ----------------------------------------------------
 
-    def with_order(self, order: MonomialOrder) -> PolyRing:
-        return PolyRing(self.variables, self.characteristic, order)
-
     def extend_front(self, names: tuple[str, ...], order: MonomialOrder) -> PolyRing:
         for name in names:
             if name in self.variables:
@@ -183,12 +180,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder | None = None):
         return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder | None = None) -> Polynomial:
-        if not self.terms:
-            return self
-        inv = self.ring.coeff_inv(self.leading_coefficient(order))
-        return self.scale(inv)
 
     # -- arithmetic -------------------------------------------------------
 

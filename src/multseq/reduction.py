@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import monomials as mo
 from .config import Params
 from .errors import PreconditionError, SearchExhausted
 from .ideals import Ideal, require_homogeneous
@@ -172,18 +171,6 @@ class SuperficialCandidate:
     evidence: tuple[EvidenceItem, ...]
 
 
-def _positive_spread(ideal: Ideal, module: CyclicModule) -> bool:
-    # the spread is positive exactly when I survives the radical of K
-    ip = ideal.packed()
-    kp = module.relations.packed()
-    if ip is not None and kp is not None:
-        if not kp:
-            return True
-        lay = mo.layout(ideal.ring.arity)
-        return not mo.contains(lay, mo.radical(lay, kp), ip)
-    return analytic_spread(ideal, module) > 0
-
-
 def _monomials_of_degree(n: int, deg: int):
     if n == 1:
         yield (deg,)
@@ -321,7 +308,7 @@ def superficial_search(
     the result is deterministic in (seed, trial count).
     """
     params = params or Params()
-    if not _positive_spread(ideal, module):
+    if not analytic_spread(ideal, module) > 0:
         raise PreconditionError(
             "the ideal acts nilpotently on the module; no superficial element exists"
         )

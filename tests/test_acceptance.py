@@ -67,7 +67,7 @@ def decomposition_suite():
         problem = problem_from_dict(document)
         a, m = problem.ideal, problem.module()
         report = verify_formula(a, m)
-        diag = diagnostics(a, m, include_spread=True)
+        diag = diagnostics(a, m)
         rows.append((document, report, diag))
     return rows, time.perf_counter() - start
 
@@ -141,24 +141,21 @@ def test_support_decomposition_on_random_corpus(decomposition_suite):
 def test_vanishing_bounds_on_random_corpus(decomposition_suite):
     rows, _ = decomposition_suite
     violations = []
-    spreads_seen = 0
     for doc, rep, diag in rows:
         entries = rep.sequence.entries
         d, q = diag.dim, diag.colength_dim
         for i in range(q + 1, d + 1):
             if entries[i]:
                 violations.append((doc["label"], "above", i, entries))
-        if diag.spread is not None:
-            spreads_seen += 1
-            for i in range(d - diag.spread):
-                if entries[i]:
-                    violations.append((doc["label"], "below", i, entries))
+        for i in range(d - diag.spread):
+            if entries[i]:
+                violations.append((doc["label"], "below", i, entries))
     print(
         f"vanishing bounds: 100 inputs clean above dim M/IM, "
-        f"{spreads_seen} spread lower bounds checked"
+        f"{len(rows)} spread lower bounds checked"
     )
     assert not violations, violations
-    assert spreads_seen > 0
+    assert rows
 
 
 def test_reduction_detection_and_consistency():

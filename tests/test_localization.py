@@ -14,16 +14,18 @@ from multseq import (
     MonomialPrime,
     enumerate_lambda,
     generate_corpus,
+    height_on_module,
     local_c0,
     localize_ideal,
     localize_module,
+    minimal_primes_monomial,
     multiplicity_sequence,
     problem_from_dict,
     residue_degree,
     verify_formula,
 )
 from multseq.errors import PreconditionError
-from multseq.localization import moving_residual, support_primes
+from multseq.localization import moving_residual
 
 
 class TestPrimes:
@@ -115,11 +117,32 @@ class TestLambdaStrata:
         assert not stratum.complete
         assert stratum.note
 
-    def test_support_primes(self):
-        r = ring("x", "y", "z")
-        a = ideal(r, "x*y")
-        got = support_primes(a, module(r))
-        assert sorted(p.variables for p in got) == [("x",), ("y",)]
+
+class TestHeight:
+    def test_height_is_least_local_dimension_over_minimal_primes(self):
+        rng = random.Random(23)
+        heights = []
+        for n_vars in (3, 4) * 30:
+            r = ring(*("x", "y", "z", "w")[:n_vars])
+
+            def monomials(count):
+                out = []
+                for _ in range(count):
+                    e = [rng.randrange(3) for _ in range(n_vars)]
+                    e[rng.randrange(n_vars)] += 1
+                    out.append("*".join(f"{v}^{k}" for v, k in zip(r.variables, e)))
+                return out
+
+            a = ideal(r, *monomials(rng.randint(1, 3)))
+            m = module(r, *monomials(rng.randint(0, 2)))
+            joined = a.add(m.relations)
+            want = min(
+                localize_module(m, MonomialPrime.from_indices(r, p)).dim
+                for p in minimal_primes_monomial(joined)
+            )
+            assert height_on_module(a, m) == want, (a, m)
+            heights.append(want)
+        assert 0 in heights and max(heights) > 1
 
 
 class TestLocalMultiplicity:

@@ -15,23 +15,69 @@ import pytest
 from conftest import ideal, module, poly, ring
 from multseq import (
     CyclicModule,
+    Ideal,
     Params,
+    PolyRing,
+    Polynomial,
     analytic_spread,
     classical_multiplicity,
     component_length,
     diagnostics,
     extract_top_coefficients,
+    generate_corpus,
+    grevlex,
     height_on_module,
     hilbert_table,
+    krull_dimension,
     multiplicity_sequence,
+    problem_from_dict,
     star_condition,
     total_length,
 )
+from multseq import groebner
 from multseq.errors import NonHomogeneousInput, PreconditionError
+from multseq.multiplicity import _rees_relations
 
 
 def free_module(r):
     return module(r)
+
+
+def fiber_ring_spread(a, m):
+    """Krull dimension of the fiber ring, the oracle for the analytic spread.
+
+    Killing the ring variables in the Rees relations leaves their pure
+    tag terms, which present the fiber I^j M / m*I^j M in the tags
+    alone; its dimension comes from an initial ideal, not from the
+    bigraded numerator that `analytic_spread` reads.
+    """
+    _, tags, rees = _rees_relations(a, m)
+    n = a.ring.arity
+    tag_ring = PolyRing(tags, a.ring.characteristic, grevlex())
+    fiber = [
+        Polynomial(tag_ring, {e[n:]: c for e, c in terms.items() if not any(e[:n])})
+        for terms in rees
+    ]
+    return krull_dimension(Ideal(tag_ring, fiber))
+
+
+def triangular_ci(rng, r, a, b):
+    """(x^a + y*p, y^b + z*q), p and q seeded forms: a regular sequence.
+
+    Modulo z, the second generator is y^b and the first x^a plus a
+    multiple of y, so with z^c they have finite colength.
+    """
+    x, y, z = r.variables
+
+    def lead_plus(lead, degree, times, others):
+        if degree == 1:
+            return f"{lead} + {rng.randint(1, 9)}*{times}"
+        tail = " + ".join(
+            f"{rng.randint(1, 9)}*{times}*{v}^{degree - 1}" for v in others
+        )
+        return f"{lead}^{degree} + {tail}"
+
+    return ideal(r, lead_plus(x, a, y, (x, z)), lead_plus(y, b, z, (y, x)))
 
 
 class TestTables:
@@ -391,6 +437,49 @@ class TestInvariantsOfThePair:
         ell = analytic_spread(a, m)
         assert all(seq.entries[i] == 0 for i in range(m.dim - ell))
 
+    @pytest.mark.parametrize("n_vars, count", [(3, 60), (4, 30)])
+    @pytest.mark.parametrize("relations", ["zero", "monomial"])
+    def test_spread_matches_fiber_ring_on_corpus(self, n_vars, count, relations):
+        documents = generate_corpus(
+            count, n_vars=n_vars, max_degree=4, seed=5, mode="single",
+            relations=relations,
+        )
+        for document in documents:
+            problem = problem_from_dict(document)
+            a, m = problem.ideal, problem.module()
+            assert analytic_spread(a, m) == fiber_ring_spread(a, m), document
+        if relations == "monomial":
+            assert any(problem_from_dict(d).module().relations.gens for d in documents)
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_spread_matches_fiber_ring_on_complete_intersections(self, char):
+        rng = random.Random(17 + char)
+        r = ring("x", "y", "z", char=char)
+        for a, b, c in ((1, 1, 0), (2, 1, 0), (2, 2, 0), (1, 1, 1), (1, 1, 2), (2, 1, 1)):
+            i = triangular_ci(rng, r, a, b)
+            m = module(r, f"z^{c}") if c else free_module(r)
+            # a regular sequence of two elements has the fiber k[T_1, T_2]
+            assert analytic_spread(i, m) == fiber_ring_spread(i, m) == 2
+
+    def test_spread_reuses_the_sequence_basis(self, monkeypatch):
+        calls = []
+        kernel = groebner.buchberger
+
+        def counted(gens, order):
+            calls.append(order)
+            return kernel(gens, order)
+
+        monkeypatch.setattr(groebner, "_CACHE", {})
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        # the fiber of (x^2, xy, y^2) has the relation T_0 T_2 = T_1^2
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x^2", "x*y", "y^2"), module(r, "x*z^3")
+        multiplicity_sequence(a, m)
+        assert calls
+        before = len(calls)
+        analytic_spread(a, m)
+        assert len(calls) == before
+
     def test_height_examples(self):
         r2 = ring("x", "y")
         r3 = ring("x", "y", "z")
@@ -422,7 +511,7 @@ class TestInvariantsOfThePair:
         r = ring("x", "y")
         m = free_module(r)
         for gens in (["x"], ["x", "y"], ["x^2", "y^2"], ["x^2 - y^2"]):
-            diag = diagnostics(ideal(r, *gens), m, include_spread=True)
+            diag = diagnostics(ideal(r, *gens), m)
             assert diag.consistent
             assert diag.dim == 2
             assert diag.finite_colength == (diag.colength_dim == 0)
