@@ -153,8 +153,7 @@ def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
 
 def _run_verify(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
-    user = list(problem.primes) if problem.primes is not None else None
-    rep = verify_formula(problem.ideal, module, params, user_primes=user)
+    rep = verify_formula(problem.ideal, module, params)
     report = _base_report("verify-formula", params, problem.source)
     report["formula"] = formula_dict(rep)
     if rep.verdict == "verified":

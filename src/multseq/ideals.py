@@ -128,8 +128,10 @@ class Ideal:
         if a is not None and b is not None:
             lay = mo.layout(self.ring.arity)
             return Ideal.from_packed(self.ring, mo.multiply(lay, a, b))
+        # a power built one factor at a time keeps each product of
+        # generators once, not once per order of its factors
         return Ideal(
-            self.ring, [f * g for f in self.gens for g in other.gens]
+            self.ring, dict.fromkeys(f * g for f in self.gens for g in other.gens)
         )
 
     def power(self, n: int) -> Ideal:

@@ -104,17 +104,6 @@ def residue_degree(ring: PolyRing, prime: MonomialPrime) -> int:
     return 1
 
 
-def _contains_in_variables(ideal: Ideal, variables: frozenset[str]) -> bool:
-    """Whether every generator lies in the prime of the given variables."""
-    ring = ideal.ring
-    idx = {i for i, v in enumerate(ring.variables) if v in variables}
-    for g in ideal.gens:
-        for e in g.terms:
-            if not any(e[i] for i in idx):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class LambdaSet:
     """Primes of codimension-complement k meeting the dimension condition."""
@@ -129,15 +118,15 @@ def enumerate_lambda(
     ideal: Ideal,
     module: CyclicModule,
     k: int,
-    user_primes: list[MonomialPrime] | None = None,
 ) -> LambdaSet:
     """Primes p over I plus relations with dim R/p = k and dim M_p = d - k.
 
     Monomial input enumerates every variable-subset prime, which lists
     every fixed component of the k-dimensional Stuckrad-Vogel cycle;
     `complete` certifies that fixed list only.  Moving components are
-    not listed here (see `moving_residual`).  Otherwise a user-supplied
-    list is filtered by the same predicates.
+    not listed here (see `moving_residual`).  Primes over non-monomial
+    data are not enumerated: the stratum is returned empty and
+    incomplete, so its row reads as a lower bound.
     """
     ring = ideal.ring
     n = ring.arity
@@ -155,24 +144,8 @@ def enumerate_lambda(
             if len(subset) == n - k and local_dim == d - k
         )
         return LambdaSet(k, found, True)
-    if user_primes is None:
-        return LambdaSet(
-            k, (), False, "general input: supply candidate primes to enumerate"
-        )
-    found = []
-    for prime in user_primes:
-        if prime.codimension(ring) != n - k:
-            continue
-        if not _contains_in_variables(joined, frozenset(prime.variables)):
-            continue
-        if module.equidimensional:
-            found.append(prime)  # dim M_p = d - k holds on unmixed modules
-        # without unmixedness the local dimension is not certified; drop
     return LambdaSet(
-        k,
-        tuple(found),
-        False,
-        "filtered user-supplied primes only; the list may be incomplete",
+        k, (), False, "general input: primes over it are not enumerated"
     )
 
 
@@ -305,7 +278,6 @@ def verify_formula(
     ideal: Ideal,
     module: CyclicModule,
     params: Params | None = None,
-    user_primes: list[MonomialPrime] | None = None,
 ) -> FormulaReport:
     """Compare the sequence against its support decomposition.
 
@@ -326,7 +298,7 @@ def verify_formula(
     rows = []
     all_complete = True
     for k in range(module.dim + 1):
-        lam = enumerate_lambda(ideal, module, k, user_primes)
+        lam = enumerate_lambda(ideal, module, k)
         contribs = tuple(
             Contribution(
                 p.variables,

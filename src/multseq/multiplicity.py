@@ -15,7 +15,8 @@ in k[x, T], one T_i per generator of I, under a weight order that
 reads the m-adic filtration off the leading monomials; a bigraded
 Hilbert numerator Q(s, t) of those leading monomials (`_gr_numerator`)
 gives all cells at once (`hilbert_table`), and its u = 0 column, the
-fiber of I on M, gives the analytic spread.  The per-cell
+fiber of I on M, gives the analytic spread.  `multiplicity_sequence`
+reads Q once and each growth round only divides it again.  The per-cell
 `component_length` is the independent route the tests check tables
 against.
 
@@ -189,8 +190,8 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     the pieces of gr_m(gr_I(M)) count the monomials outside the leading
     ideal N of J, and its series is Q(s, t) / ((1-s)^n (1-t)^r), with s
     marking x-degree and t marking T-degree.  The basis comes from the
-    cached `groebner_basis` and Q from the cached numerator, so every
-    table and the analytic spread of one pair share them.
+    cached `groebner_basis`, so the analytic spread of a pair whose
+    sequence is known runs no further Buchberger call.
     """
     ring = ideal.ring
     gens, tags, rees = _rees_relations(ideal, module)
@@ -215,11 +216,14 @@ def hilbert_table(
     """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax.
 
     comp(i, j) is the coefficient of s^i t^j in the series
-    Q(s, t) / ((1-s)^n (1-t)^r) of gr_m(gr_I(M)) (`_gr_numerator`);
-    later growth rounds only redo the division.
+    Q(s, t) / ((1-s)^n (1-t)^r) of gr_m(gr_I(M)) (`_gr_numerator`).
     """
     _check_pair(ideal, module)
-    n, r, numerator = _gr_numerator(ideal, module)
+    return _divide(*_gr_numerator(ideal, module), umax, vmax)
+
+
+def _divide(n: int, r: int, numerator: dict, umax: int, vmax: int) -> BigradedTable:
+    """The table of Q(s, t) / ((1-s)^n (1-t)^r) up to (umax, vmax)."""
     grid = [[0] * (vmax + 1) for _ in range(umax + 1)]
     for (p, q), c in numerator.items():
         if p <= umax and q <= vmax:
@@ -330,8 +334,9 @@ def multiplicity_sequence(
     width = params.window_width
     u = max(params.umax or 0, d + 4, d + width)
     v = max(params.vmax or 0, d + 4, d + width)
+    n, r, numerator = _gr_numerator(ideal, module)
     while True:
-        table = hilbert_table(ideal, module, u, v)
+        table = _divide(n, r, numerator, u, v)
         entries, residuals = extract_top_coefficients(table.values, d, width)
         if entries is not None:
             if any(c < 0 for c in entries):
@@ -495,19 +500,23 @@ def star_condition(
     """
     params = params or Params()
     _check_pair(ideal, module)
-    if height_on_module(ideal, module) > 0:
-        return True
     strata = _monomial_strata(ideal, module)
     if strata is None:
-        return None
+        return True if height_on_module(ideal, module) > 0 else None
+    if not strata:
+        raise PreconditionError("no primes contain the ideal on this module")
+    if min(strata.values()) > 0:
+        return True  # positive height
     lay = mo.layout(ideal.ring.arity)
     ip, kp = ideal.packed(), module.relations.packed()
     for kept, d_local in strata.items():
         sub_lay = mo.layout(len(kept))
         k_local = mo.restrict(lay, kp, kept)
         i_local = mo.restrict(lay, ip, kept)
-        for n in range(1, params.power_cap + 1):
-            colon = mo.colon_ideal(sub_lay, k_local, mo.power(sub_lay, i_local, n))
+        power = (0,)
+        for _ in range(params.power_cap):
+            power = mo.multiply(sub_lay, power, i_local)
+            colon = mo.colon_ideal(sub_lay, k_local, power)
             if mo.is_unit(colon):
                 # the power kills the localized module, which only a
                 # zero-dimensional localization survives

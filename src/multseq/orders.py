@@ -26,7 +26,7 @@ per kind, is the independent statement the tests hold both to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
 
@@ -59,7 +59,6 @@ class MonomialOrder:
     kind: str = GREVLEX
     block: int | None = None  # size of the eliminated leading block
     weights: tuple[int, ...] | None = None  # one per variable, weight kind only
-    _shapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (GREVLEX, LEX, BLOCK, WEIGHT):
@@ -123,20 +122,16 @@ class MonomialOrder:
 
     def _shape(self, n: int) -> tuple:
         """The weight row, if any, and the consecutive blocks of grevlex rows."""
-        got = self._shapes.get(n)
-        if got is None:
-            weights, cuts = None, (0, n)
-            if self.kind == LEX:
-                cuts = tuple(range(n + 1))
-            elif self.kind == BLOCK:
-                cuts = (0, min(self.block, n), n)
-            elif self.kind == WEIGHT:
-                if len(self.weights) != n:
-                    raise ValueError("exponent tuple and weights of different arity")
-                weights = self.weights
-            blocks = tuple((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi)
-            got = self._shapes[n] = (weights, blocks)
-        return got
+        weights, cuts = None, (0, n)
+        if self.kind == LEX:
+            cuts = tuple(range(n + 1))
+        elif self.kind == BLOCK:
+            cuts = (0, min(self.block, n), n)
+        elif self.kind == WEIGHT:
+            if len(self.weights) != n:
+                raise ValueError("exponent tuple and weights of different arity")
+            weights = self.weights
+        return weights, tuple((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi)
 
     @property
     def key(self) -> tuple:

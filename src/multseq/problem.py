@@ -2,10 +2,9 @@
 
 A problem file is one JSON object naming a ring, ideals I (and
 optionally J and K) as polynomial strings, an unmixedness assertion,
-optional candidate primes, and parameter overrides.  Validation errors
-carry a dotted location into the document.  Reports serialize to
-canonical JSON (sorted keys, two-space indent) so repeated runs are
-byte-identical.
+and parameter overrides.  Validation errors carry a dotted location
+into the document.  Reports serialize to canonical JSON (sorted keys,
+two-space indent) so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .config import Params
 from .ideals import Ideal
-from .localization import Contribution, FormulaReport, KSummary, MonomialPrime
+from .localization import Contribution, FormulaReport, KSummary
 from .multiplicity import CyclicModule, Diagnostics, MultiplicitySequence
 from .orders import grevlex, lex
 from .parse import ParseError, parse_polynomial
@@ -42,7 +41,6 @@ class Problem:
     ring: PolyRing
     ideals: dict[str, Ideal]
     equidimensional: bool
-    primes: tuple[MonomialPrime, ...] | None
     params: dict[str, int]
     label: str | None
     source: dict
@@ -129,7 +127,7 @@ def _build_ideal(ring: PolyRing, gens, location: str) -> Ideal:
 def problem_from_dict(doc: dict) -> Problem:
     _expect(isinstance(doc, dict), "problem must be a JSON object", "")
     _expect(doc.get("schema") == 1, "schema must be 1", "schema")
-    known = {"schema", "label", "ring", "ideals", "assertions", "primes", "params"}
+    known = {"schema", "label", "ring", "ideals", "assertions", "params"}
     unknown = set(doc) - known
     _expect(not unknown, f"unknown keys {sorted(unknown)}", "")
     ring = _build_ring(doc.get("ring"), "ring")
@@ -156,30 +154,6 @@ def problem_from_dict(doc: dict) -> Problem:
         "assertions.equidimensional",
     )
 
-    primes = None
-    if "primes" in doc:
-        raw = doc["primes"]
-        _expect(isinstance(raw, list), "primes must be a list", "primes")
-        built = []
-        for index, entry in enumerate(raw):
-            where = f"primes[{index}]"
-            _expect(
-                isinstance(entry, list)
-                and entry
-                and all(isinstance(v, str) for v in entry),
-                "each prime is a nonempty list of variable names",
-                where,
-            )
-            _expect(
-                len(set(entry)) == len(entry), "repeated variable", where
-            )
-            for v in entry:
-                _expect(v in ring.variables, f"unknown variable {v!r}", where)
-            built.append(MonomialPrime.from_indices(
-                ring, [ring.variables.index(v) for v in entry]
-            ))
-        primes = tuple(built)
-
     params_doc = doc.get("params", {})
     _expect(isinstance(params_doc, dict), "params must be an object", "params")
     for key, value in params_doc.items():
@@ -202,7 +176,6 @@ def problem_from_dict(doc: dict) -> Problem:
         ring=ring,
         ideals=ideals,
         equidimensional=equidimensional,
-        primes=primes,
         params=dict(params_doc),
         label=label,
         source=doc,

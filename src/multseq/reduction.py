@@ -50,17 +50,19 @@ def is_reduction(
         raise PreconditionError("reduction testing needs a proper nonzero ideal")
     k = module.relations
 
-    def equal_at(n: int) -> bool:
-        left = large.power(n + 1).add(k)
-        right = small.multiply(large.power(n)).add(k)
-        return left.equals(right)
+    def equal_at(lower: Ideal, upper: Ideal) -> bool:
+        """J^(n+1) + K = I·J^n + K, given J^n and J^(n+1)."""
+        return upper.add(k).equals(small.multiply(lower).add(k))
 
+    lower = large.power(0)  # J^n
     for n in range(n_max + 1):
-        if equal_at(n):
+        upper = lower.multiply(large)
+        if equal_at(lower, upper):
             # equality propagates upward; one step is a cheap engine check
-            if not equal_at(n + 1):
+            if not equal_at(upper, upper.multiply(large)):
                 raise RuntimeError(f"reduction equality at {n} failed to propagate")
             return n
+        lower = upper
     return None
 
 
@@ -223,8 +225,11 @@ def _nzd_exponent(
     if not relations.gens:
         return 0  # free module: a nonzero element is a nonzerodivisor
     annihilating = relations.colon_poly(element)
+    power = ideal.power(0)  # I^c
     for c in range(cap + 1):
-        meet = annihilating.intersect(ideal.power(c).add(relations))
+        if c:
+            power = power.multiply(ideal)
+        meet = annihilating.intersect(power.add(relations))
         if meet.subset_of(relations):
             return c
     return None

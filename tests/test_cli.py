@@ -1,10 +1,14 @@
 """Command line front end: task dispatch, exit codes, report shape."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+import multseq
 from multseq import cli
 from multseq.cli import main
 from multseq.localization import verify_formula
@@ -302,6 +306,43 @@ class TestVerdictExits:
         code, _, err = run(capsys, ["--task", "superficial", "--input", path])
         assert code == 4
         assert "SearchExhausted" in err
+
+
+class TestOptimizedInterpreter:
+    """`python -O` strips assert statements; no answer may depend on them."""
+
+    XYZ = ["x", "y", "z"]
+    CASES = {
+        "compute": ("compute", XYZ, {"I": ["x^3", "y^3", "x*y*z"]}, []),
+        "verify-formula": ("verify-formula", XYZ, {"I": ["x*z", "y*z"]}, []),
+        "check-reduction": (
+            "check-reduction",
+            XYZ,
+            {"I": ["x^2", "y^2"], "J": ["x^2", "x*y", "y^2"], "K": ["z^3"]},
+            [],
+        ),
+        "superficial": ("superficial", XYZ, {"I": ["x", "y"], "K": ["x*y + z^2"]}, []),
+        # the exit-4 case of TestCompute, residual lines included
+        "grow-cap": ("compute", ["x", "y"], {"I": ["x^3", "y^2"]}, ["--grow-cap", "6"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_exit_and_bytes_as_in_process(self, tmp_path, capsys, case):
+        task, variables, ideals, extra = self.CASES[case]
+        document = {"schema": 1, "ring": {"variables": variables}, "ideals": ideals}
+        argv = ["--task", task, "--input", write(tmp_path, "p.json", document), *extra]
+        want = run(capsys, argv)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(multseq.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "multseq.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 class TestUsage:

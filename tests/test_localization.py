@@ -107,13 +107,12 @@ class TestLambdaStrata:
         at0 = enumerate_lambda(a, m, 0)
         assert [p.variables for p in at0.primes] == [("x", "y", "z")]
 
-    def test_user_primes_incomplete_on_general_input(self):
+    def test_general_input_stratum_incomplete(self):
         r = ring("x", "y")
         a = ideal(r, "x + y")
         m = module(r)
-        stratum = enumerate_lambda(
-            a, m, 1, user_primes=[MonomialPrime(("x",))]
-        )
+        stratum = enumerate_lambda(a, m, 1)
+        assert stratum.primes == ()
         assert not stratum.complete
         assert stratum.note
 

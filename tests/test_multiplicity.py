@@ -9,6 +9,7 @@ per-cell length route computed independently.
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -34,7 +35,7 @@ from multseq import (
     star_condition,
     total_length,
 )
-from multseq import groebner
+from multseq import groebner, monomials, multiplicity
 from multseq.errors import NonHomogeneousInput, PreconditionError
 from multseq.multiplicity import _rees_relations
 
@@ -312,6 +313,33 @@ class TestSequences:
         width = seq.window["width"]
         assert seq.window["u"][1] - seq.window["u"][0] == width - 1
         assert seq.table_shape[0] >= seq.window["u"][1]
+
+    @pytest.mark.parametrize(
+        "gens, relations",
+        [(("x^4", "y^4", "z^4"), ()), (("x^3 + y^2*z", "y^3"), ("z^2",))],
+    )
+    def test_growth_rounds_divide_one_numerator(self, monkeypatch, gens, relations):
+        # later rounds only redo the division of Q(s, t): the two bases
+        # and the numerator are asked for once per sequence
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(multiplicity, "extract_top_coefficients")
+        counted(multiplicity, "groebner_basis")
+        counted(monomials, "bigraded_numerator")
+        r = ring("x", "y", "z")
+        multiplicity_sequence(ideal(r, *gens), module(r, *relations))
+        assert calls["extract_top_coefficients"] >= 3  # one per round
+        assert calls["groebner_basis"] == 2
+        assert calls["bigraded_numerator"] == 1
 
 
 class TestShiftStability:

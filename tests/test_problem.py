@@ -11,6 +11,7 @@ from multseq import (
     Params,
     ProblemError,
     canonical_json,
+    cli,
     load_problem,
     problem_from_dict,
 )
@@ -35,7 +36,6 @@ class TestBuilding:
         assert p.relations.is_zero()
         assert p.larger_ideal is None
         assert p.equidimensional is False
-        assert p.primes is None
         assert p.params == {}
         assert p.label is None
 
@@ -45,14 +45,12 @@ class TestBuilding:
                 label="demo",
                 ideals={"I": ["x"], "J": ["x", "y"], "K": []},
                 assertions={"equidimensional": True},
-                primes=[["x"], ["x", "y"]],
                 params={"umax": 9, "seed": 3},
             )
         )
         assert p.label == "demo"
         assert p.larger_ideal is not None
         assert p.module().equidimensional
-        assert [q.variables for q in p.primes] == [("x",), ("x", "y")]
         assert p.effective_params(Params()).umax == 9
         assert p.effective_params(Params()).seed == 3
 
@@ -107,9 +105,16 @@ class TestRejection:
         with pytest.raises(ProblemError, match="order"):
             problem_from_dict(bad)
 
-    def test_prime_with_unknown_variable(self):
-        with pytest.raises(ProblemError, match="unknown variable"):
-            problem_from_dict(doc(primes=[["q"]]))
+    def test_primes_key_exits_bad_input(self, tmp_path, capsys):
+        # candidate primes are not part of the schema: like any unknown
+        # key they make the document malformed
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc(primes=[["x"], ["x", "y"]])))
+        code = cli.main(["--task", "verify-formula", "--input", str(path)])
+        assert code == cli.EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown keys ['primes']" in err
 
     def test_boolean_parameter_rejected(self):
         with pytest.raises(ProblemError, match="integers"):
