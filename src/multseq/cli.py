@@ -15,6 +15,7 @@ search budget is exhausted, 5 on an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -72,6 +73,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# built on first use, not at import, and kept: a caller may run `main`
+# once per document in one process
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="multseq",
@@ -109,6 +113,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
 def _version() -> str:
     try:
         return metadata.version("multseq")
@@ -143,8 +148,8 @@ def _base_report(task: str, params: Params, inputs) -> dict:
 
 def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
-    seq, _ = multiplicity_sequence(problem.ideal, module, params)
-    diag = diagnostics(problem.ideal, module, params)
+    seq, table = multiplicity_sequence(problem.ideal, module, params)
+    diag = diagnostics(problem.ideal, module, table, params)
     report = _base_report("compute", params, problem.source)
     report["sequence"] = sequence_dict(seq)
     report["diagnostics"] = diagnostics_dict(diag)

@@ -16,9 +16,11 @@ reads the m-adic filtration off the leading monomials; a bigraded
 Hilbert numerator Q(s, t) of those leading monomials (`_gr_numerator`)
 gives all cells at once (`hilbert_table`), and its u = 0 column, the
 fiber of I on M, gives the analytic spread.  `multiplicity_sequence`
-reads Q once and each growth round only divides it again.  The per-cell
-`component_length` is the independent route the tests check tables
-against.
+reads Q once and each growth round only divides it again.  Every table
+keeps the Q it was divided from, so `diagnostics` reads the spread off
+the table the sequence came with, and `analytic_spread` is the route
+for a pair with no table.  The per-cell `component_length` is the
+independent route the tests check tables against.
 
 For monomial data one map (`_monomial_strata`) sends each
 variable-subset prime over I + K to the local dimension of M there;
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import monomials as mo
 from .config import Params
@@ -132,12 +134,18 @@ def component_length(ideal: Ideal, module: CyclicModule, i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class BigradedTable:
-    """Partial sums h(u, v) and the per-bidegree counts behind them."""
+    """Partial sums h(u, v) and the per-bidegree counts behind them.
+
+    Both are read off `numerator`, Q(s, t) as {(p, q): coefficient},
+    over (1-s)^n (1-t)^r, with r the number of generators of I.
+    """
 
     values: tuple[tuple[int, ...], ...]
     components: tuple[tuple[int, ...], ...]
     umax: int
     vmax: int
+    r: int
+    numerator: dict = field(compare=False, repr=False)
 
     def h(self, u: int, v: int) -> int:
         return self.values[u][v]
@@ -150,6 +158,8 @@ def _rees_relations(ideal: Ideal, module: CyclicModule):
     basis of (K, T_i - t*f_i) presents the Rees module, the sum of the
     I^j M = I^j / (I^j ∩ K) as a quotient of k[x, T].  K enters before
     t is eliminated: added afterwards it would present I^j / K*I^j.
+    Under deg t = deg x_i = 1 and deg T_i = 1 + deg f_i every relation
+    is homogeneous, so Buchberger takes its pairs degree first.
     Returns (f_i, names of the T_i, the term dicts of the t-free
     relations over the exponents of (x, T)).
     """
@@ -171,7 +181,8 @@ def _rees_relations(ideal: Ideal, module: CyclicModule):
     relations = [lift(p) for p in module.relations.gens]
     for idx, g in enumerate(gens):
         relations.append(ext.variable(tags[idx]) - t_var * lift(g))
-    gb = groebner_basis(ext, relations, ext.order)
+    grading = (1,) * (1 + ring.arity) + tuple(1 + g.total_degree() for g in gens)
+    gb = groebner_basis(ext, relations, ext.order, grading)
     rees = [
         {e[1:]: c for e, c in p.terms.items()}
         for p in gb
@@ -237,7 +248,7 @@ def _divide(n: int, r: int, numerator: dict, umax: int, vmax: int) -> BigradedTa
     comps = tuple(map(tuple, grid))
     _sum_down(grid)
     values = tuple(tuple(itertools.accumulate(row)) for row in grid)
-    return BigradedTable(values, comps, umax, vmax)
+    return BigradedTable(values, comps, umax, vmax, r, numerator)
 
 
 def _sum_down(grid: list[list[int]]) -> None:
@@ -276,11 +287,14 @@ def extract_top_coefficients(
     entries are None unless every window is constant and every
     difference of order degree+1 vanishes on the window.
     """
-    grid = [list(row) for row in values]
-    umax = len(grid) - 1
-    vmax = len(grid[0]) - 1
+    umax = len(values) - 1
+    vmax = len(values[0]) - 1
     if umax < degree + width or vmax < degree + width:
         raise ValueError("table too small for the requested window")
+    # a difference of order (a, b) on the window reaches back a + width
+    # rows and b + width columns, and a + b <= degree + 1
+    reach = degree + 1 + width
+    grid = [list(row[-reach:]) for row in values[-reach:]]
     diffs: dict[tuple[int, int], list[list[int]]] = {(0, 0): grid}
     for a in range(degree + 2):
         for b in range(degree + 2 - a):
@@ -330,11 +344,16 @@ def multiplicity_sequence(
     """Stabilized sequence c_0..c_d plus the certifying table."""
     params = params or Params()
     _check_pair(ideal, module)
-    d = module.dim
+    return _stabilize(module.dim, *_gr_numerator(ideal, module), params)
+
+
+def _stabilize(
+    d: int, n: int, r: int, numerator: dict, params: Params
+) -> tuple[MultiplicitySequence, BigradedTable]:
+    """Grow the table of Q(s, t) until its top window certifies c_0..c_d."""
     width = params.window_width
     u = max(params.umax or 0, d + 4, d + width)
     v = max(params.vmax or 0, d + 4, d + width)
-    n, r, numerator = _gr_numerator(ideal, module)
     while True:
         table = _divide(n, r, numerator, u, v)
         entries, residuals = extract_top_coefficients(table.values, d, width)
@@ -432,6 +451,11 @@ def analytic_spread(ideal: Ideal, module: CyclicModule) -> int:
     """
     _check_pair(ideal, module)
     _, r, numerator = _gr_numerator(ideal, module)
+    return _spread(r, numerator)
+
+
+def _spread(r: int, numerator: dict) -> int:
+    """Dimension of the fiber whose series is Q(0, t) / (1-t)^r."""
     # Q(0, 0) = 1: the (0, 0) piece is M / (m + I)M = k
     fiber = [0] * (1 + max(q for p, q in numerator if not p))
     for (p, q), c in numerator.items():
@@ -544,14 +568,20 @@ class Diagnostics:
 def diagnostics(
     ideal: Ideal,
     module: CyclicModule,
+    table: BigradedTable,
     params: Params | None = None,
 ) -> Diagnostics:
+    """Dimensions, height, star condition and spread of the pair.
+
+    `table` is a table of this pair (`multiplicity_sequence`,
+    `hilbert_table`); the spread is read off the Q(s, t) it keeps.
+    """
     params = params or Params()
     _check_pair(ideal, module)
     q = krull_dimension(ideal.add(module.relations))
     het = height_on_module(ideal, module)
     star = star_condition(ideal, module, params)
-    spread = analytic_spread(ideal, module)
+    spread = _spread(table.r, table.numerator)
     return Diagnostics(
         dim=module.dim,
         colength_dim=q,

@@ -25,9 +25,12 @@ from .ideals import Ideal, require_homogeneous
 from .multiplicity import (
     CyclicModule,
     MultiplicitySequence,
+    _check_pair,
+    _gr_numerator,
     _minimal_generators,
+    _spread,
+    _stabilize,
     _variables_ideal,
-    analytic_spread,
     height_on_module,
     multiplicity_sequence,
 )
@@ -313,11 +316,14 @@ def superficial_search(
     the result is deterministic in (seed, trial count).
     """
     params = params or Params()
-    if not analytic_spread(ideal, module) > 0:
+    _check_pair(ideal, module)
+    # the spread and the baseline sequence read one numerator
+    n, r, numerator = _gr_numerator(ideal, module)
+    if not _spread(r, numerator) > 0:
         raise PreconditionError(
             "the ideal acts nilpotently on the module; no superficial element exists"
         )
-    baseline, _ = multiplicity_sequence(ideal, module, params)
+    baseline, _ = _stabilize(module.dim, n, r, numerator, params)
     if module.dim < 1:
         raise PreconditionError("superficial elements need positive dimension")
     gens = _minimal_generators(ideal)

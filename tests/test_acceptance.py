@@ -67,7 +67,7 @@ def decomposition_suite():
         problem = problem_from_dict(document)
         a, m = problem.ideal, problem.module()
         report = verify_formula(a, m)
-        diag = diagnostics(a, m)
+        diag = diagnostics(a, m, multiplicity_sequence(a, m)[1])
         rows.append((document, report, diag))
     return rows, time.perf_counter() - start
 

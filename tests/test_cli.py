@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import metadata
 
 import pytest
 
 import multseq
-from multseq import cli
+from multseq import cli, monomials
 from multseq.cli import main
 from multseq.localization import verify_formula
 from multseq.problem import canonical_json
@@ -37,6 +38,21 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(argv, *flags):
+    """(exit code, stdout, stderr) of `python FLAGS -m multseq.cli ARGV`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multseq.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "multseq.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCompute:
@@ -332,17 +348,56 @@ class TestOptimizedInterpreter:
         document = {"schema": 1, "ring": {"variables": variables}, "ideals": ideals}
         argv = ["--task", task, "--input", write(tmp_path, "p.json", document), *extra]
         want = run(capsys, argv)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(multseq.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "multseq.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == want
+        assert run_fresh(argv, "-O") == want
+
+
+class TestOneProcess:
+    """`main` called again and again in one process, as a batch caller does."""
+
+    def test_usage_errors_after_a_success(self, tmp_path, capsys):
+        assert run(capsys, ["--task", "compute", "--input", golden(tmp_path)])[0] == 0
+        for argv in (["--task", "dance"], ["--task", "compute"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("usage error")
+
+    def test_json_then_table_match_fresh_runs(self, tmp_path, capsys):
+        argv = ["--task", "compute", "--input", golden(tmp_path)]
+        for extra in ([], ["--format", "table"]):
+            assert run(capsys, argv + extra) == run_fresh(argv + extra)
+
+    def test_version_unknown_without_a_distribution(self, tmp_path, capsys, monkeypatch):
+        def missing(name):
+            raise metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(cli.metadata, "version", missing)
+        cli._version.cache_clear()
+        try:
+            _, out, _ = run(capsys, ["--task", "compute", "--input", golden(tmp_path)])
+        finally:
+            cli._version.cache_clear()
+        assert json.loads(out)["engine"]["version"] == "unknown"
+
+    def test_compute_reads_one_numerator(self, tmp_path, capsys, monkeypatch):
+        # the spread in the diagnostics comes from the sequence's Q(s, t)
+        calls = []
+        real = monomials.bigraded_numerator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monomials, "bigraded_numerator", counted)
+        document = {
+            "schema": 1,
+            "ring": {"variables": ["x", "y", "z"]},
+            "ideals": {"I": ["x^2", "x*y", "y^2"], "K": ["x*z^3"]},
+        }
+        path = write(tmp_path, "p.json", document)
+        code, out, _ = run(capsys, ["--task", "compute", "--input", path])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["spread"] == 2
+        assert len(calls) == 1
 
 
 class TestUsage:

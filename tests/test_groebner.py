@@ -337,11 +337,18 @@ class TestReducedBasis:
     def test_rees_basis_independent_of_generator_order(self, gens):
         ext, relations = rees_presentation(gens)
         order = ext.order
+        # deg t = deg x = 1, deg g_i = 1 + deg f_i: degree-first pairs
+        grading = (1, 1, 1, 1) + tuple(
+            1 + poly(ring("x", "y", "z"), f).total_degree() for f in gens
+        )
         expected = buchberger(relations, order)
         assert any(any(e[0] for e in g.terms) for g in expected)
         assert any(not any(e[0] for e in g.terms) for g in expected)
         for perm in itertools.permutations(relations):
             assert buchberger(list(perm), order) == expected
+            assert buchberger(list(perm), order, grading) == expected
+        with pytest.raises(ValueError):
+            buchberger(relations, order, grading[:-1])
 
     def test_reduced_basis_is_canonical(self):
         r = ring("x", "y")

@@ -37,7 +37,8 @@ from multseq import (
 )
 from multseq import groebner, monomials, multiplicity
 from multseq.errors import NonHomogeneousInput, PreconditionError
-from multseq.multiplicity import _rees_relations
+from multseq.groebner import buchberger
+from multseq.multiplicity import _diff_u, _diff_v, _rees_relations, _window_cells
 
 
 def free_module(r):
@@ -228,6 +229,59 @@ class TestExtraction:
         values = [[1, 2], [3, 4]]
         with pytest.raises(ValueError):
             extract_top_coefficients(values, 1)
+
+    @staticmethod
+    def full_grid_extraction(values, degree, width):
+        """The reference: every difference taken over the whole table."""
+        diffs = {(0, 0): [list(row) for row in values]}
+        for a in range(degree + 2):
+            for b in range(degree + 2 - a):
+                if (a, b) in diffs:
+                    continue
+                if a and (a - 1, b) in diffs:
+                    diffs[(a, b)] = _diff_u(diffs[(a - 1, b)])
+                else:
+                    diffs[(a, b)] = _diff_v(diffs[(a, b - 1)])
+        entries, residuals, stable = [], {}, True
+        for k in range(degree + 1):
+            cells = _window_cells(diffs[(k, degree - k)], width)
+            if len(set(cells)) != 1:
+                stable = False
+                residuals[f"order ({k},{degree - k})"] = cells
+            entries.append(cells[-1])
+        for a in range(degree + 2):
+            cells = _window_cells(diffs[(a, degree + 1 - a)], width)
+            if any(cells):
+                stable = False
+                residuals[f"order ({a},{degree + 1 - a})"] = cells
+        return (entries if stable else None), residuals
+
+    def test_corner_matches_full_grid(self):
+        # polynomial tables, some of too high a degree, some with one
+        # cell disturbed: near the corner the window sees it, farther
+        # back it must not
+        rng = random.Random(11)
+        outcomes = Counter()
+        for _ in range(300):
+            d, width = rng.randrange(4), rng.randrange(1, 5)
+            rows = d + width + rng.randrange(5)
+            cols = d + width + rng.randrange(5)
+            top = d + 1 if rng.randrange(4) == 0 else d
+            coeffs = {
+                (a, b): rng.randrange(-3, 6)
+                for a in range(top + 1)
+                for b in range(top + 1 - a)
+            }
+            values = [
+                [sum(c * u**a * v**b for (a, b), c in coeffs.items()) for v in range(cols + 1)]
+                for u in range(rows + 1)
+            ]
+            if rng.randrange(3) == 0:
+                values[rng.randrange(rows + 1)][rng.randrange(cols + 1)] += 1
+            got = extract_top_coefficients(values, d, width)
+            assert got == self.full_grid_extraction(values, d, width)
+            outcomes[got[0] is None] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestSequences:
@@ -429,6 +483,59 @@ class TestClassical:
             assert all(c == 0 for c in seq.entries[1:])
 
 
+class TestReesGrading:
+    """The Rees presentation is homogeneous under the grading it passes."""
+
+    HAND = [
+        ("xyz", ("x^2", "x*y", "y^2"), ("x*z^3",)),
+        ("xyz", ("x^3 + y^2*z", "y^3"), ("z^2",)),
+        ("xyz", ("x + y", "y^2", "z^2"), ()),
+        ("xyz", ("x", "y"), ("x*y + z^2",)),
+        ("xy", ("x^3", "y^2"), ()),
+    ]
+
+    @staticmethod
+    def presentations(monkeypatch, pairs):
+        """(relations, order, grading) of the Rees basis of each pair."""
+        seen = []
+        real = multiplicity.groebner_basis
+
+        def spy(ring, gens, order=None, grading=None):
+            seen.append((list(gens), order, grading))
+            return real(ring, gens, order, grading)
+
+        monkeypatch.setattr(multiplicity, "groebner_basis", spy)
+        for a, m in pairs:
+            _rees_relations(a, m)
+        assert len(seen) == len(pairs)
+        return seen
+
+    def pairs(self):
+        pairs = []
+        for variables, gens, relations in self.HAND:
+            r = ring(*variables)
+            pairs.append((ideal(r, *gens), module(r, *relations)))
+        for relations in ("zero", "mixed"):
+            for mode in ("single", "primary"):
+                for document in generate_corpus(
+                    10, n_vars=3, max_degree=4, seed=5, mode=mode, relations=relations
+                ):
+                    problem = problem_from_dict(document)
+                    pairs.append((problem.ideal, problem.module()))
+        assert any(m.relations.gens for _, m in pairs)
+        assert any(not m.relations.gens for _, m in pairs)
+        return pairs
+
+    def test_relations_homogeneous_and_basis_unchanged(self, monkeypatch):
+        for gens, order, grading in self.presentations(monkeypatch, self.pairs()):
+            assert grading is not None and min(grading) > 0
+            for g in gens:
+                degrees = {sum(w * e for w, e in zip(grading, exps)) for exps in g.terms}
+                assert len(degrees) == 1, (g, grading)
+            # the grading only orders the pairs; reduced bases are unique
+            assert buchberger(gens, order, grading) == buchberger(gens, order)
+
+
 class TestInvariantsOfThePair:
     def test_spread_examples(self):
         r = ring("x", "y")
@@ -493,9 +600,9 @@ class TestInvariantsOfThePair:
         calls = []
         kernel = groebner.buchberger
 
-        def counted(gens, order):
+        def counted(gens, order, grading=None):
             calls.append(order)
-            return kernel(gens, order)
+            return kernel(gens, order, grading)
 
         monkeypatch.setattr(groebner, "_CACHE", {})
         monkeypatch.setattr(groebner, "buchberger", counted)
@@ -539,7 +646,8 @@ class TestInvariantsOfThePair:
         r = ring("x", "y")
         m = free_module(r)
         for gens in (["x"], ["x", "y"], ["x^2", "y^2"], ["x^2 - y^2"]):
-            diag = diagnostics(ideal(r, *gens), m)
+            a = ideal(r, *gens)
+            diag = diagnostics(a, m, multiplicity_sequence(a, m)[1])
             assert diag.consistent
             assert diag.dim == 2
             assert diag.finite_colength == (diag.colength_dim == 0)

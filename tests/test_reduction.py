@@ -20,6 +20,7 @@ from multseq import (
     revalidate,
     superficial_search,
 )
+from multseq import multiplicity, reduction
 from multseq.errors import PreconditionError, SearchExhausted
 
 
@@ -168,8 +169,28 @@ class TestSuperficial:
 
     def test_nilpotent_action_rejected(self):
         r = ring("x", "y")
-        with pytest.raises(PreconditionError):
-            superficial_search(ideal(r, "x"), module(r, "x^2"), Params())
+        # on the zero-dimensional module too, nilpotence is reported
+        # before the dimension
+        for relations in (("x^2",), ("x^2", "y^3")):
+            with pytest.raises(PreconditionError, match="acts nilpotently"):
+                superficial_search(ideal(r, "x"), module(r, *relations), Params())
+
+    def test_pair_numerator_read_once(self, monkeypatch):
+        # the spread check and the baseline share one Q(s, t); only the
+        # trials' quotient modules ask for more
+        pairs = []
+        real = multiplicity._gr_numerator
+
+        def counted(a, m):
+            pairs.append(m)
+            return real(a, m)
+
+        monkeypatch.setattr(multiplicity, "_gr_numerator", counted)
+        monkeypatch.setattr(reduction, "_gr_numerator", counted)
+        r = ring("x", "y", "z")
+        m = module(r, "x*y + z^2")
+        superficial_search(ideal(r, "x", "y"), m, Params())
+        assert sum(1 for seen in pairs if seen is m) == 1
 
     def test_exhaustion_carries_trial_records(self):
         r = ring("x", "y")
