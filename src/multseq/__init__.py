@@ -54,7 +54,6 @@ from .localization import (
     local_c0,
     localize_ideal,
     localize_module,
-    residue_degree,
     verify_formula,
 )
 from .reduction import (
@@ -67,7 +66,7 @@ from .reduction import (
     revalidate,
     superficial_search,
 )
-from .corpus import generate_corpus, problem_ideals
+from .corpus import generate_corpus
 from .problem import Problem, ProblemError, canonical_json, load_problem, problem_from_dict
 
 __version__ = "0.1.0"
@@ -130,10 +129,8 @@ __all__ = [
     "params_from_env",
     "parse_polynomial",
     "problem_from_dict",
-    "problem_ideals",
     "quotient_degree",
     "rees_criterion",
-    "residue_degree",
     "revalidate",
     "star_condition",
     "superficial_search",

@@ -16,7 +16,6 @@ import random
 
 from . import monomials as mo
 from .errors import EngineLimit
-from .ideals import Ideal
 from .orders import grevlex
 from .poly import PolyRing
 
@@ -274,20 +273,3 @@ def generate_corpus(
     build = builders[mode]
     return [build(rng, ring, f"{mode}-{index}") for index in range(count)]
 
-
-def problem_ideals(document: dict):
-    """Ideals (I, J or None, K) and the module ring of a corpus document."""
-    from .parse import parse_polynomial
-
-    ring = PolyRing(
-        tuple(document["ring"]["variables"]),
-        document["ring"]["characteristic"],
-        grevlex(),
-    )
-    def build(name):
-        gens = document["ideals"].get(name)
-        if gens is None:
-            return None
-        return Ideal(ring, [parse_polynomial(ring, s) for s in gens])
-
-    return build("I"), build("J"), build("K") or Ideal(ring, [])

@@ -298,9 +298,13 @@ def buchberger(
     return tuple(reduced)
 
 
-# the tables, the analytic spread and the ideal operations of one
-# document ask for the same bases again; without this memo the
-# `sequence` and `general` workloads ran 1.3x and 1.2x slower
+# counted over seed-0 rounds of the three benchmark workloads: `sequence`
+# looks up 120 bases and never hits; `formula` hits 44 times, 36 of them
+# across documents; `general` hits 298 times, all within a document,
+# 232 of them in `revalidate`'s replay of the accepted trial.  On these
+# small inputs the saved time is within run-to-run noise; the memo stays
+# so that the replay, and the spread of a pair whose sequence is known,
+# run no second Buchberger however costly the input's basis is
 _CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
 
 

@@ -16,8 +16,6 @@ from .groebner import groebner_basis, normal_form
 from .orders import MonomialOrder, elimination_order, grevlex
 from .poly import Polynomial, PolyRing
 
-_AUX = "t_aux_0"
-
 
 class Ideal:
     __slots__ = ("ring", "gens", "_packed", "_homog")
@@ -161,8 +159,9 @@ class Ideal:
 
     def _intersect_general(self, other: Ideal) -> Ideal:
         ring = self.ring
-        ext = ring.extend_front((_AUX,), elimination_order(1))
-        t = ext.variable(_AUX)
+        aux = ring.fresh_names("t_aux_", 1)
+        ext = ring.extend_front(aux, elimination_order(1))
+        t = ext.variable(aux[0])
         one = ext.one()
         gens = [t * _lift(ext, f) for f in self.gens]
         gens += [(one - t) * _lift(ext, g) for g in other.gens]

@@ -54,9 +54,6 @@ class MonomialPrime:
         except ValueError:
             raise ValueError(f"prime variables {self.variables} not in ring")
 
-    def codimension(self, ring: PolyRing) -> int:
-        return len(self.variables)
-
     def __str__(self) -> str:
         return "(" + ", ".join(self.variables) + ")" if self.variables else "(0)"
 
@@ -98,12 +95,6 @@ def localize_module(module: CyclicModule, prime: MonomialPrime) -> CyclicModule:
     return CyclicModule(local.ring, local)
 
 
-def residue_degree(ring: PolyRing, prime: MonomialPrime) -> int:
-    """Degree of R modulo the prime; a polynomial ring has degree one."""
-    prime.indices(ring)  # validates membership
-    return 1
-
-
 @dataclass(frozen=True)
 class LambdaSet:
     """Primes of codimension-complement k meeting the dimension condition."""
@@ -114,38 +105,38 @@ class LambdaSet:
     note: str = ""
 
 
-def enumerate_lambda(
-    ideal: Ideal,
-    module: CyclicModule,
-    k: int,
-) -> LambdaSet:
-    """Primes p over I plus relations with dim R/p = k and dim M_p = d - k.
+def enumerate_lambda(ideal: Ideal, module: CyclicModule) -> tuple[LambdaSet, ...]:
+    """The strata Λ_0..Λ_d, all read off one `_monomial_strata` map.
 
-    Monomial input enumerates every variable-subset prime, which lists
-    every fixed component of the k-dimensional Stuckrad-Vogel cycle;
-    `complete` certifies that fixed list only.  Moving components are
-    not listed here (see `moving_residual`).  Primes over non-monomial
-    data are not enumerated: the stratum is returned empty and
-    incomplete, so its row reads as a lower bound.
+    Λ_k holds the primes p over I plus relations with dim R/p = k and
+    dim M_p = d - k.  Monomial input enumerates every variable-subset
+    prime, so Λ_0 is the maximal ideal alone, and lists every fixed
+    component of the k-dimensional Stuckrad-Vogel cycle; `complete`
+    certifies that fixed list only.  Moving components are not listed
+    here (see `moving_residual`).  Primes over non-monomial data are not
+    enumerated: every stratum is returned empty and incomplete, so its
+    row reads as a lower bound.
     """
     ring = ideal.ring
     n = ring.arity
     d = module.dim
-    joined = ideal.add(module.relations)
-    if not joined.is_proper():
+    if not ideal.add(module.relations).is_proper():
         raise PreconditionError("support of the colength module is empty")
-    if not 0 <= k <= d:
-        return LambdaSet(k, (), True, "index outside 0..dim")
     strata = _monomial_strata(ideal, module)
-    if strata is not None:
-        found = tuple(
-            MonomialPrime.from_indices(ring, subset)
-            for subset, local_dim in strata.items()
-            if len(subset) == n - k and local_dim == d - k
+    if strata is None:
+        note = "general input: primes over it are not enumerated"
+        return tuple(LambdaSet(k, (), False, note) for k in range(d + 1))
+    return tuple(
+        LambdaSet(
+            k,
+            tuple(
+                MonomialPrime.from_indices(ring, subset)
+                for subset, local_dim in strata.items()
+                if len(subset) == n - k and local_dim == d - k
+            ),
+            True,
         )
-        return LambdaSet(k, found, True)
-    return LambdaSet(
-        k, (), False, "general input: primes over it are not enumerated"
+        for k in range(d + 1)
     )
 
 
@@ -170,7 +161,7 @@ def local_c0(
 class Contribution:
     prime: tuple[str, ...]
     local_c0: int
-    degree: int
+    degree: int  # of R/p, a polynomial ring: always 1
 
     @property
     def product(self) -> int:
@@ -283,12 +274,15 @@ def verify_formula(
 
     Each entry c_k is the degree of the k-dimensional part of the
     Stuckrad-Vogel cycle.  Its fixed part is `rhs`, the sum over the
-    k-th support stratum of the local leading coefficient times the
-    degree of the residue ring; its moving part is `residual`, from
-    `moving_residual`.  A row is complete when the stratum is fully
-    enumerated and the residual is derived for it.  With the star
-    condition in force and every row complete, c_k must equal
-    rhs + residual exactly; otherwise the rows are reported as a
+    stratum Λ_k of the local leading coefficient times the degree of
+    the residue ring; its moving part is `residual`, from
+    `moving_residual`.  One `enumerate_lambda` call gives every
+    stratum.  Λ_0 is the maximal ideal, where the localization is the
+    pair itself, so row 0 reads c_0 off the pair's sequence and every
+    other prime goes through `local_c0`.  A row is complete when the
+    stratum is fully enumerated and the residual is derived for it.
+    With the star condition in force and every row complete, c_k must
+    equal rhs + residual exactly; otherwise the rows are reported as a
     lower-bound certificate rather than a verification.
     """
     params = params or Params()
@@ -297,13 +291,13 @@ def verify_formula(
     star = star_condition(ideal, module, params)
     rows = []
     all_complete = True
-    for k in range(module.dim + 1):
-        lam = enumerate_lambda(ideal, module, k)
+    for lam in enumerate_lambda(ideal, module):
+        k = lam.k
         contribs = tuple(
             Contribution(
                 p.variables,
-                local_c0(ideal, module, p, params),
-                residue_degree(ideal.ring, p),
+                local_c0(ideal, module, p, params) if k else seq.entries[0],
+                1,
             )
             for p in lam.primes
         )

@@ -23,9 +23,11 @@ for a pair with no table.  The per-cell `component_length` is the
 independent route the tests check tables against.
 
 For monomial data one map (`_monomial_strata`) sends each
-variable-subset prime over I + K to the local dimension of M there;
-the height, the star condition and the support strata of
-`localization.enumerate_lambda` all read it.
+variable-subset prime over I + K to the local dimension of M there.
+The height is its least value; the star condition reads the height
+and builds the map again only at height zero; and
+`localization.enumerate_lambda` reads every support stratum off one
+build.
 
 Tables are exact integer arrays; stabilization is certified by
 constant finite differences over a corner window plus the vanishing of
@@ -165,8 +167,8 @@ def _rees_relations(ideal: Ideal, module: CyclicModule):
     """
     ring = ideal.ring
     gens = _minimal_generators(ideal)
-    tags = _fresh_names(ring, "g", len(gens))
-    (aux,) = _fresh_names(ring, "t", 1)
+    tags = ring.fresh_names("g", len(gens))
+    (aux,) = ring.fresh_names("t", 1)
     ext = PolyRing(
         (aux,) + ring.variables + tags,
         ring.characteristic,
@@ -422,18 +424,6 @@ def classical_multiplicity(
 # -- analytic spread ------------------------------------------------------
 
 
-def _fresh_names(ring: PolyRing, base: str, count: int) -> tuple[str, ...]:
-    names = []
-    taken = set(ring.variables)
-    for i in range(count):
-        name = f"{base}{i}"
-        while name in taken:
-            name += "_"
-        taken.add(name)
-        names.append(name)
-    return tuple(names)
-
-
 def _minimal_generators(ideal: Ideal) -> list[Polynomial]:
     packed = ideal.packed()
     if packed is None:
@@ -523,14 +513,11 @@ def star_condition(
     (general data with height zero).
     """
     params = params or Params()
-    _check_pair(ideal, module)
+    if height_on_module(ideal, module) > 0:
+        return True
     strata = _monomial_strata(ideal, module)
     if strata is None:
-        return True if height_on_module(ideal, module) > 0 else None
-    if not strata:
-        raise PreconditionError("no primes contain the ideal on this module")
-    if min(strata.values()) > 0:
-        return True  # positive height
+        return None
     lay = mo.layout(ideal.ring.arity)
     ip, kp = ideal.packed(), module.relations.packed()
     for kept, d_local in strata.items():

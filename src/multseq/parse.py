@@ -107,7 +107,6 @@ class _Parser:
         while True:
             kind, value, offset = self.peek()
             if kind == "op" and value == "*":
-                star_offset = offset
                 self.take()
                 kind, value, offset = self.peek()
                 if kind != "name":

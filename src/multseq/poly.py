@@ -129,6 +129,18 @@ class PolyRing:
 
     # -- derived rings ----------------------------------------------------
 
+    def fresh_names(self, base: str, count: int) -> tuple[str, ...]:
+        """`count` distinct names base0, base1, ..., none a variable here."""
+        names = []
+        taken = set(self.variables)
+        for i in range(count):
+            name = f"{base}{i}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            names.append(name)
+        return tuple(names)
+
     def extend_front(self, names: tuple[str, ...], order: MonomialOrder) -> PolyRing:
         for name in names:
             if name in self.variables:

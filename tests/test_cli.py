@@ -308,6 +308,28 @@ class TestVerdictExits:
         assert report["candidate"]["element"] == "x + y"
         assert report["revalidated"] is True
 
+    def test_variable_named_like_an_auxiliary_one(self, tmp_path, capsys):
+        # the intersection behind a non-monomial colon extends the ring
+        # by a fresh variable, whatever the ring's own names are
+        candidates = []
+        for name in ("t_aux_0", "z"):
+            path = write(
+                tmp_path,
+                f"{name}.json",
+                {
+                    "schema": 1,
+                    "ring": {"variables": ["x", "y", name]},
+                    "ideals": {"I": ["x + y", f"y + {name}"], "K": ["x*y"]},
+                },
+            )
+            code, out, err = run(capsys, ["--task", "superficial", "--input", path])
+            assert code == 0, err
+            found = json.loads(out)["candidate"]
+            candidates.append(
+                (found["trial"], found["coefficients"], found["c_exponent"])
+            )
+        assert candidates[0] == candidates[1]
+
     def test_exhausted_search_exits_four(self, tmp_path, capsys):
         path = write(
             tmp_path,

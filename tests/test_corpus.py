@@ -8,8 +8,7 @@ import pytest
 import jsonschema
 
 from multseq import EngineLimit, generate_corpus, problem_from_dict
-from multseq.corpus import problem_ideals
-from multseq.multiplicity import CyclicModule, height_on_module
+from multseq.multiplicity import height_on_module
 
 SCHEMA_PATH = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -66,15 +65,13 @@ class TestDocuments:
 
     def test_single_mode_has_positive_height(self):
         for doc in generate_corpus(12, n_vars=3, max_degree=4, seed=5, mode="single"):
-            ideal, extra, relations = problem_ideals(doc)
-            assert extra is None
-            m = CyclicModule(ideal.ring, relations)
-            assert height_on_module(ideal, m) > 0
+            problem = problem_from_dict(doc)
+            assert problem.larger_ideal is None
+            assert height_on_module(problem.ideal, problem.module()) > 0
 
     def test_primary_mode_is_finite_colength(self):
         for doc in generate_corpus(8, n_vars=3, max_degree=3, seed=2, mode="primary"):
-            ideal, _, relations = problem_ideals(doc)
-            assert relations.is_zero()
+            assert problem_from_dict(doc).relations.is_zero()
             variables = set()
             for text in doc["ideals"]["I"]:
                 for piece in text.split("*"):
@@ -83,7 +80,8 @@ class TestDocuments:
 
     def test_pair_mode_nests_ideals(self):
         for doc in generate_corpus(8, n_vars=2, max_degree=4, seed=4, mode="pair"):
-            small, large, _ = problem_ideals(doc)
+            problem = problem_from_dict(doc)
+            small, large = problem.ideal, problem.larger_ideal
             assert large is not None
             assert small.subset_of(large)
             degrees = {g.total_degree() for g in small.gens + large.gens}
@@ -104,7 +102,6 @@ class TestDocuments:
             6, n_vars=3, max_degree=4, seed=6, relations="monomial"
         )
         for doc in docs:
-            ideal, _, relations = problem_ideals(doc)
-            assert not relations.is_zero()
-            m = CyclicModule(ideal.ring, relations)
-            assert m.dim >= 1
+            problem = problem_from_dict(doc)
+            assert not problem.relations.is_zero()
+            assert problem.module().dim >= 1

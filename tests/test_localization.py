@@ -21,7 +21,6 @@ from multseq import (
     minimal_primes_monomial,
     multiplicity_sequence,
     problem_from_dict,
-    residue_degree,
     verify_formula,
 )
 from multseq.errors import PreconditionError
@@ -34,14 +33,7 @@ class TestPrimes:
         p = MonomialPrime.from_indices(r, [2, 0])
         assert p.variables == ("x", "z")
         assert p.indices(r) == (0, 2)
-        assert p.codimension(r) == 2
         assert str(p) == "(x, z)"
-
-    def test_residue_degree_is_one(self):
-        r = ring("x", "y")
-        assert residue_degree(r, MonomialPrime(("x",))) == 1
-        with pytest.raises(ValueError):
-            residue_degree(r, MonomialPrime(("q",)))
 
 
 class TestLocalize:
@@ -86,12 +78,12 @@ class TestLambdaStrata:
         r = ring("x", "y")
         a = ideal(r, "x")
         m = module(r)
-        at1 = enumerate_lambda(a, m, 1)
+        at1 = enumerate_lambda(a, m)[1]
         assert at1.complete
         assert [p.variables for p in at1.primes] == [("x",)]
-        at0 = enumerate_lambda(a, m, 0)
+        at0 = enumerate_lambda(a, m)[0]
         assert [p.variables for p in at0.primes] == [("x", "y")]
-        assert enumerate_lambda(a, m, 2).primes == ()
+        assert enumerate_lambda(a, m)[2].primes == ()
 
     def test_dimension_condition_filters(self):
         # M = R/(xy, xz) has a plane and a line; at (y, z) the module
@@ -100,21 +92,47 @@ class TestLambdaStrata:
         r = ring("x", "y", "z")
         a = ideal(r, "y", "z")
         m = module(r, "x*y", "x*z")
-        at1 = enumerate_lambda(a, m, 1)
+        at1 = enumerate_lambda(a, m)[1]
         assert at1.complete
         assert at1.primes == ()
         # the maximal ideal always satisfies the condition
-        at0 = enumerate_lambda(a, m, 0)
+        at0 = enumerate_lambda(a, m)[0]
         assert [p.variables for p in at0.primes] == [("x", "y", "z")]
 
     def test_general_input_stratum_incomplete(self):
         r = ring("x", "y")
         a = ideal(r, "x + y")
         m = module(r)
-        stratum = enumerate_lambda(a, m, 1)
+        stratum = enumerate_lambda(a, m)[1]
         assert stratum.primes == ()
         assert not stratum.complete
         assert stratum.note
+        strata = enumerate_lambda(a, m)
+        assert [lam.k for lam in strata] == [0, 1, 2]
+        assert all(lam.primes == () and not lam.complete for lam in strata)
+
+    def test_stratum_zero_is_the_maximal_ideal(self):
+        # the row-0 read of verify_formula takes c_0 off the pair's own
+        # sequence; the localization at the maximal ideal must agree
+        # primary documents have K = 0 and finite colength, so c_0 > 0
+        kinds = (("single", "zero"), ("single", "monomial"), ("primary", "zero"))
+        leading = []
+        for n_vars in (3, 4):
+            for mode, relations in kinds:
+                docs = generate_corpus(
+                    6, n_vars=n_vars, seed=31, mode=mode, relations=relations
+                )
+                for doc in docs:
+                    problem = problem_from_dict(doc)
+                    a, m = problem.ideal, problem.module()
+                    assert problem.relations.is_zero() == (relations == "zero")
+                    at0 = enumerate_lambda(a, m)[0]
+                    assert at0.complete
+                    assert [p.variables for p in at0.primes] == [a.ring.variables]
+                    seq, _ = multiplicity_sequence(a, m)
+                    assert local_c0(a, m, at0.primes[0]) == seq.entries[0], doc
+                    leading.append(seq.entries[0])
+        assert 0 in leading and max(leading) > 1
 
 
 class TestHeight:
@@ -216,6 +234,43 @@ class TestFormula:
         rep = verify_formula(ideal(r, "x"), module(r, "x"))
         assert rep.star is False
         assert rep.verdict == "hypotheses-not-met"
+
+    def test_one_strata_map_and_no_sequence_at_the_maximal_ideal(self, monkeypatch):
+        # height, the star condition and the strata each build the map
+        # once; row 0 reads c_0 off the pair's sequence
+        from multseq import localization, multiplicity
+
+        calls = {"strata": 0, "sequence": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        strata = counted("strata", multiplicity._monomial_strata)
+        monkeypatch.setattr(multiplicity, "_monomial_strata", strata)
+        monkeypatch.setattr(localization, "_monomial_strata", strata)
+        monkeypatch.setattr(
+            localization,
+            "multiplicity_sequence",
+            counted("sequence", localization.multiplicity_sequence),
+        )
+        r = ring("x", "y", "z", "w")
+        cases = (
+            (ideal(r, "x*z", "y*z", "w^2"), module(r)),
+            (ideal(r, "x^2", "y*z", "z*w"), module(r, "x*y*w")),
+        )
+        for a, m in cases:
+            calls.update(strata=0, sequence=0)
+            rep = verify_formula(a, m)
+            assert rep.height > 0
+            local_primes = sum(len(row.contributions) for row in rep.rows[1:])
+            assert local_primes > 0
+            assert calls == {"strata": 3, "sequence": 1 + local_primes}
+            assert rep.rows[0].contributions[0].prime == r.variables
+            assert rep.rows[0].rhs == rep.sequence.entries[0]
 
     def test_general_input_without_primes_is_lower_bound(self):
         r = ring("x", "y")

@@ -38,6 +38,12 @@ class TestRing:
         assert (r.constant(3) + r.constant(2)).is_zero()
         assert str(r.constant(7)) == "2"
 
+    def test_fresh_names_avoid_the_variables(self):
+        r = ring("g0", "g1_", "t")
+        assert r.fresh_names("g", 3) == ("g0_", "g1", "g2")
+        assert r.fresh_names("t", 1) == ("t0",)
+        assert r.fresh_names("x", 0) == ()
+
 
 class TestArithmetic:
     def test_ring_axioms_on_samples(self):

@@ -1,0 +1,93 @@
+"""One digest per report, so two checkouts compare with one `diff`.
+
+    python3 tools/report_digests.py CHECKOUT > digests.txt
+    diff parent.txt change.txt
+
+Runs every document of the three benchmark workloads at seeds 0 and 7,
+plus a fixed seeded corpus grid, through `multseq.cli.main` of
+CHECKOUT in-process, once with `--format json` and once with
+`--format table`.  Each report prints as one line,
+`label sha256(exit code, stdout, stderr)`.  The engine comes from
+CHECKOUT/src and the workload documents from CHECKOUT/perfbench; the
+documents are written to a temporary directory and nothing under the
+checkout is changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+WORKLOADS = ("sequence", "formula", "general")
+SEEDS = (0, 7)
+FORMATS = ("json", "table")
+GRID_SEED = 5
+GRID_COUNT = 12
+# (task, corpus mode, variables, relations)
+GRID = (
+    ("compute", "single", 3, "mixed"),
+    ("compute", "single", 4, "zero"),
+    ("compute", "primary", 3, "mixed"),
+    ("verify-formula", "single", 3, "zero"),
+    ("verify-formula", "single", 3, "monomial"),
+    ("verify-formula", "single", 4, "zero"),
+    ("verify-formula", "single", 4, "monomial"),
+    ("verify-formula", "primary", 3, "mixed"),
+    ("check-reduction", "pair", 3, "mixed"),
+    ("superficial", "superficial", 3, "mixed"),
+)
+
+
+def _cases(workloads):
+    """(label, task, document) for every document digested."""
+    from multseq.corpus import generate_corpus
+
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            cases, _ = workloads.build(name, seed)
+            for index, case in enumerate(cases):
+                yield f"{name}-s{seed}-{index:03d}", case.task, case.document
+    for task, mode, n_vars, relations in GRID:
+        documents = generate_corpus(
+            GRID_COUNT, n_vars=n_vars, seed=GRID_SEED, mode=mode, relations=relations
+        )
+        for index, document in enumerate(documents):
+            yield f"grid-{task}-{mode}{n_vars}-{relations}-{index:02d}", task, document
+
+
+def _digest(cli, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    root = os.path.abspath(argv[1])
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    from multseq import cli
+    from multseq.problem import canonical_json
+
+    import workloads
+
+    with tempfile.TemporaryDirectory() as folder:
+        for label, task, document in _cases(workloads):
+            path = os.path.join(folder, "doc.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(canonical_json(document))
+            for fmt in FORMATS:
+                digest = _digest(cli, ["--task", task, "--input", path, "--format", fmt])
+                print(f"{label}-{fmt} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
