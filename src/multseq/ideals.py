@@ -18,7 +18,15 @@ from .poly import Polynomial, PolyRing
 
 
 class Ideal:
-    __slots__ = ("ring", "gens", "_packed", "_homog")
+    """An ideal of `ring`, given by generators.
+
+    An ideal built from packed monomial words (`from_packed`, which every
+    packed operation returns) keeps only the words and builds its `gens`
+    polynomials on first read; `is_zero`, `is_homogeneous`, `packed` and
+    the packed arithmetic never read them.
+    """
+
+    __slots__ = ("ring", "_gens", "_packed", "_homog")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
@@ -30,7 +38,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
             if not g.is_zero():
                 live.append(g)
-        self.gens = tuple(live)
+        self._gens = tuple(live)
         self._packed = None
         self._homog = None
 
@@ -38,11 +46,21 @@ class Ideal:
 
     @classmethod
     def from_packed(cls, ring: PolyRing, packed: tuple[int, ...]) -> Ideal:
-        lay = mo.layout(ring.arity)
-        gens = [ring.monomial(mo.unpack(lay, w)) for w in packed]
-        ideal = cls(ring, gens)
+        ideal = cls.__new__(cls)
+        ideal.ring = ring
+        ideal._gens = None
         ideal._packed = tuple(packed)
+        ideal._homog = True  # monomials are homogeneous
         return ideal
+
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        if self._gens is None:
+            lay = mo.layout(self.ring.arity)
+            self._gens = tuple(
+                self.ring.monomial(mo.unpack(lay, w)) for w in self._packed
+            )
+        return self._gens
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.gens) or "0"
@@ -51,7 +69,7 @@ class Ideal:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not (self._packed if self._gens is None else self._gens)
 
     def packed(self) -> tuple[int, ...] | None:
         """Canonical packed minimal generators, when all gens are terms."""

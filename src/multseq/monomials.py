@@ -11,10 +11,12 @@ lexicographically, then the exponents from the last variable down.
 
 `layout(arity)` has 16-bit lanes and the single row (1, ..., 1), the
 total degree, so ascending words are ascending degrees; every function
-below takes and returns words of such a layout, and ideals are
-canonical sorted tuples of packed minimal generators.  Lane values
-must stay below the guard bit, 2^15 here, so lane borrows are
-detectable; `pack` and `multiply` raise `EngineLimit` past that.
+below takes and returns words of such a layout, and `minimalize` reads
+the degree off the top lane to compare a word only with words of lower
+degree.  Ideals are canonical sorted tuples of packed minimal
+generators.  Lane values must stay below the guard bit, 2^15 here, so
+lane borrows are detectable; `pack` and `multiply` raise `EngineLimit`
+past that.
 `groebner` packs with an order's rows and wider lanes.
 """
 
@@ -109,20 +111,25 @@ def degree(lay: Layout, word: int) -> int:
 def minimalize(lay: Layout, words) -> tuple[int, ...]:
     """Minimal generating set, canonically sorted.
 
-    Ascending packed order is ascending degree order, so any divisor of
-    a candidate was already kept when the candidate is examined.
+    The top lane holds the total degree, so ascending words come in
+    bands of one degree each.  A proper divisor of a word has a strictly
+    lower degree, and two distinct words of one degree never divide each
+    other, so a candidate is tested only against the kept words of lower
+    degree: those below the first word of its band,
+    `w >> top_shift << top_shift`.  An ideal generated in one degree
+    costs one pass.
     """
-    guard = lay.guard
+    guard, shift = lay.guard, lay.top_shift
     out: list[int] = []
     for w in sorted(set(words)):
-        redundant = False
+        band = w >> shift << shift
         for g in out:
-            if g > w:
+            if g >= band:  # no kept word of lower degree divides w
+                out.append(w)
                 break
             if not (w - g) & guard:
-                redundant = True
                 break
-        if not redundant:
+        else:
             out.append(w)
     return tuple(out)
 

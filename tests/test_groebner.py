@@ -15,6 +15,7 @@ import pytest
 
 from conftest import ideal, poly, ring
 from multseq import (
+    Ideal,
     PolyRing,
     Polynomial,
     elimination_order,
@@ -437,6 +438,34 @@ class TestIdealOps:
         assert mono.intersect(ideal(r, "z")).equals(alias.intersect(ideal(r, "z")))
         assert mono.colon_poly(poly(r, "z")).equals(alias.colon_poly(poly(r, "z")))
         assert mono.power(2).equals(alias.power(2))
+
+    def test_packed_ideal_builds_gens_on_first_read(self, monkeypatch):
+        r = ring("x", "y", "z")
+        lay = mo.layout(3)
+        built = []
+        monomial = PolyRing.monomial
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            return monomial(self, *args, **kwargs)
+
+        zero, unit = (), (0,)
+        mixed = mo.minimalize(
+            lay, [mo.pack(lay, e) for e in ((2, 0, 0), (1, 1, 0), (0, 0, 3), (1, 0, 2))]
+        )
+        for words in (zero, unit, mixed):
+            eager = Ideal(r, [r.monomial(mo.unpack(lay, w)) for w in words])
+            monkeypatch.setattr(PolyRing, "monomial", counted)
+            lazy = Ideal.from_packed(r, words)
+            assert lazy.is_zero() == eager.is_zero() == (words == zero)
+            assert lazy.is_homogeneous() and eager.is_homogeneous()
+            assert lazy.packed() == eager.packed() == words
+            assert lazy.equals(eager) and eager.equals(lazy)
+            assert built == []
+            monkeypatch.setattr(PolyRing, "monomial", monomial)
+            assert lazy.gens == eager.gens
+            assert repr(lazy) == repr(eager)
+            assert lazy.groebner() == eager.groebner()
 
     def test_zero_ideal_edge_cases(self):
         r = ring("x")

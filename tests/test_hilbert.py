@@ -162,6 +162,58 @@ class TestPacking:
             mo.pack(lay, (half, 1)),
         )
 
+    def test_minimalize_matches_brute_force(self):
+        # the reference keeps a word when no other distinct input word
+        # divides it, read off the unpacked exponents
+        def reference(lay, words):
+            exps = {w: mo.unpack(lay, w) for w in words}
+            return tuple(
+                sorted(
+                    w
+                    for w, e in exps.items()
+                    if not any(
+                        g != w and all(x <= y for x, y in zip(f, e))
+                        for g, f in exps.items()
+                    )
+                )
+            )
+
+        def check(lay, words, got):
+            assert got == reference(lay, words)
+            assert list(got) == sorted(set(got))
+            exps = [mo.unpack(lay, w) for w in got]
+            for e, f in itertools.permutations(exps, 2):
+                assert not all(x <= y for x, y in zip(e, f))
+
+        rng = random.Random(13)
+        for arity in range(1, 5):
+            lay = mo.layout(arity)
+            assert mo.minimalize(lay, []) == ()
+            for _ in range(60):
+                top = rng.choice((2, 4, 7))
+                words = [
+                    mo.pack(lay, tuple(rng.randint(0, top) for _ in range(arity)))
+                    for _ in range(rng.randint(1, 14))
+                ]
+                words += rng.choices(words, k=rng.randint(0, 3))  # duplicates
+                if rng.random() < 0.15:
+                    words.append(0)  # the unit word
+                rng.shuffle(words)
+                got = mo.minimalize(lay, words)
+                check(lay, words, got)
+                assert mo.minimalize(lay, iter(words)) == got
+
+        # products up to a few degrees below the packable limit
+        for arity in (2, 3):
+            lay = mo.layout(arity)
+            a, b = [], []
+            for _ in range(8):
+                rest = tuple(rng.randint(0, 15) for _ in range(arity - 1))
+                a.append(mo.pack(lay, (mo.MAX_EXPONENT - 40 - sum(rest),) + rest))
+                b.append(mo.pack(lay, tuple(rng.randint(0, 10) for _ in range(arity))))
+            products = [x + y for x in a for y in b]
+            check(lay, products, mo.multiply(lay, tuple(a), tuple(b)))
+
 
 class TestLengthAndDimension:
     def test_total_length_box(self):

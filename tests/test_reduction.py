@@ -14,8 +14,12 @@ from conftest import ideal, module, ring
 from multseq import (
     MonomialPrime,
     Params,
+    PolyRing,
+    generate_corpus,
+    groebner_basis,
     is_reduction,
     local_c0,
+    problem_from_dict,
     rees_criterion,
     revalidate,
     superficial_search,
@@ -42,6 +46,51 @@ class TestWitnessScan:
         small = ideal(r, "x^2", "y^2")
         large = ideal(r, "x", "y")
         assert is_reduction(small, large, module(r), 6) is None
+
+    def test_scan_builds_no_polynomials(self, monkeypatch):
+        # the scan runs on packed words: no step turns them back into
+        # polynomials, with or without a witness
+        r = ring("x", "y")
+        built = []
+        monomial = PolyRing.monomial
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            return monomial(self, *args, **kwargs)
+
+        small = ideal(r, "x^2", "y^2")
+        pairs = ((ideal(r, "x", "y"), 6, None), (ideal(r, "x^2", "x*y", "y^2"), 5, 1))
+        monkeypatch.setattr(PolyRing, "monomial", counted)
+        for large, n_max, want in pairs:
+            assert is_reduction(small, large, module(r), n_max) == want
+        assert built == []
+
+    def test_packed_scan_matches_groebner_route(self):
+        # the least n from polynomial products of the parsed generators,
+        # ideals compared by their reduced Groebner bases
+        def least_witness(small, large, relations, n_max):
+            ring = small.ring
+
+            def basis(gens):
+                return groebner_basis(ring, list(gens) + list(relations.gens))
+
+            lower = [ring.one()]
+            for n in range(n_max + 1):
+                upper = list(dict.fromkeys(f * g for f in lower for g in large.gens))
+                if basis(upper) == basis(f * g for f in lower for g in small.gens):
+                    return n
+                lower = upper
+            return None
+
+        found = set()
+        for n_vars, count in ((3, 30), (4, 20)):
+            for doc in generate_corpus(count, n_vars=n_vars, seed=2, mode="pair"):
+                problem = problem_from_dict(doc)
+                small, large = problem.ideal, problem.larger_ideal
+                want = least_witness(small, large, problem.relations, 3)
+                assert is_reduction(small, large, problem.module(), 3) == want, doc
+                found.add(want)
+        assert None in found and len(found) > 1
 
     def test_containment_required(self):
         r = ring("x", "y")

@@ -6,7 +6,10 @@
 Runs every document of the three benchmark workloads at seeds 0 and 7,
 plus a fixed seeded corpus grid, through `multseq.cli.main` of
 CHECKOUT in-process, once with `--format json` and once with
-`--format table`.  Each report prints as one line,
+`--format table`.  The grid adds documents the workloads do not run,
+among them four-variable `verify-formula` and `check-reduction`
+documents; the latter's witness scan multiplies the largest packed
+ideals of the grid.  Each report prints as one line,
 `label sha256(exit code, stdout, stderr)`.  The engine comes from
 CHECKOUT/src and the workload documents from CHECKOUT/perfbench; the
 documents are written to a temporary directory and nothing under the
@@ -38,6 +41,7 @@ GRID = (
     ("verify-formula", "single", 4, "monomial"),
     ("verify-formula", "primary", 3, "mixed"),
     ("check-reduction", "pair", 3, "mixed"),
+    ("check-reduction", "pair", 4, "zero"),
     ("superficial", "superficial", 3, "mixed"),
 )
 
