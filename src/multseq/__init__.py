@@ -18,7 +18,7 @@ from .errors import (
 from .orders import MonomialOrder, elimination_order, grevlex, lex
 from .poly import Polynomial, PolyRing
 from .parse import ParseError, format_polynomial, parse_polynomial
-from .groebner import buchberger, groebner_basis, normal_form
+from .groebner import buchberger, normal_form
 from .ideals import Ideal
 from .hilbert import (
     HilbertSeries,
@@ -112,7 +112,6 @@ __all__ = [
     "format_polynomial",
     "generate_corpus",
     "grevlex",
-    "groebner_basis",
     "height_on_module",
     "hilbert_series",
     "hilbert_table",

@@ -39,8 +39,7 @@ criterion; the coprime criterion needs only the leads.  Both criteria
 hold for any selection order (Becker-Weispfenning, *Groebner Bases*,
 ch. 5).  Reduced bases are monic, mutually fully reduced, and sorted,
 hence unique per (ideal, order): equality of ideals can be tested by
-comparing them, and the selection order never shows in a result.  A process-wide cache keyed by
-(ring, generators, order) backs all callers.
+comparing them, and the selection order never shows in a result.
 
 `normal_form` and `s_polynomial` stay on exponent tuples: they serve
 callers outside the kernel, and the tests use them as the independent
@@ -297,32 +296,3 @@ def buchberger(
         reduced.append(basis.polynomial(leads[k], tail.items()))
     return tuple(reduced)
 
-
-# counted over seed-0 rounds of the three benchmark workloads: `sequence`
-# looks up 120 bases and never hits; `formula` hits 44 times, 36 of them
-# across documents; `general` hits 298 times, all within a document,
-# 232 of them in `revalidate`'s replay of the accepted trial.  On these
-# small inputs the saved time is within run-to-run noise; the memo stays
-# so that the replay, and the spread of a pair whose sequence is known,
-# run no second Buchberger however costly the input's basis is
-_CACHE: dict[tuple, tuple[Polynomial, ...]] = {}
-
-
-def groebner_basis(
-    ring: PolyRing,
-    gens,
-    order: MonomialOrder | None = None,
-    grading: tuple[int, ...] | None = None,
-) -> tuple[Polynomial, ...]:
-    """Reduced basis of the ideal, cached per (ring, generators, order).
-
-    `grading` only picks `buchberger`'s pair order, so it is no part of
-    the key.
-    """
-    order = order or ring.order
-    live = [g for g in gens if not g.is_zero()]
-    key = (ring.key, tuple(sorted(g.key() for g in live)), order.key)
-    got = _CACHE.get(key)
-    if got is None:
-        got = _CACHE[key] = buchberger(live, order, grading)
-    return got

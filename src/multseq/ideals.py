@@ -12,7 +12,7 @@ import itertools
 
 from . import monomials as mo
 from .errors import NonHomogeneousInput
-from .groebner import groebner_basis, normal_form
+from .groebner import buchberger, normal_form
 from .orders import MonomialOrder, elimination_order, grevlex
 from .poly import Polynomial, PolyRing
 
@@ -23,10 +23,12 @@ class Ideal:
     An ideal built from packed monomial words (`from_packed`, which every
     packed operation returns) keeps only the words and builds its `gens`
     polynomials on first read; `is_zero`, `is_homogeneous`, `packed` and
-    the packed arithmetic never read them.
+    the packed arithmetic never read them.  An ideal keeps its reduced
+    basis under each order once read, so its membership, comparison and
+    dimension tests share one basis.
     """
 
-    __slots__ = ("ring", "_gens", "_packed", "_homog")
+    __slots__ = ("ring", "_gens", "_packed", "_homog", "_bases")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
@@ -41,6 +43,7 @@ class Ideal:
         self._gens = tuple(live)
         self._packed = None
         self._homog = None
+        self._bases = {}
 
     # -- construction -----------------------------------------------------
 
@@ -51,6 +54,7 @@ class Ideal:
         ideal._gens = None
         ideal._packed = tuple(packed)
         ideal._homog = True  # monomials are homogeneous
+        ideal._bases = {}
         return ideal
 
     @property
@@ -97,7 +101,12 @@ class Ideal:
     # -- membership and comparisons ---------------------------------------
 
     def groebner(self, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
-        return groebner_basis(self.ring, self.gens, order or self.ring.order)
+        """Reduced basis under `order`, by default the ring's."""
+        order = order or self.ring.order
+        basis = self._bases.get(order.key)
+        if basis is None:
+            basis = self._bases[order.key] = buchberger(self.gens, order)
+        return basis
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
         order = order or self.ring.order
@@ -183,7 +192,7 @@ class Ideal:
         one = ext.one()
         gens = [t * _lift(ext, f) for f in self.gens]
         gens += [(one - t) * _lift(ext, g) for g in other.gens]
-        gb = groebner_basis(ext, gens, ext.order)
+        gb = buchberger(gens, ext.order)
         found = []
         for g in gb:
             if all(e[0] == 0 for e in g.terms):
@@ -222,7 +231,7 @@ class Ideal:
         if packed is not None:
             return Ideal.from_packed(self.ring, packed)
         order = grevlex()
-        gb = groebner_basis(self.ring, self.gens, order)
+        gb = self.groebner(order)
         lay = mo.layout(self.ring.arity)
         words = [mo.pack(lay, g.leading_monomial(order)) for g in gb if not g.is_zero()]
         return Ideal.from_packed(self.ring, mo.minimalize(lay, words))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from . import monomials as mo
 from .config import Params
 from .errors import PreconditionError, StabilizationError
-from .groebner import groebner_basis
+from .groebner import buchberger
 from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
 from .orders import elimination_order, weight_order
@@ -184,7 +184,7 @@ def _rees_relations(ideal: Ideal, module: CyclicModule):
     for idx, g in enumerate(gens):
         relations.append(ext.variable(tags[idx]) - t_var * lift(g))
     grading = (1,) * (1 + ring.arity) + tuple(1 + g.total_degree() for g in gens)
-    gb = groebner_basis(ext, relations, ext.order, grading)
+    gb = buchberger(relations, ext.order, grading)
     rees = [
         {e[1:]: c for e, c in p.terms.items()}
         for p in gb
@@ -202,9 +202,9 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     w(x) = 0, w(T_i) = deg f_i.  With that weight refined by grevlex,
     the pieces of gr_m(gr_I(M)) count the monomials outside the leading
     ideal N of J, and its series is Q(s, t) / ((1-s)^n (1-t)^r), with s
-    marking x-degree and t marking T-degree.  The basis comes from the
-    cached `groebner_basis`, so the analytic spread of a pair whose
-    sequence is known runs no further Buchberger call.
+    marking x-degree and t marking T-degree.  Every table keeps its Q,
+    so the spread of a pair that has a table is read off that table
+    (`diagnostics`), with no second call here.
     """
     ring = ideal.ring
     gens, tags, rees = _rees_relations(ideal, module)
@@ -218,7 +218,7 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
         Polynomial(s_ring, {e + pad: c for e, c in g.terms.items()}) for g in gens
     ]
     lay = mo.layout(n + r)
-    basis = groebner_basis(s_ring, presentation, order)
+    basis = buchberger(presentation, order)
     leads = tuple(mo.pack(lay, p.leading_monomial(order)) for p in basis)
     return n, r, mo.bigraded_numerator(lay, leads, n)
 

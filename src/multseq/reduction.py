@@ -167,6 +167,9 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SuperficialCandidate:
+    """An accepted trial, its evidence, and the entries c_0..c_(d-2) of
+    the pair's own sequence that its preservation check compared against."""
+
     element: Polynomial
     c_exponent: int
     trial: int
@@ -174,6 +177,7 @@ class SuperficialCandidate:
     coefficients: tuple[int, ...]
     seed: int
     evidence: tuple[EvidenceItem, ...]
+    low_entries: tuple[int, ...]
 
 
 def _monomials_of_degree(n: int, deg: int):
@@ -243,7 +247,7 @@ def _run_trial(
     module: CyclicModule,
     params: Params,
     trial: int,
-    baseline: MultiplicitySequence,
+    low_entries: tuple[int, ...],
     m_times_ideal: Ideal,
     classes: list[tuple[int, list[Polynomial]]],
 ) -> tuple[TrialRecord, SuperficialCandidate | None]:
@@ -284,11 +288,10 @@ def _run_trial(
     evidence.append(
         EvidenceItem("dimension-drop", f"{d} -> {quotient.dim}", True)
     )
-    target = baseline.entries[: d - 1]
     seq_quotient, _ = multiplicity_sequence(ideal, quotient, params)
     got = seq_quotient.entries[: d - 1]
-    if got != target:
-        return record(f"low entries changed: {list(got)} vs {list(target)}"), None
+    if got != low_entries:
+        return record(f"low entries changed: {list(got)} vs {list(low_entries)}"), None
     evidence.append(
         EvidenceItem("preservation", f"entries {list(got)} match below top", True)
     )
@@ -300,6 +303,7 @@ def _run_trial(
         coefficients=coeffs,
         seed=params.seed,
         evidence=tuple(evidence),
+        low_entries=low_entries,
     )
     return record("accepted"), candidate
 
@@ -326,13 +330,14 @@ def superficial_search(
     baseline, _ = _stabilize(module.dim, n, r, numerator, params)
     if module.dim < 1:
         raise PreconditionError("superficial elements need positive dimension")
+    low_entries = baseline.entries[: module.dim - 1]
     gens = _minimal_generators(ideal)
     classes = _degree_classes(gens)
     m_times_ideal = _variables_ideal(ideal.ring).multiply(ideal)
     records = []
     for trial in range(params.trials):
         rec, candidate = _run_trial(
-            ideal, module, params, trial, baseline, m_times_ideal, classes
+            ideal, module, params, trial, low_entries, m_times_ideal, classes
         )
         records.append(rec)
         if candidate is not None:
@@ -350,14 +355,23 @@ def revalidate(
     module: CyclicModule,
     params: Params | None = None,
 ) -> bool:
-    """Re-run the candidate's trial from its seed and compare evidence."""
+    """Re-run the candidate's trial from its seed and compare evidence.
+
+    The replay recomputes everything but the pair's own low entries,
+    which the candidate carries.
+    """
     params = (params or Params()).replace(seed=candidate.seed)
-    baseline, _ = multiplicity_sequence(ideal, module, params)
     gens = _minimal_generators(ideal)
     classes = _degree_classes(gens)
     m_times_ideal = _variables_ideal(ideal.ring).multiply(ideal)
     rec, redone = _run_trial(
-        ideal, module, params, candidate.trial, baseline, m_times_ideal, classes
+        ideal,
+        module,
+        params,
+        candidate.trial,
+        candidate.low_entries,
+        m_times_ideal,
+        classes,
     )
     if redone is None:
         return False

@@ -421,6 +421,58 @@ class TestOneProcess:
         assert json.loads(out)["diagnostics"]["spread"] == 2
         assert len(calls) == 1
 
+    def test_superficial_replay_reuses_the_baseline(self, tmp_path, capsys, monkeypatch):
+        # the search reads the pair's Q(s, t) and the accepted trial's;
+        # the replay reads only the trial's again, since the candidate
+        # carries the low entries it was compared against
+        calls = []
+        real = monomials.bigraded_numerator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monomials, "bigraded_numerator", counted)
+        document = {
+            "schema": 1,
+            "ring": {"variables": ["x", "y"]},
+            "ideals": {"I": ["x", "y"], "K": []},
+        }
+        path = write(tmp_path, "p.json", document)
+        code, out, _ = run(capsys, ["--task", "superficial", "--input", path])
+        assert code == 0
+        assert json.loads(out)["revalidated"] is True
+        assert len(calls) == 3
+
+    def test_only_the_layout_table_grows(self, tmp_path, capsys):
+        # the engine keeps no process-wide memo of its answers: one
+        # document of each task leaves every module-level table as it
+        # was, but the packed layouts (one per arity, order and lane
+        # width).  A new memo has to be named here, with its reason.
+        def tables():
+            sizes = {}
+            for name, mod in list(sys.modules.items()):
+                if not name.startswith("multseq."):
+                    continue
+                for attr, value in vars(mod).items():
+                    if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                        sizes[f"{name[8:]}.{attr}"] = len(value)
+                    elif hasattr(value, "cache_info"):
+                        sizes[f"{name[8:]}.{attr}"] = value.cache_info().currsize
+            return sizes
+
+        # the front end builds its parser and reads its version once
+        run(capsys, ["--task", "compute", "--input", golden(tmp_path)])
+        before = tables()
+        assert {"config.MINIMUMS", "problem._ORDERS", "cli._version"} <= set(before)
+        for task, variables, ideals, extra in TestOptimizedInterpreter.CASES.values():
+            document = {"schema": 1, "ring": {"variables": variables}, "ideals": ideals}
+            path = write(tmp_path, f"{task}.json", document)
+            run(capsys, ["--task", task, "--input", path, *extra])
+        run(capsys, ["--task", "corpus", "--count", "2", "--mode", "pair"])
+        grown = {name for name, size in tables().items() if size != before.get(name)}
+        assert grown <= {"monomials._LAYOUTS"}
+
 
 class TestUsage:
     def test_unknown_task(self, capsys):

@@ -20,11 +20,11 @@ from multseq import (
     Polynomial,
     elimination_order,
     grevlex,
-    groebner_basis,
+    krull_dimension,
     lex,
     normal_form,
 )
-from multseq import groebner
+from multseq import groebner, ideals
 from multseq import monomials as mo
 from multseq.errors import EngineLimit
 from multseq.groebner import LANE_BITS, buchberger, s_polynomial
@@ -32,7 +32,7 @@ from multseq.orders import weight_order
 
 
 def basis_of(r, *texts):
-    return groebner_basis(r, [poly(r, t) for t in texts])
+    return buchberger([poly(r, t) for t in texts], r.order)
 
 
 class TestNormalForm:
@@ -50,7 +50,7 @@ class TestNormalForm:
     def test_difference_lies_in_ideal(self):
         r = ring("x", "y")
         gens = [poly(r, "x^2 - y^2"), poly(r, "x*y + y^2")]
-        gb = groebner_basis(r, gens)
+        gb = buchberger(gens, r.order)
         f = poly(r, "x^3 + y^3")
         rem = normal_form(f, gb)
         assert normal_form(f - rem, gb).is_zero()
@@ -298,7 +298,7 @@ class TestBuchberger:
         rng = random.Random(11)
         r = ring("x", "y")
         gens = [poly(r, "x^2 - y"), poly(r, "y^2 - x")]
-        gb = groebner_basis(r, gens)
+        gb = buchberger(gens, r.order)
         for _ in range(20):
             coeffs = [
                 r.monomial(
@@ -321,15 +321,17 @@ class TestBuchberger:
 
 class TestReducedBasis:
     def test_cache_tells_weight_orders_apart(self):
-        # one ring, the same generators, two weights: the cached basis of
-        # the first order must not answer for the second
+        # one ideal asked for two weights: the basis it keeps for the
+        # first order must not answer for the second
         r = ring("x", "y", "z")
         gens = [poly(r, "x^2 - y*z"), poly(r, "y^2 - x*z")]
+        a = Ideal(r, gens)
         orders = (weight_order((1, 0, 0)), weight_order((0, 0, 1)))
-        cached = [groebner_basis(r, gens, o) for o in orders]
-        assert cached[0] != cached[1]
-        for o, got in zip(orders, cached):
+        kept = [a.groebner(o) for o in orders]
+        assert kept[0] != kept[1]
+        for o, got in zip(orders, kept):
             assert got == buchberger(gens, o)
+            assert a.groebner(o) is got
 
     @pytest.mark.parametrize(
         "gens",
@@ -368,11 +370,6 @@ class TestReducedBasis:
                 assert not any(
                     all(a >= b for a, b in zip(exps, lt)) for lt in lts
                 )
-
-    def test_cache_returns_same_object(self):
-        r = ring("x", "y")
-        gens = [poly(r, "x^2 - y")]
-        assert groebner_basis(r, gens) is groebner_basis(r, list(reversed(gens)))
 
 
 class TestIdealOps:
@@ -415,6 +412,27 @@ class TestIdealOps:
         a = ideal(r, "x^2 - y*z", "z^3")
         f = poly(r, "x + y")
         assert a.multiply(ideal(r, str(f))).colon_poly(f).equals(a)
+
+    def test_one_basis_per_ideal(self, monkeypatch):
+        # membership of each generator of a smaller ideal, properness,
+        # the initial ideal, dimension and equality all read the one
+        # grevlex basis the ideal keeps
+        calls = []
+
+        def counted(gens, order, grading=None):
+            calls.append(order)
+            return buchberger(gens, order, grading)
+
+        monkeypatch.setattr(ideals, "buchberger", counted)
+        r = ring("x", "y", "z")
+        a = ideal(r, "x^2 - y*z", "y^2 - x*z")
+        small = ideal(r, "x^2 - y*z", "x*y^2 - x^2*z", "z*x^2 - y*z^2")
+        assert small.subset_of(a)
+        assert a.is_proper()
+        assert a.initial_ideal().packed() is not None
+        assert krull_dimension(a) == 1
+        assert a.equals(a)
+        assert calls == [grevlex()]
 
     def test_containment_and_equality(self):
         r = ring("x", "y")

@@ -35,7 +35,7 @@ from multseq import (
     star_condition,
     total_length,
 )
-from multseq import groebner, monomials, multiplicity
+from multseq import groebner, ideals, monomials, multiplicity
 from multseq.errors import NonHomogeneousInput, PreconditionError
 from multseq.groebner import buchberger
 from multseq.multiplicity import _diff_u, _diff_v, _rees_relations, _window_cells
@@ -387,12 +387,12 @@ class TestSequences:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(multiplicity, "extract_top_coefficients")
-        counted(multiplicity, "groebner_basis")
+        counted(multiplicity, "buchberger")
         counted(monomials, "bigraded_numerator")
         r = ring("x", "y", "z")
         multiplicity_sequence(ideal(r, *gens), module(r, *relations))
         assert calls["extract_top_coefficients"] >= 3  # one per round
-        assert calls["groebner_basis"] == 2
+        assert calls["buchberger"] == 2
         assert calls["bigraded_numerator"] == 1
 
 
@@ -498,13 +498,13 @@ class TestReesGrading:
     def presentations(monkeypatch, pairs):
         """(relations, order, grading) of the Rees basis of each pair."""
         seen = []
-        real = multiplicity.groebner_basis
+        real = multiplicity.buchberger
 
-        def spy(ring, gens, order=None, grading=None):
+        def spy(gens, order, grading=None):
             seen.append((list(gens), order, grading))
-            return real(ring, gens, order, grading)
+            return real(gens, order, grading)
 
-        monkeypatch.setattr(multiplicity, "groebner_basis", spy)
+        monkeypatch.setattr(multiplicity, "buchberger", spy)
         for a, m in pairs:
             _rees_relations(a, m)
         assert len(seen) == len(pairs)
@@ -596,7 +596,9 @@ class TestInvariantsOfThePair:
             # a regular sequence of two elements has the fiber k[T_1, T_2]
             assert analytic_spread(i, m) == fiber_ring_spread(i, m) == 2
 
-    def test_spread_reuses_the_sequence_basis(self, monkeypatch):
+    def test_diagnostics_reads_the_sequence_table(self, monkeypatch):
+        # monomial data: every Buchberger call is the Rees route's, so
+        # diagnostics on the sequence's own table must make none
         calls = []
         kernel = groebner.buchberger
 
@@ -604,16 +606,18 @@ class TestInvariantsOfThePair:
             calls.append(order)
             return kernel(gens, order, grading)
 
-        monkeypatch.setattr(groebner, "_CACHE", {})
-        monkeypatch.setattr(groebner, "buchberger", counted)
+        for owner in (multiplicity, ideals):
+            monkeypatch.setattr(owner, "buchberger", counted)
         # the fiber of (x^2, xy, y^2) has the relation T_0 T_2 = T_1^2
         r = ring("x", "y", "z")
         a, m = ideal(r, "x^2", "x*y", "y^2"), module(r, "x*z^3")
-        multiplicity_sequence(a, m)
+        _, table = multiplicity_sequence(a, m)
         assert calls
         before = len(calls)
-        analytic_spread(a, m)
+        diag = diagnostics(a, m, table)
         assert len(calls) == before
+        assert diag.spread == analytic_spread(a, m) == 2
+        assert len(calls) > before
 
     def test_height_examples(self):
         r2 = ring("x", "y")

@@ -7,6 +7,7 @@ scan and the sequence comparison, never an unverified ground truth.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,8 +16,8 @@ from multseq import (
     MonomialPrime,
     Params,
     PolyRing,
+    buchberger,
     generate_corpus,
-    groebner_basis,
     is_reduction,
     local_c0,
     problem_from_dict,
@@ -72,7 +73,7 @@ class TestWitnessScan:
             ring = small.ring
 
             def basis(gens):
-                return groebner_basis(ring, list(gens) + list(relations.gens))
+                return buchberger(list(gens) + list(relations.gens), ring.order)
 
             lower = [ring.one()]
             for n in range(n_max + 1):
@@ -215,6 +216,16 @@ class TestSuperficial:
         m = module(r)
         cand = superficial_search(ideal(r, "x", "y"), m, Params())
         assert not revalidate(cand, ideal(r, "x^2", "y^2"), m, Params())
+
+    def test_revalidation_checks_the_carried_entries(self):
+        # the replay compares the quotient's low entries with the ones
+        # the candidate carries, not with a baseline of its own
+        r = ring("x", "y")
+        a, m = ideal(r, "x", "y"), module(r)
+        cand = superficial_search(a, m, Params())
+        assert cand.low_entries == (1,)
+        assert revalidate(cand, a, m, Params())
+        assert not revalidate(replace(cand, low_entries=(2,)), a, m, Params())
 
     def test_nilpotent_action_rejected(self):
         r = ring("x", "y")
