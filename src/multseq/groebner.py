@@ -1,9 +1,19 @@
 """Buchberger's algorithm with the classical pair criteria, on packed words.
 
-`buchberger` packs its input once, runs the pair loop and then the
-inter-reduction on integer words, and unpacks the reduced basis once.
+One pair loop, `pair_loop`, completes a `_Packed` basis (polynomials
+of one arity, characteristic and order, as words) and returns the
+indices of its minimal leads.  It has two entries:
+- `buchberger` packs its `Polynomial` input once, runs the loop,
+  inter-reduces the kept elements on words and unpacks the reduced
+  basis once;
+- `multiplicity._gr_numerator` fills a `_Packed` itself, runs the loop
+  twice and reads only leads, so its bases are never tail-reduced nor
+  unpacked into `Polynomial`s.
 A basis that grows past `DEFAULT_BASIS_LIMIT` elements raises
-`EngineLimit`.  A monomial's word (a
+`EngineLimit`.  In characteristic 0 a coefficient inside the kernel is
+a Python int while it is whole; a Fraction appears only once a lead
+coefficient other than ±1 divides a tail, and `buchberger` hands every
+coefficient back as a Fraction.  A monomial's word (a
 `monomials.Layout` with the order's `rows` and 32-bit lanes) holds its
 exponents in the low lanes, one per variable, and above them the value
 of each row of the order, the most significant row in the top lane.
@@ -39,7 +49,9 @@ criterion; the coprime criterion needs only the leads.  Both criteria
 hold for any selection order (Becker-Weispfenning, *Groebner Bases*,
 ch. 5).  Reduced bases are monic, mutually fully reduced, and sorted,
 hence unique per (ideal, order): equality of ideals can be tested by
-comparing them, and the selection order never shows in a result.
+comparing them, and the selection order never shows in a result.  The
+minimal leads of any basis are the leads of the reduced one, so a
+caller that reads only leads needs no inter-reduction.
 
 `normal_form` and `s_polynomial` stay on exponent tuples: they serve
 callers outside the kernel, and the tests use them as the independent
@@ -50,6 +62,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
+from fractions import Fraction
 from functools import reduce
 from operator import mul, or_
 
@@ -122,50 +135,65 @@ _RANGE = (
 )
 
 
+def _integral(c):
+    """A whole rational as an int; any other coefficient unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Packed:
-    """Monic polynomials of one ring and order, as packed words.
+    """Monic polynomials of one arity, characteristic and order, as words.
 
     Element k is `leads[k]`, with coefficient 1, plus `tails[k]`, a list
     of (word, coefficient); `bounds[k]` is the OR of the tail's words and
-    `exps[k]` the exponents of its lead.
+    `exps[k]` the exponents of its lead.  In characteristic 0 a
+    coefficient is an int while it is whole, and a Fraction only once a
+    lead coefficient other than ±1 has divided it.
     """
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder):
-        self.ring = ring
-        self.lay = mo.layout(ring.arity, order.rows(ring.arity), LANE_BITS)
+    def __init__(self, arity: int, characteristic: int, order: MonomialOrder):
+        self.lay = mo.layout(arity, order.rows(arity), LANE_BITS)
         self.guard = self.lay.guard
-        self.p = ring.characteristic
+        self.p = characteristic
         self.leads: list[int] = []
         self.tails: list[list[tuple[int, object]]] = []
         self.bounds: list[int] = []
         self.exps: list[tuple[int, ...]] = []
 
-    def pack(self, f: Polynomial) -> dict:
-        """A new dict of f's terms, keyed by word."""
-        lay = self.lay
-        return {mo.pack(lay, e): c for e, c in f.terms.items()}
+    def pack(self, terms: dict) -> dict:
+        """A new dict of the {exponents: coefficient} `terms`, keyed by word."""
+        lay, p = self.lay, self.p
+        if p:
+            return {mo.pack(lay, e): c % p for e, c in terms.items()}
+        return {mo.pack(lay, e): _integral(c) for e, c in terms.items()}
 
     def append(self, terms: dict) -> None:
         """Add the monic multiple of a nonzero packed polynomial; takes `terms`."""
         lead = max(terms)
         lc = terms.pop(lead)
         if lc != 1:
-            inv = self.ring.coeff(self.ring.coeff_inv(lc))
             p = self.p
-            for w, c in terms.items():
-                terms[w] = c * inv % p if p else c * inv
+            if p:
+                inv = pow(lc, p - 2, p)
+                for w, c in terms.items():
+                    terms[w] = c * inv % p
+            elif lc == -1:
+                for w, c in terms.items():
+                    terms[w] = -c
+            else:
+                for w, c in terms.items():
+                    terms[w] = _integral(Fraction(c, lc))
         self.leads.append(lead)
         self.tails.append(list(terms.items()))
         self.bounds.append(reduce(or_, terms, 0))
         self.exps.append(mo.unpack(self.lay, lead))
 
-    def polynomial(self, lead: int, tail) -> Polynomial:
-        """The monic polynomial with lead word `lead` and (word, coeff) `tail`."""
-        lay = self.lay
-        terms = {mo.unpack(lay, lead): self.ring.coeff(1)}
+    def polynomial(self, ring: PolyRing, k: int, tail) -> Polynomial:
+        """Element k with the (word, coefficient) `tail`, in `ring`."""
+        lay, coeff = self.lay, ring.coeff
+        terms = {self.exps[k]: coeff(1)}
         for w, c in tail:
-            terms[mo.unpack(lay, w)] = c
-        return Polynomial(self.ring, terms)
+            terms[mo.unpack(lay, w)] = coeff(c)
+        return Polynomial(ring, terms)
 
     def multiple(self, k: int, shift: int) -> Iterator[tuple[int, object]]:
         """Tail of element k times the monomial of word `shift`."""
@@ -214,27 +242,19 @@ def _subtract(work: dict, terms, factor, p: int) -> None:
             work.pop(w, None)
 
 
-def buchberger(
-    gens, order: MonomialOrder, grading: tuple[int, ...] | None = None
-) -> tuple[Polynomial, ...]:
-    """Reduced basis: minimal, tail-reduced, monic, canonically sorted.
+def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[int]:
+    """Complete `basis` to a Gröbner basis; the indices of its minimal leads.
 
-    `grading`, one positive weight per variable under which every
-    generator is homogeneous, makes pairs come out degree first; the
-    basis is the same with or without it.
+    The indices come in ascending order of their leads.  `grading`, one
+    positive weight per variable under which every element is
+    homogeneous, makes pairs come out degree first; the leads are the
+    same with or without it.
     """
-    gens = [f for f in gens if not f.is_zero()]
-    if not gens:
-        return ()
-    ring = gens[0].ring
-    if grading is not None and len(grading) != ring.arity:
-        raise ValueError("grading and ring of different arity")
-    basis = _Packed(ring, order)
-    for f in gens:
-        basis.append(basis.pack(f))
+    if grading is not None and len(grading) != basis.lay.arity:
+        raise ValueError("grading and basis of different arity")
     leads, tails, exps, guard = basis.leads, basis.tails, basis.exps, basis.guard
     steps = basis.lay.var_steps
-    weights = grading or (0,) * ring.arity
+    weights = grading or (0,) * basis.lay.arity
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -287,12 +307,31 @@ def buchberger(
     for k in sorted(range(len(leads)), key=leads.__getitem__):
         if not any(not (leads[k] - leads[q]) & guard for q in kept):
             kept.append(k)
+    return kept
+
+
+def buchberger(
+    gens, order: MonomialOrder, grading: tuple[int, ...] | None = None
+) -> tuple[Polynomial, ...]:
+    """Reduced basis: minimal, tail-reduced, monic, canonically sorted.
+
+    `grading`, one positive weight per variable under which every
+    generator is homogeneous, makes pairs come out degree first; the
+    basis is the same with or without it.
+    """
+    gens = [f for f in gens if not f.is_zero()]
+    if not gens:
+        return ()
+    ring = gens[0].ring
+    basis = _Packed(ring.arity, ring.characteristic, order)
+    for f in gens:
+        basis.append(basis.pack(f.terms))
+    kept = pair_loop(basis, grading)
     reduced = []
-    for k in sorted(kept, key=leads.__getitem__, reverse=True):
+    for k in reversed(kept):
         # the lead is divisible by no other kept lead, so only the
         # tail reduces
         others = [q for q in kept if q != k]
-        tail = basis.remainder(dict(tails[k]), others)
-        reduced.append(basis.polynomial(leads[k], tail.items()))
+        tail = basis.remainder(dict(basis.tails[k]), others)
+        reduced.append(basis.polynomial(ring, k, tail.items()))
     return tuple(reduced)
-

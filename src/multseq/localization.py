@@ -279,26 +279,36 @@ def verify_formula(
     `moving_residual`.  One `enumerate_lambda` call gives every
     stratum.  Λ_0 is the maximal ideal, where the localization is the
     pair itself, so row 0 reads c_0 off the pair's sequence and every
-    other prime goes through `local_c0`.  A row is complete when the
-    stratum is fully enumerated and the residual is derived for it.
-    With the star condition in force and every row complete, c_k must
-    equal rhs + residual exactly; otherwise the rows are reported as a
-    lower-bound certificate rather than a verification.
+    other prime goes through `local_c0`, once per distinct localized
+    pair.  A row is complete when the stratum is fully enumerated and
+    the residual is derived for it.  With the star condition in force
+    and every row complete, c_k must equal rhs + residual exactly;
+    otherwise the rows are reported as a lower-bound certificate rather
+    than a verification.
     """
     params = params or Params()
     seq, _ = multiplicity_sequence(ideal, module, params)
     het = height_on_module(ideal, module)
     star = star_condition(ideal, module, params)
+    lay = mo.layout(ideal.ring.arity)
+    ip, kp = ideal.packed(), module.relations.packed()
+    # primes whose localizations restrict I and K to the same words
+    # have the same local pair, up to the names of its variables
+    local: dict[tuple, int] = {}
+
+    def c0(prime: MonomialPrime) -> int:
+        keep = prime.indices(ideal.ring)
+        key = (len(keep), mo.restrict(lay, ip, keep), mo.restrict(lay, kp, keep))
+        if key not in local:
+            local[key] = local_c0(ideal, module, prime, params)
+        return local[key]
+
     rows = []
     all_complete = True
     for lam in enumerate_lambda(ideal, module):
         k = lam.k
         contribs = tuple(
-            Contribution(
-                p.variables,
-                local_c0(ideal, module, p, params) if k else seq.entries[0],
-                1,
-            )
+            Contribution(p.variables, c0(p) if k else seq.entries[0], 1)
             for p in lam.primes
         )
         residual = moving_residual(ideal, module, k)

@@ -13,14 +13,18 @@ The mixed quotients are the bigraded pieces of gr_m(gr_I(M)).  Every
 table is counted from one Gröbner basis of a presentation of gr_I(M)
 in k[x, T], one T_i per generator of I, under a weight order that
 reads the m-adic filtration off the leading monomials; a bigraded
-Hilbert numerator Q(s, t) of those leading monomials (`_gr_numerator`)
-gives all cells at once (`hilbert_table`), and its u = 0 column, the
-fiber of I on M, gives the analytic spread.  `multiplicity_sequence`
-reads Q once and each growth round only divides it again.  Every table
-keeps the Q it was divided from, so `diagnostics` reads the spread off
-the table the sequence came with, and `analytic_spread` is the route
-for a pair with no table.  The per-cell `component_length` is the
-independent route the tests check tables against.
+Hilbert numerator Q(s, t) of those leading monomials gives all cells
+at once (`hilbert_table`), and its u = 0 column, the fiber of I on M,
+gives the analytic spread.  `_gr_numerator` computes Q with both of
+its bases, the Rees elimination basis and the weight basis, in the
+Gröbner kernel's packed words, and reads only their minimal leads, so
+the table path builds no polynomial ring, no `Polynomial` and no
+reduced tail.  `multiplicity_sequence` reads Q once and each growth
+round only divides it again.  Every table keeps the Q it was divided
+from, so `diagnostics` reads the spread off the table the sequence
+came with, and `analytic_spread` is the route for a pair with no
+table.  The per-cell `component_length` is the independent route the
+tests check tables against.
 
 For monomial data one map (`_monomial_strata`) sends each
 variable-subset prime over I + K to the local dimension of M there.
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from . import monomials as mo
 from .config import Params
 from .errors import PreconditionError, StabilizationError
-from .groebner import buchberger
+from .groebner import _Packed, pair_loop
 from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
 from .orders import elimination_order, weight_order
@@ -153,73 +157,69 @@ class BigradedTable:
         return self.values[u][v]
 
 
-def _rees_relations(ideal: Ideal, module: CyclicModule):
-    """Generators f_i of I and the relations of the Rees module of M = R/K.
-
-    In k[t, x, T] under `elimination_order(1)`, the t-free part of the
-    basis of (K, T_i - t*f_i) presents the Rees module, the sum of the
-    I^j M = I^j / (I^j ∩ K) as a quotient of k[x, T].  K enters before
-    t is eliminated: added afterwards it would present I^j / K*I^j.
-    Under deg t = deg x_i = 1 and deg T_i = 1 + deg f_i every relation
-    is homogeneous, so Buchberger takes its pairs degree first.
-    Returns (f_i, names of the T_i, the term dicts of the t-free
-    relations over the exponents of (x, T)).
-    """
-    ring = ideal.ring
-    gens = _minimal_generators(ideal)
-    tags = ring.fresh_names("g", len(gens))
-    (aux,) = ring.fresh_names("t", 1)
-    ext = PolyRing(
-        (aux,) + ring.variables + tags,
-        ring.characteristic,
-        elimination_order(1),
-    )
-    pad = (0,) * len(tags)
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(ext, {(0,) + e + pad: c for e, c in p.terms.items()})
-
-    t_var = ext.variable(aux)
-    relations = [lift(p) for p in module.relations.gens]
-    for idx, g in enumerate(gens):
-        relations.append(ext.variable(tags[idx]) - t_var * lift(g))
-    grading = (1,) * (1 + ring.arity) + tuple(1 + g.total_degree() for g in gens)
-    gb = buchberger(relations, ext.order, grading)
-    rees = [
-        {e[1:]: c for e, c in p.terms.items()}
-        for p in gb
-        if not any(e[0] for e in p.terms)
-    ]
-    return gens, tags, rees
+def _generator_terms(ideal: Ideal) -> list[dict]:
+    """{exponents: coefficient} of each generator, minimal ones if monomial."""
+    packed = ideal.packed()
+    if packed is None:
+        return [g.terms for g in ideal.gens]
+    lay = mo.layout(ideal.ring.arity)
+    return [{mo.unpack(lay, w): 1} for w in packed]
 
 
 def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     """(n, r, Q): the bigraded numerator of gr_m(gr_I(M)).
 
-    J = (Rees relations, f_1..f_r) presents gr_I(M) in S = k[x, T]; the
-    m-adic filtration of each piece is read off the lowest x-degree
-    forms, which under deg T_i = deg f_i are the forms of largest weight
-    w(x) = 0, w(T_i) = deg f_i.  With that weight refined by grevlex,
-    the pieces of gr_m(gr_I(M)) count the monomials outside the leading
-    ideal N of J, and its series is Q(s, t) / ((1-s)^n (1-t)^r), with s
-    marking x-degree and t marking T-degree.  Every table keeps its Q,
-    so the spread of a pair that has a table is read off that table
-    (`diagnostics`), with no second call here.
+    First the Rees module of M = R/K, the sum of the I^j M =
+    I^j / (I^j ∩ K), is presented as a quotient of k[x, T], one T_i per
+    minimal generator f_i of I: in k[t, x, T] under
+    `elimination_order(1)` the elements of a Gröbner basis of
+    (K, T_i - t*f_i) whose lead has no t have no t at all, and they
+    generate the t-free part.  K enters before t is eliminated: added
+    afterwards it would present I^j / K*I^j.  Under deg t = deg x_i = 1
+    and deg T_i = 1 + deg f_i every relation is homogeneous, so the pair
+    loop takes its pairs degree first.
+
+    Then J = (Rees relations, f_1..f_r) presents gr_I(M) in
+    S = k[x, T]; the m-adic filtration of each piece is read off the
+    lowest x-degree forms, which under deg T_i = deg f_i are the forms
+    of largest weight w(x) = 0, w(T_i) = deg f_i.  With that weight
+    refined by grevlex, the pieces of gr_m(gr_I(M)) count the monomials
+    outside the leading ideal N of J, and its series is
+    Q(s, t) / ((1-s)^n (1-t)^r), with s marking x-degree and t marking
+    T-degree.
+
+    Q reads only the minimal leads of the second basis, and those are
+    unique per (ideal, order), so neither basis is tail-reduced and
+    both stay packed words from the presentation to Q.  Every table
+    keeps its Q, so the spread of a pair that has a table is read off
+    that table (`diagnostics`), with no second call here.
     """
-    ring = ideal.ring
-    gens, tags, rees = _rees_relations(ideal, module)
-    n, r = ring.arity, len(gens)
-    order = weight_order((0,) * n + tuple(g.total_degree() for g in gens))
-    s_ring = PolyRing(ring.variables + tags, ring.characteristic, order)
+    n, p = ideal.ring.arity, ideal.ring.characteristic
+    gens = _generator_terms(ideal)
+    r = len(gens)
+    degrees = tuple(max(map(sum, terms)) for terms in gens)
+    rees = _Packed(1 + n + r, p, elimination_order(1))
     pad = (0,) * r
+    for terms in _generator_terms(module.relations):
+        rees.append(rees.pack({(0,) + e + pad: c for e, c in terms.items()}))
+    for i, terms in enumerate(gens):
+        relation = {(1,) + e + pad: -c for e, c in terms.items()}
+        relation[(0,) * (1 + n + i) + (1,) + (0,) * (r - 1 - i)] = 1
+        rees.append(rees.pack(relation))
+    kept = pair_loop(rees, (1,) * (1 + n) + tuple(1 + d for d in degrees))
+
+    weight = _Packed(n + r, p, weight_order((0,) * n + degrees))
     # the Rees relations already contain K
-    presentation = [Polynomial(s_ring, terms) for terms in rees]
-    presentation += [
-        Polynomial(s_ring, {e + pad: c for e, c in g.terms.items()}) for g in gens
-    ]
+    for k in kept:
+        if not rees.exps[k][0]:
+            relation = {rees.exps[k][1:]: 1}
+            for w, c in rees.tails[k]:
+                relation[mo.unpack(rees.lay, w)[1:]] = c
+            weight.append(weight.pack(relation))
+    for terms in gens:
+        weight.append(weight.pack({e + pad: c for e, c in terms.items()}))
     lay = mo.layout(n + r)
-    basis = buchberger(presentation, order)
-    leads = tuple(mo.pack(lay, p.leading_monomial(order)) for p in basis)
+    leads = tuple(mo.pack(lay, weight.exps[k]) for k in pair_loop(weight))
     return n, r, mo.bigraded_numerator(lay, leads, n)
 
 

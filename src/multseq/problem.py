@@ -10,7 +10,9 @@ two-space indent) so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .config import Params
 from .ideals import Ideal
@@ -197,7 +199,80 @@ def load_problem(path: str) -> Problem:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, byte for byte.
+
+    One recursive function writes it: `json.dumps` with an indent takes
+    the pure-Python encoder, whose nested closures refer to each other
+    and leave every call's encoder for the cyclic garbage collector.
+    """
+    out: list[str] = []
+    _emit(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(value) -> str | None:
+    """JSON text of a number, bool or None, as `json.dumps` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key(key) -> str:
+    """A dict key as the quoted text `json.dumps` writes before its ": "."""
+    if not isinstance(key, str):
+        text = _scalar(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = text
+    return _encode_string(key) + ": "
+
+
+def _emit(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of `value`, its lines indented after `newline`."""
+    if isinstance(value, str):
+        out.append(_encode_string(value))
+        return
+    if isinstance(value, dict):
+        items = [(_key(k), v) for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [("", v) for v in value]
+        brackets = "[]"
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+        out.append(text)
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for prefix, item in items:
+        out.append(separator + prefix)
+        _emit(item, inner, out)
+        separator = "," + inner
+    out.append(newline + brackets[1])
 
 
 def sequence_dict(seq: MultiplicitySequence) -> dict:

@@ -105,7 +105,10 @@ def rees_criterion(
     if not small.subset_of(large):
         raise PreconditionError("the candidate reduction is not contained in the ideal")
     seq_small, _ = multiplicity_sequence(small, module, params)
-    seq_large, _ = multiplicity_sequence(large, module, params)
+    if large.subset_of(small):
+        seq_large = seq_small  # the same ideal
+    else:
+        seq_large, _ = multiplicity_sequence(large, module, params)
     equal = seq_small.entries == seq_large.entries
     het = height_on_module(small, module)
     if not equal:

@@ -9,6 +9,7 @@ independent route its results are checked with.
 
 import itertools
 import random
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -310,6 +311,24 @@ class TestBuchberger:
                 (c * g for c, g in zip(coeffs, gens)), r.zero()
             )
             assert normal_form(f, gb).is_zero()
+
+    @pytest.mark.parametrize(
+        "gens, lead_ones",
+        [
+            # binomials: the kernel never leaves the integers
+            (("x^2 - y*z", "y^2 - x*z"), True),
+            # lead coefficients 2 and 3 divide the tails
+            (("2*x^2 - 3*y*z", "3*y^2 - 2*x*z"), False),
+        ],
+    )
+    def test_rational_coefficients_are_fractions(self, gens, lead_ones):
+        r = ring("x", "y", "z")
+        gb = basis_of(r, *gens)
+        coefficients = [c for g in gb for c in g.terms.values()]
+        assert all(type(c) is Fraction for c in coefficients)
+        assert all(c.denominator == 1 for c in coefficients) == lead_ones
+        for text in gens:
+            assert normal_form(poly(r, text), gb).is_zero()
 
     def test_char_p_basis(self):
         r = ring("x", "y", char=2)

@@ -237,7 +237,8 @@ class TestFormula:
 
     def test_one_strata_map_and_no_sequence_at_the_maximal_ideal(self, monkeypatch):
         # height, the star condition and the strata each build the map
-        # once; row 0 reads c_0 off the pair's sequence
+        # once; row 0 reads c_0 off the pair's sequence, and each
+        # distinct localized pair has one sequence
         from multseq import localization, multiplicity
 
         calls = {"strata": 0, "sequence": 0}
@@ -266,11 +267,44 @@ class TestFormula:
             calls.update(strata=0, sequence=0)
             rep = verify_formula(a, m)
             assert rep.height > 0
-            local_primes = sum(len(row.contributions) for row in rep.rows[1:])
-            assert local_primes > 0
-            assert calls == {"strata": 3, "sequence": 1 + local_primes}
+            primes = [
+                MonomialPrime(c.prime) for row in rep.rows[1:] for c in row.contributions
+            ]
+            assert primes
+            local_pairs = {
+                (
+                    len(p.variables),
+                    localize_ideal(a, p).packed(),
+                    localize_module(m, p).relations.packed(),
+                )
+                for p in primes
+            }
+            assert calls == {"strata": 3, "sequence": 1 + len(local_pairs)}
             assert rep.rows[0].contributions[0].prime == r.variables
             assert rep.rows[0].rhs == rep.sequence.entries[0]
+
+    def test_each_localized_pair_once(self, monkeypatch):
+        # (x, y) and (x, z) both localize I to (x) and K to 0, so the
+        # three primes of Λ_1 and the one of Λ_2 need three local
+        # numerators besides the pair's own
+        from multseq import monomials
+
+        calls = []
+        real = monomials.bigraded_numerator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monomials, "bigraded_numerator", counted)
+        r = ring("x", "y", "z")
+        rep = verify_formula(ideal(r, "x*y^2", "x*z^2"), module(r))
+        assert rep.verified
+        assert [c.prime for c in rep.rows[1].contributions] == [
+            ("x", "y"), ("x", "z"), ("y", "z")
+        ]
+        assert [c.local_c0 for c in rep.rows[1].contributions] == [0, 0, 4]
+        assert len(calls) == 4
 
     def test_general_input_without_primes_is_lower_bound(self):
         r = ring("x", "y")

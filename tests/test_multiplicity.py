@@ -35,14 +35,68 @@ from multseq import (
     star_condition,
     total_length,
 )
-from multseq import groebner, ideals, monomials, multiplicity
+from multseq import groebner, monomials, multiplicity
 from multseq.errors import NonHomogeneousInput, PreconditionError
 from multseq.groebner import buchberger
-from multseq.multiplicity import _diff_u, _diff_v, _rees_relations, _window_cells
+from multseq.multiplicity import _diff_u, _diff_v, _gr_numerator, _window_cells
+from multseq.orders import elimination_order, weight_order
 
 
 def free_module(r):
     return module(r)
+
+
+def rees_relations(a, m):
+    """Minimal generators f_i of I, their tags T_i and the Rees relations.
+
+    The Polynomial route: in k[t, x, T] under `elimination_order(1)`,
+    the t-free part of the reduced basis of (K, T_i - t*f_i), as term
+    dicts over the exponents of (x, T).
+    """
+    r = a.ring
+    gens = multiplicity._minimal_generators(a)
+    tags = r.fresh_names("g", len(gens))
+    (aux,) = r.fresh_names("t", 1)
+    ext = PolyRing((aux,) + r.variables + tags, r.characteristic, elimination_order(1))
+    pad = (0,) * len(tags)
+
+    def lift(p):
+        return Polynomial(ext, {(0,) + e + pad: c for e, c in p.terms.items()})
+
+    t = ext.variable(aux)
+    relations = [lift(p) for p in m.relations.gens]
+    relations += [ext.variable(tag) - t * lift(g) for tag, g in zip(tags, gens)]
+    grading = (1,) * (1 + r.arity) + tuple(1 + g.total_degree() for g in gens)
+    rees = [
+        {e[1:]: c for e, c in p.terms.items()}
+        for p in buchberger(relations, ext.order, grading)
+        if not any(e[0] for e in p.terms)
+    ]
+    return gens, tags, rees
+
+
+def reference_numerator(a, m):
+    """(n, r, Q) by the Polynomial route, the oracle for `_gr_numerator`.
+
+    The Rees relations and the f_i, lifted to k[x, T] under the weight
+    deg f_i on T_i, go through the public `buchberger`; Q is the
+    bigraded numerator of the leads of that reduced basis.
+    """
+    gens, tags, rees = rees_relations(a, m)
+    n, r = a.ring.arity, len(gens)
+    order = weight_order((0,) * n + tuple(g.total_degree() for g in gens))
+    s_ring = PolyRing(a.ring.variables + tags, a.ring.characteristic, order)
+    pad = (0,) * r
+    presentation = [Polynomial(s_ring, terms) for terms in rees]
+    presentation += [
+        Polynomial(s_ring, {e + pad: c for e, c in g.terms.items()}) for g in gens
+    ]
+    lay = monomials.layout(n + r)
+    leads = tuple(
+        monomials.pack(lay, p.leading_monomial(order))
+        for p in buchberger(presentation, order)
+    )
+    return n, r, monomials.bigraded_numerator(lay, leads, n)
 
 
 def fiber_ring_spread(a, m):
@@ -53,7 +107,7 @@ def fiber_ring_spread(a, m):
     alone; its dimension comes from an initial ideal, not from the
     bigraded numerator that `analytic_spread` reads.
     """
-    _, tags, rees = _rees_relations(a, m)
+    _, tags, rees = rees_relations(a, m)
     n = a.ring.arity
     tag_ring = PolyRing(tags, a.ring.characteristic, grevlex())
     fiber = [
@@ -387,12 +441,12 @@ class TestSequences:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(multiplicity, "extract_top_coefficients")
-        counted(multiplicity, "buchberger")
+        counted(multiplicity, "pair_loop")
         counted(monomials, "bigraded_numerator")
         r = ring("x", "y", "z")
         multiplicity_sequence(ideal(r, *gens), module(r, *relations))
         assert calls["extract_top_coefficients"] >= 3  # one per round
-        assert calls["buchberger"] == 2
+        assert calls["pair_loop"] == 2
         assert calls["bigraded_numerator"] == 1
 
 
@@ -496,17 +550,28 @@ class TestReesGrading:
 
     @staticmethod
     def presentations(monkeypatch, pairs):
-        """(relations, order, grading) of the Rees basis of each pair."""
+        """(relations, order, grading) of the Rees basis of each pair.
+
+        The relations are the packed elements the Rees pair loop
+        starts from, unpacked into a ring of the same arity.
+        """
         seen = []
-        real = multiplicity.buchberger
+        real = multiplicity.pair_loop
 
-        def spy(gens, order, grading=None):
-            seen.append((list(gens), order, grading))
-            return real(gens, order, grading)
+        def spy(basis, grading=None):
+            if grading is not None:
+                names = tuple(f"v{i}" for i in range(basis.lay.arity))
+                ext = PolyRing(names, basis.p, elimination_order(1))
+                relations = [
+                    basis.polynomial(ext, k, basis.tails[k])
+                    for k in range(len(basis.leads))
+                ]
+                seen.append((relations, ext.order, grading))
+            return real(basis, grading)
 
-        monkeypatch.setattr(multiplicity, "buchberger", spy)
+        monkeypatch.setattr(multiplicity, "pair_loop", spy)
         for a, m in pairs:
-            _rees_relations(a, m)
+            _gr_numerator(a, m)
         assert len(seen) == len(pairs)
         return seen
 
@@ -534,6 +599,28 @@ class TestReesGrading:
                 assert len(degrees) == 1, (g, grading)
             # the grading only orders the pairs; reduced bases are unique
             assert buchberger(gens, order, grading) == buchberger(gens, order)
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_numerator_matches_polynomial_route(self, char):
+        pairs = []
+        for variables, gens, relations in self.HAND:
+            r = ring(*variables, char=char)
+            pairs.append((ideal(r, *gens), module(r, *relations)))
+        for n_vars in (3, 4):
+            for relations in ("zero", "monomial", "mixed"):
+                for document in generate_corpus(
+                    6, n_vars=n_vars, max_degree=4, seed=11, mode="single",
+                    characteristic=char, relations=relations,
+                ):
+                    problem = problem_from_dict(document)
+                    pairs.append((problem.ideal, problem.module()))
+        # lead coefficients 2 and 3: the rational coefficients of the
+        # kernel leave the integers
+        r = ring("x", "y", "z", char=char)
+        pairs.append((ideal(r, "2*x^2 + 3*y*z", "3*y^2 + 5*x*z"), free_module(r)))
+        pairs.append((ideal(r, "2*x + 3*y", "3*y^2 + 7*x*z"), module(r, "z^2")))
+        for a, m in pairs:
+            assert _gr_numerator(a, m) == reference_numerator(a, m), (a, m)
 
 
 class TestInvariantsOfThePair:
@@ -597,17 +684,17 @@ class TestInvariantsOfThePair:
             assert analytic_spread(i, m) == fiber_ring_spread(i, m) == 2
 
     def test_diagnostics_reads_the_sequence_table(self, monkeypatch):
-        # monomial data: every Buchberger call is the Rees route's, so
-        # diagnostics on the sequence's own table must make none
+        # monomial data: every pair loop is the table's, so diagnostics
+        # on the sequence's own table must run none
         calls = []
-        kernel = groebner.buchberger
+        kernel = groebner.pair_loop
 
-        def counted(gens, order, grading=None):
-            calls.append(order)
-            return kernel(gens, order, grading)
+        def counted(basis, grading=None):
+            calls.append(grading)
+            return kernel(basis, grading)
 
-        for owner in (multiplicity, ideals):
-            monkeypatch.setattr(owner, "buchberger", counted)
+        for owner in (multiplicity, groebner):
+            monkeypatch.setattr(owner, "pair_loop", counted)
         # the fiber of (x^2, xy, y^2) has the relation T_0 T_2 = T_1^2
         r = ring("x", "y", "z")
         a, m = ideal(r, "x^2", "x*y", "y^2"), module(r, "x*z^3")

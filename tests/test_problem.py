@@ -1,6 +1,10 @@
 """Problem documents: schema checks, error locations, canonical JSON."""
 
+import contextlib
+import gc
+import io
 import json
+import random
 from dataclasses import fields
 from pathlib import Path
 
@@ -165,3 +169,86 @@ class TestCanonicalJson:
     def test_byte_stability(self):
         payload = doc(params={"seed": 1, "umax": 4})
         assert canonical_json(payload) == canonical_json(json.loads(canonical_json(payload)))
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_matches_json_dumps_on_seeded_values(self):
+        rng = random.Random(29)
+        scalars = (
+            None, True, False, 0, -7, 10**40, -(2**70), 0.1, -2.5e-300, 1e300,
+            3.0, float("inf"), float("-inf"), float("nan"), "", "plain",
+            "caf\u00e9 \u2603 \U0001d11e", 'quote " backslash \\ tab \t nul \x00',
+        )
+
+        def value(depth):
+            kind = rng.randrange(6 if depth < 4 else 1)
+            if kind == 0:
+                return rng.choice(scalars)
+            if kind in (1, 2):
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            if kind == 3:
+                return tuple(value(depth + 1) for _ in range(rng.randrange(3)))
+            keys = ("a", "B", "\u00e9", "", "k\n", "z z")
+            return {
+                rng.choice(keys) + str(i): value(depth + 1)
+                for i in range(rng.randrange(4))
+            }
+
+        for _ in range(500):
+            v = value(0)
+            assert canonical_json(v) == self.dumps(v)
+        for v in ({}, [], {"a": {}, "b": [[]]}, {2: 1, 1.5: 0}, {None: 1}, {True: 0}):
+            assert canonical_json(v) == self.dumps(v)
+        for bad in ({(1,): 2}, {"a": {1, 2}}, {"a": 1j}):
+            with pytest.raises(TypeError):
+                self.dumps(bad)
+            with pytest.raises(TypeError):
+                canonical_json(bad)
+
+    @staticmethod
+    def workload_documents(monkeypatch, tmp_path, workload):
+        """(task, path) of each seed-0 document of a benchmark workload."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import workloads
+
+        cases, _ = workloads.build(workload, 0)
+        out = []
+        for index, case in enumerate(cases):
+            path = tmp_path / f"{workload}-{index}.json"
+            path.write_text(canonical_json(case.document))
+            out.append((case.task, str(path)))
+        return out
+
+    def test_matches_json_dumps_on_every_seed_0_report(self, monkeypatch, tmp_path):
+        reports = []
+        real = cli.canonical_json
+
+        def checked(report):
+            text = real(report)
+            assert text == self.dumps(report)
+            reports.append(report)
+            return text
+
+        monkeypatch.setattr(cli, "canonical_json", checked)
+        count = 0
+        for workload in ("sequence", "formula", "general"):
+            for task, path in self.workload_documents(monkeypatch, tmp_path, workload):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(["--task", task, "--input", path, "--timings"])
+                count += 1
+        assert len(reports) == count
+        assert all(isinstance(r["timings"]["total_s"], float) for r in reports)
+
+    def test_reports_leave_no_cyclic_garbage(self, monkeypatch, tmp_path):
+        documents = self.workload_documents(monkeypatch, tmp_path, "formula")[:40]
+        gc.collect()
+        gc.disable()
+        try:
+            for task, path in documents:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(["--task", task, "--input", path])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -130,6 +130,26 @@ class TestCriterion:
         assert rep.sequence_large.entries == (1, 0, 0)
         assert rep.consistent
 
+    def test_equal_ideals_share_one_sequence(self, monkeypatch):
+        # J = I with other generators: one sequence serves both sides
+        from multseq import monomials
+
+        calls = []
+        real = monomials.bigraded_numerator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monomials, "bigraded_numerator", counted)
+        r = ring("x", "y", "z")
+        small = ideal(r, "x^2", "x*y", "y^2")
+        large = ideal(r, "y^2", "x*y", "x^2", "x^2*y")
+        rep = rees_criterion(small, large, module(r, "z^3"))
+        assert rep.sequence_small == rep.sequence_large
+        assert rep.reduced_at == 0
+        assert len(calls) == 1
+
     def test_equal_sequences_without_hypotheses_stay_open(self):
         # identical ideals, but the module never asserts unmixedness
         r = ring("x", "y", "z")

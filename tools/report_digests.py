@@ -4,12 +4,14 @@
     diff parent.txt change.txt
 
 Runs every document of the three benchmark workloads at seeds 0 and 7,
-plus a fixed seeded corpus grid, through `multseq.cli.main` of
-CHECKOUT in-process, once with `--format json` and once with
-`--format table`.  The grid adds documents the workloads do not run,
-among them four-variable `verify-formula` and `check-reduction`
-documents; the latter's witness scan multiplies the largest packed
-ideals of the grid.  Each report prints as one line,
+plus a fixed seeded corpus grid in characteristic 0 and in a prime
+field, through `multseq.cli.main` of CHECKOUT in-process, once with
+`--format json` and once with `--format table`.  The grid adds
+documents the workloads do not run, among them four-variable
+`verify-formula` and `check-reduction` documents, whose witness scan
+multiplies the largest packed ideals of the grid, and the prime-field
+rows, where the Groebner kernel reduces mod p.  Each report prints as
+one line,
 `label sha256(exit code, stdout, stderr)`.  The engine comes from
 CHECKOUT/src and the workload documents from CHECKOUT/perfbench; the
 documents are written to a temporary directory and nothing under the
@@ -44,6 +46,14 @@ GRID = (
     ("check-reduction", "pair", 4, "zero"),
     ("superficial", "superficial", 3, "mixed"),
 )
+# four rows of GRID again, over the prime field of PRIME
+PRIME = 32003
+PRIME_GRID = (
+    ("compute", "primary", 3, "mixed"),
+    ("verify-formula", "single", 4, "monomial"),
+    ("check-reduction", "pair", 3, "mixed"),
+    ("superficial", "superficial", 3, "mixed"),
+)
 
 
 def _cases(workloads):
@@ -55,12 +65,16 @@ def _cases(workloads):
             cases, _ = workloads.build(name, seed)
             for index, case in enumerate(cases):
                 yield f"{name}-s{seed}-{index:03d}", case.task, case.document
-    for task, mode, n_vars, relations in GRID:
+    rows = [(row, 0) for row in GRID] + [(row, PRIME) for row in PRIME_GRID]
+    for (task, mode, n_vars, relations), characteristic in rows:
         documents = generate_corpus(
-            GRID_COUNT, n_vars=n_vars, seed=GRID_SEED, mode=mode, relations=relations
+            GRID_COUNT, n_vars=n_vars, seed=GRID_SEED, mode=mode,
+            characteristic=characteristic, relations=relations,
         )
+        field = f"-p{characteristic}" if characteristic else ""
         for index, document in enumerate(documents):
-            yield f"grid-{task}-{mode}{n_vars}-{relations}-{index:02d}", task, document
+            label = f"grid-{task}-{mode}{n_vars}-{relations}{field}-{index:02d}"
+            yield label, task, document
 
 
 def _digest(cli, argv) -> str:
