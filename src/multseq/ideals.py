@@ -73,7 +73,11 @@ class Ideal:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._packed if self._gens is None else self._gens)
+        return not self.generator_count()
+
+    def generator_count(self) -> int:
+        """Number of nonzero generators as given, words for `from_packed`."""
+        return len(self._packed if self._gens is None else self._gens)
 
     def packed(self) -> tuple[int, ...] | None:
         """Canonical packed minimal generators, when all gens are terms."""

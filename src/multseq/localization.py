@@ -29,10 +29,10 @@ from .ideals import Ideal
 from .multiplicity import (
     CyclicModule,
     MultiplicitySequence,
+    _height,
     _monomial_strata,
-    height_on_module,
+    _star,
     multiplicity_sequence,
-    star_condition,
 )
 from .orders import grevlex
 from .poly import PolyRing
@@ -77,22 +77,19 @@ def localize_ideal(ideal: Ideal, prime: MonomialPrime) -> Ideal:
     ring = ideal.ring
     if not prime.variables:
         raise PreconditionError("cannot localize at the empty variable set")
-    sub = _restricted_ring(ring, prime)
-    if not packed:
-        return Ideal(sub, [])
     lay = mo.layout(ring.arity)
     restricted = mo.restrict(lay, packed, prime.indices(ring))
-    sub_lay = mo.layout(len(prime.variables))
-    if mo.is_unit(restricted):
-        return Ideal(sub, [sub.one()])
-    return Ideal(sub, [sub.monomial(mo.unpack(sub_lay, w)) for w in restricted])
+    return Ideal.from_packed(_restricted_ring(ring, prime), restricted)
 
 
 def localize_module(module: CyclicModule, prime: MonomialPrime) -> CyclicModule:
-    local = localize_ideal(module.relations, prime)
-    if not local.is_proper():
+    return _local_module(localize_ideal(module.relations, prime))
+
+
+def _local_module(relations: Ideal) -> CyclicModule:
+    if not relations.is_proper():
         raise PreconditionError("prime lies outside the support of the module")
-    return CyclicModule(local.ring, local)
+    return CyclicModule(relations.ring, relations)
 
 
 @dataclass(frozen=True)
@@ -117,12 +114,18 @@ def enumerate_lambda(ideal: Ideal, module: CyclicModule) -> tuple[LambdaSet, ...
     enumerated: every stratum is returned empty and incomplete, so its
     row reads as a lower bound.
     """
+    if not ideal.add(module.relations).is_proper():
+        raise PreconditionError("support of the colength module is empty")
+    return _lambda_sets(ideal, module, _monomial_strata(ideal, module))
+
+
+def _lambda_sets(
+    ideal: Ideal, module: CyclicModule, strata: dict | None
+) -> tuple[LambdaSet, ...]:
+    """`enumerate_lambda`, given the pair's `_monomial_strata` map."""
     ring = ideal.ring
     n = ring.arity
     d = module.dim
-    if not ideal.add(module.relations).is_proper():
-        raise PreconditionError("support of the colength module is empty")
-    strata = _monomial_strata(ideal, module)
     if strata is None:
         note = "general input: primes over it are not enumerated"
         return tuple(LambdaSet(k, (), False, note) for k in range(d + 1))
@@ -147,8 +150,10 @@ def local_c0(
     params: Params | None = None,
 ) -> int:
     """Leading coefficient c_0 of the localized pair at the prime."""
-    local_i = localize_ideal(ideal, prime)
-    local_m = localize_module(module, prime)
+    return _c0(localize_ideal(ideal, prime), localize_module(module, prime), params)
+
+
+def _c0(local_i: Ideal, local_m: CyclicModule, params: Params | None) -> int:
     if not local_i.is_proper():
         return 0  # the ideal is a unit there; nothing is carried
     if local_i.is_zero():
@@ -276,36 +281,45 @@ def verify_formula(
     Stuckrad-Vogel cycle.  Its fixed part is `rhs`, the sum over the
     stratum Λ_k of the local leading coefficient times the degree of
     the residue ring; its moving part is `residual`, from
-    `moving_residual`.  One `enumerate_lambda` call gives every
-    stratum.  Λ_0 is the maximal ideal, where the localization is the
-    pair itself, so row 0 reads c_0 off the pair's sequence and every
-    other prime goes through `local_c0`, once per distinct localized
-    pair.  A row is complete when the stratum is fully enumerated and
-    the residual is derived for it.  With the star condition in force
-    and every row complete, c_k must equal rhs + residual exactly;
-    otherwise the rows are reported as a lower-bound certificate rather
-    than a verification.
+    `moving_residual`.  One `_monomial_strata` map gives the height,
+    the star condition and every stratum.  Λ_0 is the maximal ideal,
+    where the localization is the pair itself, so row 0 reads c_0 off
+    the pair's sequence; every other prime takes the `local_c0` route,
+    on the pair built from the words its key restricts, once per
+    distinct localized pair.  A row is complete when the stratum is
+    fully enumerated and the residual is derived for it.  With the star
+    condition in force and every row complete, c_k must equal
+    rhs + residual exactly; otherwise the rows are reported as a
+    lower-bound certificate rather than a verification.
     """
     params = params or Params()
     seq, _ = multiplicity_sequence(ideal, module, params)
-    het = height_on_module(ideal, module)
-    star = star_condition(ideal, module, params)
-    lay = mo.layout(ideal.ring.arity)
+    strata = _monomial_strata(ideal, module)
+    het = _height(ideal, module, strata)
+    star = _star(ideal, module, params, strata, het)
+    ring = ideal.ring
+    lay = mo.layout(ring.arity)
     ip, kp = ideal.packed(), module.relations.packed()
     # primes whose localizations restrict I and K to the same words
     # have the same local pair, up to the names of its variables
     local: dict[tuple, int] = {}
 
     def c0(prime: MonomialPrime) -> int:
-        keep = prime.indices(ideal.ring)
-        key = (len(keep), mo.restrict(lay, ip, keep), mo.restrict(lay, kp, keep))
+        keep = prime.indices(ring)
+        i_words, k_words = mo.restrict(lay, ip, keep), mo.restrict(lay, kp, keep)
+        key = (len(keep), i_words, k_words)
         if key not in local:
-            local[key] = local_c0(ideal, module, prime, params)
+            sub = _restricted_ring(ring, prime)
+            local[key] = _c0(
+                Ideal.from_packed(sub, i_words),
+                _local_module(Ideal.from_packed(sub, k_words)),
+                params,
+            )
         return local[key]
 
     rows = []
     all_complete = True
-    for lam in enumerate_lambda(ideal, module):
+    for lam in _lambda_sets(ideal, module, strata):
         k = lam.k
         contribs = tuple(
             Contribution(p.variables, c0(p) if k else seq.entries[0], 1)

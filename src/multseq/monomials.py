@@ -100,7 +100,7 @@ def pack(lay: Layout, exponents: tuple[int, ...]) -> int:
 
 def unpack(lay: Layout, word: int) -> tuple[int, ...]:
     mask = lay.lane_mask
-    return tuple((word >> s) & mask for s in lay.var_shifts)
+    return tuple([(word >> s) & mask for s in lay.var_shifts])
 
 
 def degree(lay: Layout, word: int) -> int:
@@ -363,13 +363,12 @@ def _numerator(
     pivot = pack_single(lay, pivot_var, pivot_exp)
 
     plus = minimalize(lay, gens + (pivot,))
-    shift = unpack(lay, pivot)
-    quotients = []
-    for e in exps:
-        quotients.append(
-            pack(lay, tuple(max(x - s, 0) for x, s in zip(e, shift)))
-        )
-    colon = minimalize(lay, quotients)
+    # dividing by the pivot lowers one exponent: the word drops by a
+    # multiple of that variable's step
+    step = lay.var_steps[pivot_var]
+    colon = minimalize(
+        lay, [g - min(e[pivot_var], pivot_exp) * step for g, e in zip(gens, exps)]
+    )
 
     out = _numerator(lay, plus, split)
     a, b = (pivot_exp, 0) if pivot_var < split else (0, pivot_exp)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, add_term
 
 
 class ParseError(ValueError):
@@ -63,35 +63,36 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict:
         if not self.tokens:
             raise ParseError("empty polynomial", 0)
-        result = self.ring.zero()
+        terms: dict = {}
+        p = self.ring.characteristic
         sign = 1
         kind, value, offset = self.peek()
         if kind == "op" and value in "+-":
             self.take()
             sign = -1 if value == "-" else 1
         while True:
-            result = result + self.term(sign)
+            exponents, coefficient = self.term(sign)
+            add_term(terms, exponents, self.ring.coeff(coefficient), p)
             kind, value, offset = self.peek()
             if kind is None:
-                return result
+                return terms
             if kind == "op" and value in "+-":
                 self.take()
                 sign = -1 if value == "-" else 1
                 continue
             raise ParseError(f"expected + or - before {value!r}", offset)
 
-    def term(self, sign: int) -> Polynomial:
-        coefficient = Fraction(sign)
+    def term(self, sign: int) -> tuple[tuple[int, ...], Fraction]:
+        num, den = sign, 1
         exponents = [0] * self.ring.arity
         saw_anything = False
         kind, value, offset = self.peek()
         if kind == "int":
             self.take()
-            num = int(value)
-            den = 1
+            num *= int(value)
             kind2, value2, offset2 = self.peek()
             if kind2 == "op" and value2 == "/":
                 self.take()
@@ -102,7 +103,6 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", offset3)
-            coefficient *= Fraction(num, den)
             saw_anything = True
         while True:
             kind, value, offset = self.peek()
@@ -131,15 +131,20 @@ class _Parser:
             saw_anything = True
         if not saw_anything:
             raise ParseError("expected coefficient or variable", offset)
+        coefficient = Fraction(num, den)
         if self.ring.characteristic:
-            den = coefficient.denominator % self.ring.characteristic
-            if den == 0:
+            if coefficient.denominator % self.ring.characteristic == 0:
                 raise ParseError("denominator vanishes in prime field", 0)
-        return self.ring.monomial(tuple(exponents), coefficient)
+        return tuple(exponents), coefficient
+
+
+def parse_terms(ring: PolyRing, text: str) -> dict:
+    """{exponents: coefficient} of the polynomial, zero terms dropped."""
+    return _Parser(ring, text).parse()
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    return _Parser(ring, text).parse()
+    return Polynomial(ring, parse_terms(ring, text))
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -48,6 +48,18 @@ def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def add_term(terms: dict, exps: tuple[int, ...], c, p: int) -> None:
+    """Add c x^exps into a term dict in place, reduced mod p if p > 0;
+    a sum of zero drops the term."""
+    s = terms.get(exps, 0) + c
+    if p:
+        s %= p
+    if s == 0:
+        terms.pop(exps, None)
+    else:
+        terms[exps] = s
+
+
 @dataclass(frozen=True)
 class PolyRing:
     variables: tuple[str, ...]
@@ -204,13 +216,7 @@ class Polynomial:
         p = self.ring.characteristic
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
-            if p:
-                s %= p
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+            add_term(out, exps, c, p)
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> Polynomial:

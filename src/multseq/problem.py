@@ -14,13 +14,15 @@ import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _encode_string
 
+from . import monomials as mo
 from .config import Params
+from .errors import EngineLimit
 from .ideals import Ideal
 from .localization import Contribution, FormulaReport, KSummary
 from .multiplicity import CyclicModule, Diagnostics, MultiplicitySequence
 from .orders import grevlex, lex
-from .parse import ParseError, parse_polynomial
-from .poly import PolyRing
+from .parse import ParseError, parse_terms
+from .poly import Polynomial, PolyRing
 from .reduction import ReductionReport, SuperficialCandidate
 
 MAX_PROBLEM_VARIABLES = 8
@@ -120,10 +122,32 @@ def _build_ideal(ring: PolyRing, gens, location: str) -> Ideal:
     parsed = []
     for index, text in enumerate(gens):
         try:
-            parsed.append(parse_polynomial(ring, text))
+            parsed.append(parse_terms(ring, text))
         except ParseError as exc:
             raise ProblemError(str(exc), f"{location}[{index}]")
-    return Ideal(ring, parsed)
+    words = _monomial_words(ring, parsed)
+    if words is not None:
+        return Ideal.from_packed(ring, words)
+    return Ideal(ring, [Polynomial(ring, terms) for terms in parsed])
+
+
+def _monomial_words(ring: PolyRing, parsed: list[dict]) -> tuple[int, ...] | None:
+    """Packed words of generators that are each one nonzero term, or None.
+
+    None also for a redundant list, which keeps its given generators
+    (`CyclicModule` reads one given relation as a hypersurface), and
+    for an exponent past the packed range, which the engine reports
+    where it packs the ideal.
+    """
+    if not all(len(terms) == 1 for terms in parsed):
+        return None
+    lay = mo.layout(ring.arity)
+    try:
+        words = [mo.pack(lay, exponents) for terms in parsed for exponents in terms]
+    except EngineLimit:
+        return None
+    minimal = mo.minimalize(lay, words)
+    return minimal if len(minimal) == len(words) else None
 
 
 def problem_from_dict(doc: dict) -> Problem:

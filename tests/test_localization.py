@@ -5,13 +5,22 @@ all of c_1 at the prime (x); a parameter ideal loads c_0 at the
 irrelevant prime; mixed-support examples split across strata.
 """
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
 from conftest import ideal, module, poly, ring
 from multseq import (
+    CyclicModule,
+    Ideal,
     MonomialPrime,
+    PolyRing,
+    canonical_json,
+    cli,
+    diagnostics,
     enumerate_lambda,
     generate_corpus,
     height_on_module,
@@ -21,6 +30,7 @@ from multseq import (
     minimal_primes_monomial,
     multiplicity_sequence,
     problem_from_dict,
+    grevlex,
     verify_formula,
 )
 from multseq.errors import PreconditionError
@@ -236,9 +246,10 @@ class TestFormula:
         assert rep.verdict == "hypotheses-not-met"
 
     def test_one_strata_map_and_no_sequence_at_the_maximal_ideal(self, monkeypatch):
-        # height, the star condition and the strata each build the map
-        # once; row 0 reads c_0 off the pair's sequence, and each
-        # distinct localized pair has one sequence
+        # the height, the star condition and the strata read one map, in
+        # `verify-formula` and in `compute`; row 0 reads c_0 off the
+        # pair's sequence, and each distinct localized pair has one
+        # sequence
         from multseq import localization, multiplicity
 
         calls = {"strata": 0, "sequence": 0}
@@ -279,9 +290,14 @@ class TestFormula:
                 )
                 for p in primes
             }
-            assert calls == {"strata": 3, "sequence": 1 + len(local_pairs)}
+            assert calls == {"strata": 1, "sequence": 1 + len(local_pairs)}
             assert rep.rows[0].contributions[0].prime == r.variables
             assert rep.rows[0].rhs == rep.sequence.entries[0]
+            calls.update(strata=0)
+            _, table = multiplicity_sequence(a, m)
+            diag = diagnostics(a, m, table)
+            assert calls["strata"] == 1
+            assert (diag.height, diag.star) == (rep.height, rep.star)
 
     def test_each_localized_pair_once(self, monkeypatch):
         # (x, y) and (x, z) both localize I to (x) and K to 0, so the
@@ -305,6 +321,69 @@ class TestFormula:
         ]
         assert [c.local_c0 for c in rep.rows[1].contributions] == [0, 0, 4]
         assert len(calls) == 4
+
+    def test_verify_document_builds_no_monomials(self, monkeypatch, tmp_path):
+        # a monomial document is parsed to packed words and each local
+        # pair is built from the words restricted for its key, so no
+        # step of a `verify-formula` document builds a monomial
+        built = []
+        real = PolyRing.monomial
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            return real(self, *args, **kwargs)
+
+        path = tmp_path / "problem.json"
+        for document in self.monomial_documents():
+            path.write_text(canonical_json(document))
+            monkeypatch.setattr(PolyRing, "monomial", counted)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                cli.main(["--task", "verify-formula", "--input", str(path)])
+            monkeypatch.undo()
+            assert json.loads(out.getvalue())["formula"]["rows"]
+            assert built == []
+
+    def test_local_pairs_match_polynomial_localization(self):
+        # the localized pairs, built from restricted words, are the pairs
+        # built from `Polynomial`s of the restricted exponents
+        def localized(gens, prime, sub):
+            keep = prime.indices(gens.ring)
+            terms = [next(iter(g.terms)) for g in gens.gens]
+            return Ideal(sub, [sub.monomial(tuple(e[i] for i in keep)) for e in terms])
+
+        seen = 0
+        for document in self.monomial_documents():
+            problem = problem_from_dict(document)
+            a, m = problem.ideal, problem.module()
+            for row in verify_formula(a, m).rows[1:]:
+                for c in row.contributions:
+                    prime = MonomialPrime(c.prime)
+                    local_i, local_m = localize_ideal(a, prime), localize_module(m, prime)
+                    sub = PolyRing(prime.variables, a.ring.characteristic, grevlex())
+                    old_i = localized(a, prime, sub)
+                    old_k = localized(m.relations, prime, sub)
+                    assert local_i.ring == sub
+                    assert local_i.packed() == old_i.packed()
+                    assert local_m.relations.packed() == old_k.packed()
+                    old_m = CyclicModule(sub, old_k)
+                    assert local_m.equidimensional == old_m.equidimensional
+                    if old_i.is_proper():
+                        seq, _ = multiplicity_sequence(old_i, old_m)
+                        assert c.local_c0 == seq.entries[0]
+                    seen += 1
+        assert seen > 20
+
+    @staticmethod
+    def monomial_documents():
+        r = ring("x", "y", "z", "w")
+        hand = {
+            "schema": 1,
+            "ring": {"variables": list(r.variables)},
+            "ideals": {"I": ["x^2", "y*z", "z*w"], "K": ["x*y*w"]},
+        }
+        return [hand] + generate_corpus(
+            6, n_vars=4, max_degree=3, seed=9, mode="single", relations="mixed"
+        )
 
     def test_general_input_without_primes_is_lower_bound(self):
         r = ring("x", "y")

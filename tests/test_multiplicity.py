@@ -36,7 +36,7 @@ from multseq import (
     total_length,
 )
 from multseq import groebner, monomials, multiplicity
-from multseq.errors import NonHomogeneousInput, PreconditionError
+from multseq.errors import NonHomogeneousInput, PreconditionError, StabilizationError
 from multseq.groebner import buchberger
 from multseq.multiplicity import _diff_u, _diff_v, _gr_numerator, _window_cells
 from multseq.orders import elimination_order, weight_order
@@ -427,8 +427,8 @@ class TestSequences:
         [(("x^4", "y^4", "z^4"), ()), (("x^3 + y^2*z", "y^3"), ("z^2",))],
     )
     def test_growth_rounds_divide_one_numerator(self, monkeypatch, gens, relations):
-        # later rounds only redo the division of Q(s, t): the two bases
-        # and the numerator are asked for once per sequence
+        # later rounds only read Q(s, t) again: the two bases and the
+        # numerator are asked for once per sequence
         calls = Counter()
 
         def counted(owner, name):
@@ -440,14 +440,215 @@ class TestSequences:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(multiplicity, "extract_top_coefficients")
         counted(multiplicity, "pair_loop")
         counted(monomials, "bigraded_numerator")
         r = ring("x", "y", "z")
-        multiplicity_sequence(ideal(r, *gens), module(r, *relations))
-        assert calls["extract_top_coefficients"] >= 3  # one per round
+        seq, _ = multiplicity_sequence(ideal(r, *gens), module(r, *relations))
+        # the rounds are the sizes of the growth schedule up to the
+        # certified shape
+        assert growth_schedule(seq.dim, Params()).index(seq.table_shape) >= 2
         assert calls["pair_loop"] == 2
         assert calls["bigraded_numerator"] == 1
+
+
+def growth_schedule(d, params):
+    """The table shapes of the growth rounds, up to `grow_cap`."""
+    width = params.window_width
+    u = max(params.umax or 0, d + 4, d + width)
+    v = max(params.vmax or 0, d + 4, d + width)
+    shapes = [(u, v)]
+    while max(u, v) < params.grow_cap:
+        u = min(params.grow_cap, math.ceil(u * 1.5))
+        v = min(params.grow_cap, math.ceil(v * 1.5))
+        shapes.append((u, v))
+    return shapes
+
+
+def grid_sequence(a, m, params=Params()):
+    """The growth loop on the grid route, the oracle for `_stabilize`.
+
+    One `hilbert_table` at the last shape of the schedule holds every
+    round's table as its corner; `extract_top_coefficients` reads each
+    round's window.  Returns (entries, window, shape), or (None,
+    residuals, shape) when the `grow_cap` round does not certify.
+    """
+    d, width = m.dim, params.window_width
+    shapes = growth_schedule(d, params)
+    top = hilbert_table(a, m, *shapes[-1])
+    for u, v in shapes:
+        values = [row[: v + 1] for row in top.values[: u + 1]]
+        entries, residuals = extract_top_coefficients(values, d, width)
+        if entries is not None:
+            window = {"u": [u - width + 1, u], "v": [v - width + 1, v], "width": width}
+            return tuple(entries), window, (u, v)
+    return None, residuals, (u, v)
+
+
+def engine_sequence(a, m, params=Params()):
+    try:
+        seq, _ = multiplicity_sequence(a, m, params)
+    except StabilizationError as exc:
+        return None, exc.residuals, growth_schedule(m.dim, params)[-1]
+    return seq.entries, seq.window, seq.table_shape
+
+
+class TestGridOracle:
+    """`_stabilize` reads Q; the grid route must give the same bytes.
+
+    The one exception is a window below the proof point that is
+    constant by chance and reads other entries than the Hilbert
+    polynomial: the grid certifies it and `_stabilize` grows on.
+    """
+
+    @pytest.mark.parametrize("char", [0, 101])
+    @pytest.mark.parametrize("mode", ["single", "primary", "pair"])
+    def test_corpus_matches_grid_growth(self, mode, char):
+        # only `single` documents draw relations
+        kinds = ("zero", "monomial", "mixed") if mode == "single" else ("zero",)
+        pairs = []
+        for n_vars in (3, 4):
+            for relations in kinds:
+                for document in generate_corpus(
+                    6 // len(kinds), n_vars=n_vars, max_degree=4, seed=21,
+                    mode=mode, characteristic=char, relations=relations,
+                ):
+                    problem = problem_from_dict(document)
+                    for name in ("I", "J"):
+                        if name in problem.ideals:
+                            pairs.append((problem.ideals[name], problem.module()))
+        assert mode != "single" or any(m.relations.gens for _, m in pairs)
+        for a, m in pairs:
+            assert engine_sequence(a, m) == grid_sequence(a, m), (a, m)
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_complete_intersections_match_grid_growth(self, char):
+        rng = random.Random(23 + char)
+        r = ring("x", "y", "z", char=char)
+        for a, b, c in ((1, 1, 0), (2, 1, 0), (2, 2, 0), (1, 1, 1), (2, 2, 1), (3, 2, 2)):
+            i = triangular_ci(rng, r, a, b)
+            m = module(r, f"z^{c}") if c else free_module(r)
+            assert engine_sequence(i, m) == grid_sequence(i, m), (i, m)
+
+    def test_cap_below_the_proof_point_gives_the_grid_residuals(self):
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x^7", "y^7", "z^7"), free_module(r)
+        params = Params(grow_cap=9)
+        n, _, numerator = _gr_numerator(a, m)
+        u, v = growth_schedule(m.dim, params)[-1]
+        # the window's differences reach row u - width - d, below the
+        # proof point max p - n
+        assert u - params.window_width - m.dim < max(p for p, _ in numerator) - n
+        with pytest.raises(StabilizationError) as info:
+            multiplicity_sequence(a, m, params)
+        entries, residuals, shape = grid_sequence(a, m, params)
+        assert entries is None and residuals
+        assert info.value.residuals == residuals
+        assert list(info.value.residuals) == list(residuals)
+        assert str(info.value) == f"no stable window within a {u}x{v} table"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"umax": 12},
+            {"vmax": 15},
+            {"umax": 9, "vmax": 20},
+            {"window_width": 2},
+            {"window_width": 5},
+            {"window_width": 5, "umax": 30},
+        ],
+    )
+    def test_overrides_match_grid_growth(self, overrides):
+        params = Params(**overrides)
+        r = ring("x", "y", "z")
+        cases = (
+            (ideal(r, "x^4", "y^4", "z^4"), free_module(r)),
+            (ideal(r, "x^2", "x*y", "y^3"), module(r, "x*z^2")),
+            (ideal(r, "x^3 + y^2*z", "y^3"), module(r, "z^2")),
+        )
+        for a, m in cases:
+            assert engine_sequence(a, m, params) == grid_sequence(a, m, params)
+
+    @staticmethod
+    def below_the_proof_point(a, m, params, shape):
+        n, r, numerator = _gr_numerator(a, m)
+        reach = params.window_width + m.dim
+        return (
+            shape[0] - reach < max(p for p, _ in numerator) - n
+            or shape[1] - reach < max(q for _, q in numerator) - r
+        )
+
+    def test_window_below_the_proof_point_certifies_like_the_grid(self):
+        # a window below the proof point that reads the Hilbert
+        # polynomial's entries certifies where the grid's does
+        r = ring("x", "y", "z", "w")
+        a = ideal(r, "x^2*y^3*z^3*w^5", "x^3*y^5*z*w")
+        m = module(r, "y*z*w^2", "x*z^2*w")
+        params = Params(window_width=2)
+        got = engine_sequence(a, m, params)
+        assert got == grid_sequence(a, m, params)
+        assert got[0] == (0, 0, 0, 2)
+        assert self.below_the_proof_point(a, m, params, got[2])
+
+    @pytest.mark.parametrize(
+        "variables, gens, relations, windowed, exact",
+        [
+            ("xy", ("x^2*y^4", "x^4*y"), ("x^3",), (0, 4), (0, 3)),
+            (
+                "xyz",
+                ("x^4*y^3*z^3", "x^5*y^5*z^2"),
+                ("x^2*y^2*z^3", "x^3*y"),
+                (0, 0, 4),
+                (0, 0, 3),
+            ),
+        ],
+    )
+    def test_window_constant_by_chance_does_not_certify(
+        self, variables, gens, relations, windowed, exact
+    ):
+        # the grid's first window is constant, with a vanishing next
+        # order, but lies below the proof point and reads other entries
+        # than the table far past it
+        r = ring(*variables)
+        a, m = ideal(r, *gens), module(r, *relations)
+        params = Params()
+        entries, _, shape = grid_sequence(a, m, params)
+        assert entries == windowed
+        assert shape == growth_schedule(m.dim, params)[0]
+        assert self.below_the_proof_point(a, m, params, shape)
+        far = hilbert_table(a, m, 40, 40)
+        assert extract_top_coefficients(far.values, m.dim)[0] == list(exact)
+        seq, _ = multiplicity_sequence(a, m, params)
+        assert seq.entries == exact
+        assert seq.table_shape in growth_schedule(m.dim, params)[1:]
+        # with no round past the proof point left, the budget runs out
+        with pytest.raises(StabilizationError, match="below the proof point"):
+            multiplicity_sequence(a, m, params.replace(grow_cap=shape[0]))
+
+    def test_lazy_table_equals_hilbert_table(self):
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x^2", "x*y", "y^3"), module(r, "x*z^2")
+        seq, table = multiplicity_sequence(a, m)
+        assert "values" not in vars(table) and "components" not in vars(table)
+        full = hilbert_table(a, m, *seq.table_shape)
+        assert (table.umax, table.vmax) == seq.table_shape
+        assert table.components == full.components
+        assert table.values == full.values
+        assert table == full
+
+    def test_doctored_numerator_trips_the_second_reading(self, monkeypatch):
+        # the window corner read off a Q that is not the pair's own
+        # cannot equal the entries of the pair's Hilbert polynomial
+        real = multiplicity._cell
+
+        def doctored(n, r, numerator, *cell):
+            changed = dict(numerator)
+            changed[(0, 0)] += 1
+            return real(n, r, changed, *cell)
+
+        monkeypatch.setattr(multiplicity, "_cell", doctored)
+        r = ring("x", "y")
+        with pytest.raises(RuntimeError, match="disagrees with the Hilbert polynomial"):
+            multiplicity_sequence(ideal(r, "x", "y"), free_module(r))
 
 
 class TestShiftStability:

@@ -13,13 +13,16 @@ import pytest
 import multseq
 from multseq import (
     Params,
+    PolyRing,
     ProblemError,
     canonical_json,
     cli,
     load_problem,
     problem_from_dict,
 )
+from multseq import monomials
 from multseq.config import MINIMUMS
+from multseq.errors import EngineLimit
 
 
 def doc(**overrides):
@@ -139,6 +142,86 @@ class TestRejection:
         schema = json.loads(path.read_text())["properties"]["params"]["properties"]
         assert set(schema) == {f.name for f in fields(Params)}
         assert {k: v["minimum"] for k, v in schema.items() if "minimum" in v} == MINIMUMS
+
+
+class TestMonomialDocuments:
+    """One-term generators are parsed straight to packed words."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x^", "expected exponent digits (at offset 2)"),
+            ("x^y", "expected exponent digits (at offset 2)"),
+            ("x*", "expected variable after * (at offset 2)"),
+            ("q^2", "unknown variable 'q' (at offset 0)"),
+            ("2/0*y", "zero denominator (at offset 2)"),
+            ("2/ y", "expected denominator digits (at offset 3)"),
+            ("x $", "unexpected character '$' (at offset 2)"),
+            ("", "empty polynomial (at offset 0)"),
+            ("x + ", "expected coefficient or variable (at offset 4)"),
+            ("x )", "expected + or - before ')' (at offset 2)"),
+        ],
+    )
+    def test_malformed_generator_keeps_message_and_location(self, text, message):
+        with pytest.raises(ProblemError) as info:
+            problem_from_dict(doc(ideals={"I": ["x^2", text], "K": []}))
+        assert info.value.location == "ideals.I[1]"
+        assert str(info.value) == f"ideals.I[1]: {message}"
+
+    def test_prime_field_denominator_keeps_message(self):
+        bad = doc(ring={"variables": ["x", "y"], "characteristic": 2})
+        bad["ideals"] = {"I": ["x", "1/2*y"]}
+        with pytest.raises(ProblemError) as info:
+            problem_from_dict(bad)
+        assert str(info.value) == (
+            "ideals.I[1]: denominator vanishes in prime field (at offset 0)"
+        )
+
+    def test_malformed_relation_exits_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc(ideals={"I": ["x"], "K": ["y", "y^"]})))
+        code = cli.main(["--task", "compute", "--input", str(path)])
+        assert code == cli.EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: ideals.K[1]: expected exponent digits (at offset 2)\n"
+
+    def test_monomial_document_builds_no_polynomials(self, monkeypatch):
+        built = []
+        monomial = PolyRing.monomial
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            return monomial(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolyRing, "monomial", counted)
+        p = problem_from_dict(doc(ideals={"I": ["y^3", "x*y", "2*x^2"], "K": ["x*y^2"]}))
+        assert built == []
+        monkeypatch.undo()
+        lay = monomials.layout(2)
+        want = [monomials.pack(lay, e) for e in ((2, 0), (1, 1), (0, 3))]
+        assert p.ideal.packed() == monomials.minimalize(lay, want)
+        assert p.relations.packed() == (monomials.pack(lay, (1, 2)),)
+        assert [str(g) for g in p.ideal.gens] == ["x^2", "x*y", "y^3"]
+
+    def test_mixed_or_redundant_lists_keep_their_generators(self):
+        # a redundant list reads as given: two relations, not one
+        # hypersurface, so the module keeps the asserted unmixedness
+        p = problem_from_dict(doc(ideals={"I": ["x"], "K": ["x*y", "x^2*y"]}))
+        assert [str(g) for g in p.relations.gens] == ["x*y", "x^2*y"]
+        assert p.module().equidimensional is False
+        p = problem_from_dict(doc(ideals={"I": ["x"], "K": ["x*y"]}))
+        assert p.module().equidimensional is True
+        p = problem_from_dict(doc(ideals={"I": ["x^2 - y^2", "x*y"], "K": []}))
+        assert p.ideal.packed() is None
+        assert [str(g) for g in p.ideal.gens] == ["x^2 - y^2", "x*y"]
+
+    def test_exponent_past_the_packed_range_is_reported_by_the_engine(self):
+        with pytest.raises(EngineLimit):
+            problem_from_dict(doc(ideals={"I": ["x"], "K": ["x^40000"]}))
+        p = problem_from_dict(doc(ideals={"I": ["x^40000", "y"], "K": []}))
+        with pytest.raises(EngineLimit):
+            p.ideal.packed()
 
 
 class TestLoading:
