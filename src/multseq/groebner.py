@@ -6,9 +6,10 @@ indices of its minimal leads.  It has two entries:
 - `buchberger` packs its `Polynomial` input once, runs the loop,
   inter-reduces the kept elements on words and unpacks the reduced
   basis once;
-- `multiplicity._gr_numerator` fills a `_Packed` itself, runs the loop
-  twice and reads only leads, so its bases are never tail-reduced nor
-  unpacked into `Polynomial`s.
+- `multiplicity._gr_numerator` fills a `_Packed` itself and runs the
+  loop twice in one layout and order: the second run keeps part of the
+  first's basis as its finished prefix.  It reads only leads, so its
+  bases are never tail-reduced nor unpacked into `Polynomial`s.
 A basis that grows past `DEFAULT_BASIS_LIMIT` elements raises
 `EngineLimit`.  In characteristic 0 a coefficient inside the kernel is
 a Python int while it is whole; a Fraction appears only once a lead
@@ -22,8 +23,7 @@ its guard bit:
 - the word of a product is the sum of the words;
 - the order compares monomials as Python compares their words, so
   `max(work)` and the pair heap need no key function;
-- a | b is `not (b - a) & guard`;
-- two leads are coprime when their lcm is their sum.
+- a | b is `not (b - a) & guard`.
 Exponents and row values must stay below 2^31.  Packing checks every
 lane; the lcm of a pair is checked before the pair is reduced (an lcm
 is at most twice a lane, so it never carries and still orders exactly);
@@ -44,11 +44,18 @@ strategy; Giovini-Mora-Niesi-Robbiano-Traverso, "One sugar cube,
 please", ISSAC 1991).  Under a block order the word alone takes pairs
 by the eliminated block's degree first, whatever their total degree,
 which is what made the Rees elimination basis of `multiplicity` slow.
-A set of the same pairs serves the membership test of the chain
-criterion; the coprime criterion needs only the leads.  Both criteria
-hold for any selection order (Becker-Weispfenning, *Groebner Bases*,
-ch. 5).  Reduced bases are monic, mutually fully reduced, and sorted,
-hence unique per (ideal, order): equality of ideals can be tested by
+Both classical criteria hold for any selection order
+(Becker-Weispfenning, *Groebner Bases*, ch. 5).  The first is applied
+when a pair is formed: a pair of two monic terms, or of two leads whose
+supports (one bitmask per element) are disjoint, reduces to zero over
+the pair alone and never enters the heap.  A caller may also name a
+finished prefix, leading elements that already form a Gröbner basis,
+and no pair of two of them is formed.  Every pair not pending counts
+as treated for the chain criterion, which skips a popped pair (i, j)
+when some other lead divides its lcm and neither (i, k) nor (j, k) is
+pending; a set of the pending pairs serves that membership test.
+Reduced bases are monic, mutually fully reduced, and sorted, hence
+unique per (ideal, order): equality of ideals can be tested by
 comparing them, and the selection order never shows in a result.  The
 minimal leads of any basis are the leads of the reduced one, so a
 caller that reads only leads needs no inter-reduction.
@@ -151,6 +158,7 @@ class _Packed:
     """
 
     def __init__(self, arity: int, characteristic: int, order: MonomialOrder):
+        self.order = order
         self.lay = mo.layout(arity, order.rows(arity), LANE_BITS)
         self.guard = self.lay.guard
         self.p = characteristic
@@ -186,6 +194,12 @@ class _Packed:
         self.tails.append(list(terms.items()))
         self.bounds.append(reduce(or_, terms, 0))
         self.exps.append(mo.unpack(self.lay, lead))
+
+    def keep(self, among: list[int]) -> None:
+        """Drop every element but those of `among`, in that order."""
+        for name in ("leads", "tails", "bounds", "exps"):
+            items = getattr(self, name)
+            setattr(self, name, [items[k] for k in among])
 
     def polynomial(self, ring: PolyRing, k: int, tail) -> Polynomial:
         """Element k with the (word, coefficient) `tail`, in `ring`."""
@@ -242,13 +256,16 @@ def _subtract(work: dict, terms, factor, p: int) -> None:
             work.pop(w, None)
 
 
-def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[int]:
+def pair_loop(
+    basis: _Packed, grading: tuple[int, ...] | None = None, done: int = 0
+) -> list[int]:
     """Complete `basis` to a Gröbner basis; the indices of its minimal leads.
 
     The indices come in ascending order of their leads.  `grading`, one
     positive weight per variable under which every element is
     homogeneous, makes pairs come out degree first; the leads are the
-    same with or without it.
+    same with or without it.  The first `done` elements must already
+    form a Gröbner basis: no pair of two of them is formed.
     """
     if grading is not None and len(grading) != basis.lay.arity:
         raise ValueError("grading and basis of different arity")
@@ -258,9 +275,16 @@ def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[in
     heap: list = []
     pending: set[tuple[int, int]] = set()
 
+    def support(k: int) -> int:
+        return sum(1 << v for v, e in enumerate(exps[k]) if e)
+
+    masks = [support(k) for k in range(len(leads))]
+
     def push(i: int, j: int) -> None:
-        # the s-polynomial of two monic terms is identically zero
-        if tails[i] or tails[j]:
+        # the s-polynomial of two monic terms is identically zero, and
+        # that of two coprime leads reduces to zero over the pair
+        # (Buchberger's first criterion): such a pair is treated here
+        if (tails[i] or tails[j]) and masks[i] & masks[j]:
             top = tuple(map(max, exps[i], exps[j]))
             # the lcm's word may pass a guard bit, but each lane is
             # below the sum of two guard-free lanes, so none carries,
@@ -269,7 +293,7 @@ def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[in
             heapq.heappush(heap, (sum(map(mul, top, weights)), lcm, i, j))
             pending.add((i, j))
 
-    for j in range(len(leads)):
+    for j in range(done, len(leads)):
         for i in range(j):
             push(i, j)
 
@@ -277,10 +301,9 @@ def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[in
         _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
 
-        if leads[i] + leads[j] == lcm:
-            continue  # coprime leads
         if lcm & guard:
             raise EngineLimit(_RANGE)
+        # a pair never pushed, or already popped, is treated
         chained = False
         for k, lt in enumerate(leads):
             if k != i and k != j and not (lcm - lt) & guard:
@@ -299,6 +322,7 @@ def pair_loop(basis: _Packed, grading: tuple[int, ...] | None = None) -> list[in
         if len(leads) > DEFAULT_BASIS_LIMIT:
             raise EngineLimit(f"basis grew past {DEFAULT_BASIS_LIMIT} elements")
         t = len(leads) - 1
+        masks.append(support(t))
         for k in range(t):
             push(k, t)
 

@@ -16,14 +16,15 @@ reads the m-adic filtration off the leading monomials; a bigraded
 Hilbert numerator Q(s, t) of those leading monomials gives all cells
 at once (`hilbert_table`), and its u = 0 column, the fiber of I on M,
 gives the analytic spread.  `_gr_numerator` computes Q with both of
-its bases, the Rees elimination basis and the weight basis, in the
-Gröbner kernel's packed words, and reads only their minimal leads, so
-the table path builds no polynomial ring, no `Polynomial` and no
-reduced tail.  Every table keeps the Q it was divided from, so
-`diagnostics` reads the spread off the table the sequence came with,
-and `analytic_spread` is the route for a pair with no table.  The
-per-cell `component_length` is the independent route the tests check
-tables against.
+its bases, the Rees elimination basis and the weight basis, under one
+order and in one layout of the Gröbner kernel's packed words: the
+second basis starts from the t-free part of the first as a finished
+prefix.  It reads only their minimal leads, so the table path builds
+no polynomial ring, no `Polynomial` and no reduced tail.  Every table
+keeps the Q it was divided from, so `diagnostics` reads the spread off
+the table the sequence came with, and `analytic_spread` is the route
+for a pair with no table.  The per-cell `component_length` is the
+independent route the tests check tables against.
 
 For monomial data one map (`_monomial_strata`) sends each
 variable-subset prime over I + K to the local dimension of M there.
@@ -64,7 +65,7 @@ from .errors import PreconditionError, StabilizationError
 from .groebner import _Packed, pair_loop
 from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
-from .orders import elimination_order, weight_order
+from .orders import elimination_order
 from .poly import Polynomial, PolyRing
 
 
@@ -195,13 +196,13 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
 
     First the Rees module of M = R/K, the sum of the I^j M =
     I^j / (I^j ∩ K), is presented as a quotient of k[x, T], one T_i per
-    minimal generator f_i of I: in k[t, x, T] under
-    `elimination_order(1)` the elements of a Gröbner basis of
-    (K, T_i - t*f_i) whose lead has no t have no t at all, and they
-    generate the t-free part.  K enters before t is eliminated: added
-    afterwards it would present I^j / K*I^j.  Under deg t = deg x_i = 1
-    and deg T_i = 1 + deg f_i every relation is homogeneous, so the pair
-    loop takes its pairs degree first.
+    minimal generator f_i of I: in k[t, x, T] under an elimination
+    order for t the elements of a Gröbner basis of (K, T_i - t*f_i)
+    whose lead has no t have no t at all, and they form a Gröbner basis
+    of the t-free part under the order's restriction to k[x, T] (the
+    elimination theorem; Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, §3.1).  K enters before t is eliminated: added
+    afterwards it would present I^j / K*I^j.
 
     Then J = (Rees relations, f_1..f_r) presents gr_I(M) in
     S = k[x, T]; the m-adic filtration of each piece is read off the
@@ -211,6 +212,14 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     outside the leading ideal N of J, and its series is
     Q(s, t) / ((1-s)^n (1-t)^r), with s marking x-degree and t marking
     T-degree.
+
+    Both bases use one order, `elimination_order(1, w)`, whose
+    restriction to k[x, T] is that weight order, and one layout.  The
+    kept t-free elements of the first basis stay in place, words
+    unchanged, as the finished prefix of the second, which appends the
+    f_i and forms only pairs with an appended or new element.  Under
+    deg t = deg x_i = 1 and deg T_i = 1 + deg f_i every element of
+    either basis is homogeneous, so both loops take pairs degree first.
 
     Q reads only the minimal leads of the second basis, and those are
     unique per (ideal, order), so neither basis is tail-reduced and
@@ -222,28 +231,25 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     gens = _generator_terms(ideal)
     r = len(gens)
     degrees = tuple(max(map(sum, terms)) for terms in gens)
-    rees = _Packed(1 + n + r, p, elimination_order(1))
+    basis = _Packed(1 + n + r, p, elimination_order(1, (0,) * n + degrees))
     pad = (0,) * r
     for terms in _generator_terms(module.relations):
-        rees.append(rees.pack({(0,) + e + pad: c for e, c in terms.items()}))
+        basis.append(basis.pack({(0,) + e + pad: c for e, c in terms.items()}))
     for i, terms in enumerate(gens):
         relation = {(1,) + e + pad: -c for e, c in terms.items()}
         relation[(0,) * (1 + n + i) + (1,) + (0,) * (r - 1 - i)] = 1
-        rees.append(rees.pack(relation))
-    kept = pair_loop(rees, (1,) * (1 + n) + tuple(1 + d for d in degrees))
-
-    weight = _Packed(n + r, p, weight_order((0,) * n + degrees))
-    # the Rees relations already contain K
-    for k in kept:
-        if not rees.exps[k][0]:
-            relation = {rees.exps[k][1:]: 1}
-            for w, c in rees.tails[k]:
-                relation[mo.unpack(rees.lay, w)[1:]] = c
-            weight.append(weight.pack(relation))
+        basis.append(basis.pack(relation))
+    grading = (1,) * (1 + n) + tuple(1 + d for d in degrees)
+    # the kept t-free elements: a basis of the Rees relations, which
+    # already contain K, under the weight order
+    basis.keep([k for k in pair_loop(basis, grading) if not basis.exps[k][0]])
+    done = len(basis.leads)
     for terms in gens:
-        weight.append(weight.pack({e + pad: c for e, c in terms.items()}))
+        basis.append(basis.pack({(0,) + e + pad: c for e, c in terms.items()}))
     lay = mo.layout(n + r)
-    leads = tuple(mo.pack(lay, weight.exps[k]) for k in pair_loop(weight))
+    leads = tuple(
+        mo.pack(lay, basis.exps[k][1:]) for k in pair_loop(basis, grading, done)
+    )
     return n, r, mo.bigraded_numerator(lay, leads, n)
 
 

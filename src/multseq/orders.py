@@ -5,19 +5,24 @@ everywhere), lexicographic, a two-block elimination order that compares
 the first `block` coordinates grevlex-first (so eliminating the leading
 block of variables is a matter of discarding basis elements whose lead
 involves them), and a weight order that compares the nonnegative weight
-w·a first and breaks ties by grevlex.
+w·a first and breaks ties by grevlex.  An elimination order may carry
+weights on its trailing block, which it then orders as the weight
+order does: on monomials free of the eliminated block it is that
+weight order, so one basis eliminates the block and leaves a basis of
+the elimination ideal under w.
 
 Every order here is a nonnegative matrix order (Robbiano, EUROCAL
 1985): nonnegative integer `rows`, the most significant first, such
 that a < b exactly when the row values of a are lexicographically
-smaller than those of b.  Each order is stated once, by `_shape`: an
-optional weight row, then consecutive blocks of variables, each ordered
-grevlex, whose rows are the block's prefix sums, longest first
-((Σa, Σa − a_n, ..., a_1) for one block of all n variables).
+smaller than those of b.  Each order is stated once, by `_shape`:
+consecutive blocks of variables, each with an optional weight row on
+its own variables and then ordered grevlex, by the block's prefix sums,
+longest first ((Σa, Σa − a_n, ..., a_1) for one block of all n
+variables).
 - grevlex: one block;
 - lex: one block per variable, so the rows are the identity;
-- block: the eliminated leading block, then the rest;
-- weight: w, then one block.
+- block: the eliminated leading block, then the rest, weighted or not;
+- weight: one weighted block.
 `rows` spells the shape out as a matrix, which `groebner` packs into
 one integer word per monomial, and `sort_key` evaluates it on one
 exponent tuple, for `sorted`, `max` and heaps.  `compare`, written out
@@ -54,11 +59,23 @@ def _cmp_lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return 0
 
 
+def _cmp_weighted(
+    weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
+) -> int:
+    wa = sum(w * x for w, x in zip(weights, a))
+    wb = sum(w * x for w, x in zip(weights, b))
+    if wa != wb:
+        return 1 if wa > wb else -1
+    return _cmp_grevlex(a, b)
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     kind: str = GREVLEX
     block: int | None = None  # size of the eliminated leading block
-    weights: tuple[int, ...] | None = None  # one per variable, weight kind only
+    # weight kind: one per variable; block kind, optionally: one per
+    # variable of the trailing block
+    weights: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (GREVLEX, LEX, BLOCK, WEIGHT):
@@ -68,12 +85,12 @@ class MonomialOrder:
                 raise ValueError("block order needs a positive block size")
         elif self.block is not None:
             raise ValueError(f"{self.kind} order takes no block size")
-        if self.kind == WEIGHT:
+        if self.kind == WEIGHT or (self.kind == BLOCK and self.weights is not None):
             # nonnegative weights keep 1 the smallest monomial
             if not isinstance(self.weights, tuple) or any(
                 not isinstance(w, int) or w < 0 for w in self.weights
             ):
-                raise ValueError("weight order needs a tuple of nonnegative ints")
+                raise ValueError(f"{self.kind} order needs a tuple of nonnegative ints")
         elif self.weights is not None:
             raise ValueError(f"{self.kind} order takes no weights")
 
@@ -85,25 +102,25 @@ class MonomialOrder:
             return _cmp_grevlex(a, b)
         if self.kind == LEX:
             return _cmp_lex(a, b)
-        if self.kind == WEIGHT:
-            if len(a) != len(self.weights):
-                raise ValueError("exponent tuple and weights of different arity")
-            wa = sum(w * x for w, x in zip(self.weights, a))
-            wb = sum(w * x for w, x in zip(self.weights, b))
-            if wa != wb:
-                return 1 if wa > wb else -1
-            return _cmp_grevlex(a, b)
         k = self.block
+        # the weights cover the trailing block, all of a when k is None
+        if self.weights is not None and len(a[k:]) != len(self.weights):
+            raise ValueError("exponent tuple and weights of different arity")
+        if self.kind == WEIGHT:
+            return _cmp_weighted(self.weights, a, b)
         c = _cmp_grevlex(a[:k], b[:k])
         if c:
             return c
-        return _cmp_grevlex(a[k:], b[k:])
+        if self.weights is None:
+            return _cmp_grevlex(a[k:], b[k:])
+        return _cmp_weighted(self.weights, a[k:], b[k:])
 
     def rows(self, arity: int) -> tuple[tuple[int, ...], ...]:
         """The order's rows on `arity` variables, most significant first."""
-        weights, blocks = self._shape(arity)
-        rows = [weights] if weights else []
-        for lo, hi in blocks:
+        rows = []
+        for lo, hi, weights in self._shape(arity):
+            if weights:
+                rows.append((0,) * lo + weights + (0,) * (arity - hi))
             # Σa over the block first; on equal degree a smaller last
             # exponent wins, then a smaller one before it, ...
             rows += [
@@ -114,24 +131,32 @@ class MonomialOrder:
 
     def sort_key(self, exps: tuple[int, ...]) -> tuple:
         """Row values of exps: a tuple ordered as `compare` orders exponents."""
-        weights, blocks = self._shape(len(exps))
-        key = [sum(map(mul, weights, exps))] if weights else []
-        for lo, hi in blocks:
-            key += reversed(tuple(accumulate(exps[lo:hi])))
+        key = []
+        for lo, hi, weights in self._shape(len(exps)):
+            block = exps[lo:hi]
+            if weights:
+                key.append(sum(map(mul, weights, block)))
+            key += reversed(tuple(accumulate(block)))
         return tuple(key)
 
     def _shape(self, n: int) -> tuple:
-        """The weight row, if any, and the consecutive blocks of grevlex rows."""
-        weights, cuts = None, (0, n)
+        """Consecutive blocks (lo, hi, weights or None) of n variables.
+
+        Each block is its weight row, if any, then its grevlex rows; the
+        weights, if any, belong to the last block.
+        """
+        cuts = (0, n)
         if self.kind == LEX:
             cuts = tuple(range(n + 1))
         elif self.kind == BLOCK:
             cuts = (0, min(self.block, n), n)
-        elif self.kind == WEIGHT:
-            if len(self.weights) != n:
+        blocks = [(lo, hi, None) for lo, hi in zip(cuts, cuts[1:])]
+        if self.weights is not None:
+            lo, hi, _ = blocks[-1]
+            if len(self.weights) != hi - lo:
                 raise ValueError("exponent tuple and weights of different arity")
-            weights = self.weights
-        return weights, tuple((lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi)
+            blocks[-1] = (lo, hi, self.weights)
+        return tuple(block for block in blocks if block[0] < block[1])
 
     @property
     def key(self) -> tuple:
@@ -146,9 +171,13 @@ def lex() -> MonomialOrder:
     return MonomialOrder(LEX)
 
 
-def elimination_order(block: int) -> MonomialOrder:
-    """Order eliminating the first `block` variables."""
-    return MonomialOrder(BLOCK, block)
+def elimination_order(block: int, weights=None) -> MonomialOrder:
+    """Order eliminating the first `block` variables.
+
+    `weights`, one per later variable, order those by the largest w·a
+    first, then grevlex, as `weight_order(weights)` does.
+    """
+    return MonomialOrder(BLOCK, block, None if weights is None else tuple(weights))
 
 
 def weight_order(weights) -> MonomialOrder:

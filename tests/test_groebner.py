@@ -7,6 +7,8 @@ reduction) verified directly.  The basis kernel runs on packed words;
 independent route its results are checked with.
 """
 
+import dataclasses
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +31,7 @@ from multseq import groebner, ideals
 from multseq import monomials as mo
 from multseq.errors import EngineLimit
 from multseq.groebner import LANE_BITS, buchberger, s_polynomial
-from multseq.orders import weight_order
+from multseq.orders import MonomialOrder, weight_order
 
 
 def basis_of(r, *texts):
@@ -74,6 +76,9 @@ class TestSortKey:
             # a bigraded presentation, and all-distinct weights
             weight_order((0,) * (arity - 2) + (2, 1)),
             weight_order(tuple(range(arity))),
+            # the order of the Rees presentation: t eliminated, then
+            # the weight order with zero weights on the x variables
+            elimination_order(1, (0,) * (arity - 3) + (2, 1)),
         )
 
     def test_sorting_by_key_agrees_with_compare(self):
@@ -105,6 +110,7 @@ def random_orders(rng, arity):
         weight_order((0,) * arity),
         weight_order(tuple(rng.randrange(3) for _ in range(arity))),
         weight_order(tuple(rng.randrange(1, 6) for _ in range(arity))),
+        elimination_order(1, tuple(rng.randrange(3) for _ in range(arity - 1))),
     )
 
 
@@ -146,6 +152,41 @@ class TestRows:
         assert lex().rows(2) == ((1, 0), (0, 1))
         assert elimination_order(1).rows(3) == ((1, 0, 0), (0, 1, 1), (0, 1, 0))
         assert weight_order((0, 2)).rows(2) == ((0, 2), (1, 1), (1, 0))
+        assert elimination_order(1, (0, 2)).rows(3) == (
+            (1, 0, 0), (0, 0, 2), (0, 1, 1), (0, 1, 0)
+        )
+
+    @pytest.mark.parametrize("n, degrees", [(3, (2, 1)), (2, (1, 3, 3)), (4, (4,))])
+    def test_weighted_elimination_is_the_weight_order_off_the_block(self, n, degrees):
+        # the Rees basis and the weight basis share this order: on
+        # monomials free of t it is weight_order((0,) * n + degrees)
+        w = (0,) * n + degrees
+        arity = n + len(degrees)
+        order, weight = elimination_order(1, w), weight_order(w)
+        rows = order.rows(1 + arity)
+        assert rows[0] == (1,) + (0,) * arity
+        assert rows[1:] == tuple((0,) + row for row in weight.rows(arity))
+        rng = random.Random(arity)
+        exps = [tuple(rng.randrange(4) for _ in range(arity)) for _ in range(40)]
+        for a, b in zip(exps, exps[1:]):
+            assert order.compare((0,) + a, (0,) + b) == weight.compare(a, b)
+            assert order.sort_key((0,) + a)[1:] == weight.sort_key(a)
+
+    def test_weighted_elimination_is_a_frozen_order(self):
+        order = elimination_order(1, [0, 2])
+        assert type(order) is MonomialOrder
+        assert order == elimination_order(1, (0, 2))
+        assert hash(order) == hash(elimination_order(1, (0, 2)))
+        assert order.key != elimination_order(1).key
+        assert order.key != weight_order((0, 0, 2)).key
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            order.weights = (1, 1)
+        with pytest.raises(ValueError):
+            elimination_order(1, (0, -1))
+        with pytest.raises(ValueError):
+            order.rows(4)  # two weights for a trailing block of three
+        with pytest.raises(ValueError):
+            order.compare((1, 0, 0, 0), (0, 1, 0, 0))
 
 
 class TestLaneRange:
@@ -237,6 +278,99 @@ class TestRandomBases:
                         assert normal_form(s, gb, order).is_zero()
                 for f in gens:
                     assert normal_form(f, gb, order).is_zero()
+
+
+def reference_leads(gens, order):
+    """Minimal leads of a basis built by reducing every pair.
+
+    No coprime, monomial or chain criterion: every pair, old or new, is
+    reduced through the tuple routes `s_polynomial` and `normal_form`,
+    the pair of smallest lcm first.  Ascending in `order`.
+    """
+    basis = [f for f in gens if not f.is_zero()]
+    leads = [f.leading_monomial(order) for f in basis]
+    heap = []
+
+    def push(i, j):
+        lcm = tuple(map(max, leads[i], leads[j]))
+        heapq.heappush(heap, (order.sort_key(lcm), i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        h = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if not h.is_zero():
+            basis.append(h)
+            leads.append(h.leading_monomial(order))
+            for k in range(len(basis) - 1):
+                push(k, len(basis) - 1)
+    minimal = [
+        a for a in set(leads)
+        if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in leads)
+    ]
+    return sorted(minimal, key=order.sort_key)
+
+
+class TestPairCriteria:
+    """Pairs dropped at push, or in a finished prefix, never drop a lead."""
+
+    @staticmethod
+    def binomial(rng, r):
+        a = tuple(rng.randrange(3) for _ in range(r.arity))
+        b = tuple(rng.randrange(3) for _ in range(r.arity))
+        c = rng.randrange(1, 6) * rng.choice((1, -1))
+        return Polynomial(r, {a: r.coeff(1), b: r.coeff(c)} if a != b else {a: r.coeff(1)})
+
+    @staticmethod
+    def dense(rng, r):
+        terms = {}
+        for _ in range(rng.randrange(2, 4)):
+            e = tuple(rng.randrange(2) for _ in range(r.arity))
+            terms[e] = r.coeff(rng.randrange(1, 9) * rng.choice((1, -1)))
+        return Polynomial(r, terms)
+
+    @staticmethod
+    def kernel_leads(gens, order, split=None):
+        """Leads from `pair_loop`; with `split`, the first `split`
+        generators are completed first and kept as a finished prefix."""
+        r = gens[0].ring
+        basis = groebner._Packed(r.arity, r.characteristic, order)
+        head = gens if split is None else gens[:split]
+        for f in head:
+            basis.append(basis.pack(f.terms))
+        kept = groebner.pair_loop(basis)
+        if split is not None:
+            basis.keep(kept)
+            done = len(basis.leads)
+            for f in gens[split:]:
+                basis.append(basis.pack(f.terms))
+            kept = groebner.pair_loop(basis, None, done)
+        return [basis.exps[k] for k in kept]
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("shape", ["binomial", "dense"])
+    def test_kept_leads_equal_the_reference(self, char, shape):
+        rng = random.Random(char + len(shape))
+        make = getattr(self, shape)
+        for arity in (2, 3, 4):
+            names = ("x", "y", "z", "w")[:arity]
+            orders = (
+                grevlex(),
+                lex(),
+                elimination_order(1),
+                weight_order(tuple(rng.randrange(3) for _ in range(arity))),
+                elimination_order(1, tuple(rng.randrange(1, 4) for _ in range(arity - 1))),
+            )
+            for order in orders:
+                r = PolyRing(names, char, order)
+                for _ in range(4):
+                    gens = [make(rng, r) for _ in range(rng.randrange(2, 4))]
+                    want = reference_leads(gens, order)
+                    assert self.kernel_leads(gens, order) == want, (gens, order)
+                    split = rng.randrange(1, len(gens))
+                    assert self.kernel_leads(gens, order, split) == want, (gens, order)
 
 
 def rees_presentation(gens):

@@ -7,6 +7,7 @@ constant table.  Structural checks compare the table against the
 per-cell length route computed independently.
 """
 
+import copy
 import math
 import random
 from collections import Counter
@@ -747,6 +748,10 @@ class TestReesGrading:
         ("xyz", ("x + y", "y^2", "z^2"), ()),
         ("xyz", ("x", "y"), ("x*y + z^2",)),
         ("xy", ("x^3", "y^2"), ()),
+        # a t-free Rees basis under the grevlex tail is no basis under
+        # the weight order: a second loop that skipped its pairs would
+        # miss a lead here
+        ("xyw", ("x*y", "y^2", "x*w^2"), ()),
     ]
 
     @staticmethod
@@ -754,21 +759,22 @@ class TestReesGrading:
         """(relations, order, grading) of the Rees basis of each pair.
 
         The relations are the packed elements the Rees pair loop
-        starts from, unpacked into a ring of the same arity.
+        starts from, unpacked into a ring of the same arity and order.
+        Both loops are graded; only the Rees loop has elements with t.
         """
         seen = []
         real = multiplicity.pair_loop
 
-        def spy(basis, grading=None):
-            if grading is not None:
+        def spy(basis, grading=None, done=0):
+            if any(e[0] for e in basis.exps):
                 names = tuple(f"v{i}" for i in range(basis.lay.arity))
-                ext = PolyRing(names, basis.p, elimination_order(1))
+                ext = PolyRing(names, basis.p, basis.order)
                 relations = [
                     basis.polynomial(ext, k, basis.tails[k])
                     for k in range(len(basis.leads))
                 ]
                 seen.append((relations, ext.order, grading))
-            return real(basis, grading)
+            return real(basis, grading, done)
 
         monkeypatch.setattr(multiplicity, "pair_loop", spy)
         for a, m in pairs:
@@ -802,7 +808,25 @@ class TestReesGrading:
             assert buchberger(gens, order, grading) == buchberger(gens, order)
 
     @pytest.mark.parametrize("char", [0, 101])
-    def test_numerator_matches_polynomial_route(self, char):
+    def test_numerator_matches_polynomial_route(self, monkeypatch, char):
+        # the second loop starts from the kept t-free Rees elements and
+        # pairs none of them with each other; a loop that pairs every
+        # element of the same input must find the same minimal leads
+        real = multiplicity.pair_loop
+        prefixes = []
+
+        def spy(basis, grading=None, done=0):
+            if any(e[0] for e in basis.exps):
+                return real(basis, grading, done)
+            twin = copy.copy(basis)
+            for name in ("leads", "tails", "bounds", "exps"):
+                setattr(twin, name, list(getattr(basis, name)))
+            kept = real(basis, grading, done)
+            full = real(twin, grading)
+            assert [basis.leads[k] for k in kept] == [twin.leads[k] for k in full]
+            prefixes.append(done)
+            return kept
+
         pairs = []
         for variables, gens, relations in self.HAND:
             r = ring(*variables, char=char)
@@ -820,8 +844,11 @@ class TestReesGrading:
         r = ring("x", "y", "z", char=char)
         pairs.append((ideal(r, "2*x^2 + 3*y*z", "3*y^2 + 5*x*z"), free_module(r)))
         pairs.append((ideal(r, "2*x + 3*y", "3*y^2 + 7*x*z"), module(r, "z^2")))
+        monkeypatch.setattr(multiplicity, "pair_loop", spy)
         for a, m in pairs:
             assert _gr_numerator(a, m) == reference_numerator(a, m), (a, m)
+        assert len(prefixes) == len(pairs)
+        assert sum(done > 0 for done in prefixes) > len(pairs) // 2
 
 
 class TestInvariantsOfThePair:
@@ -890,9 +917,9 @@ class TestInvariantsOfThePair:
         calls = []
         kernel = groebner.pair_loop
 
-        def counted(basis, grading=None):
+        def counted(basis, grading=None, done=0):
             calls.append(grading)
-            return kernel(basis, grading)
+            return kernel(basis, grading, done)
 
         for owner in (multiplicity, groebner):
             monkeypatch.setattr(owner, "pair_loop", counted)
