@@ -60,9 +60,11 @@ comparing them, and the selection order never shows in a result.  The
 minimal leads of any basis are the leads of the reduced one, so a
 caller that reads only leads needs no inter-reduction.
 
-`normal_form` and `s_polynomial` stay on exponent tuples: they serve
-callers outside the kernel, and the tests use them as the independent
-route.
+`divide`, `normal_form` and `s_polynomial` stay on exponent tuples:
+they serve callers outside the kernel, and the tests use them as the
+independent route.  `divide` is the one division loop there:
+`normal_form` keeps its remainder, and `ideals.Ideal.colon_poly` its
+quotient by a single polynomial.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from .orders import MonomialOrder
 from .poly import (
     Polynomial,
     PolyRing,
+    add_term,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -88,42 +91,52 @@ from .poly import (
 DEFAULT_BASIS_LIMIT = 4000
 
 
-def normal_form(
-    f: Polynomial, basis, order: MonomialOrder | None = None
-) -> Polynomial:
-    """Full remainder of f against a list of nonzero polynomials."""
+def divide(
+    f: Polynomial, divisors, order: MonomialOrder | None = None
+) -> tuple[list[Polynomial], Polynomial]:
+    """Quotients and remainder of f by `divisors`, in their order.
+
+    The largest term left is reduced by the first nonzero divisor whose
+    lead divides it and otherwise moves to the remainder, so
+    f = sum(q_i * g_i) + r and no lead divides a term of r.  A zero
+    divisor gets a zero quotient.
+    """
     ring = f.ring
     order = order or ring.order
-    pairs = []
-    for g in basis:
-        if not g.is_zero():
-            pairs.append((g.leading_monomial(order), g.leading_coefficient(order), g))
     p = ring.characteristic
+    reducers = []
+    for k, g in enumerate(divisors):
+        if not g.is_zero():
+            lt = g.leading_monomial(order)
+            reducers.append((lt, ring.coeff_inv(g.terms[lt]), k))
+    quotients: list[dict] = [{} for _ in divisors]
     work = dict(f.terms)
     remainder: dict = {}
     while work:
         mu = max(work, key=order.sort_key)
         c = work[mu]
-        for lt, lc, g in pairs:
+        for lt, inv, k in reducers:
             if monomial_divides(lt, mu):
                 shift = monomial_div(mu, lt)
-                factor = c * ring.coeff_inv(lc)
+                factor = c * inv
                 if p:
                     factor %= p
-                for e2, c2 in g.terms.items():
-                    key = monomial_mul(e2, shift)
-                    s = work.get(key, 0) - factor * c2
-                    if p:
-                        s %= p
-                    if s == 0:
-                        work.pop(key, None)
-                    else:
-                        work[key] = s
+                add_term(quotients[k], shift, factor, p)
+                # the lead's own term cancels mu
+                for e2, c2 in divisors[k].terms.items():
+                    add_term(work, monomial_mul(e2, shift), -factor * c2, p)
                 break
         else:
             remainder[mu] = c
             del work[mu]
-    return Polynomial(ring, remainder)
+    return [Polynomial(ring, q) for q in quotients], Polynomial(ring, remainder)
+
+
+def normal_form(
+    f: Polynomial, basis, order: MonomialOrder | None = None
+) -> Polynomial:
+    """Full remainder of f against a list of polynomials."""
+    return divide(f, basis, order)[1]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

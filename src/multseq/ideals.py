@@ -4,17 +4,22 @@ Every operation routes through one of two interchangeable engines: a
 combinatorial one on packed exponent vectors when every generator is a
 single term, and the Gröbner engine otherwise.  Results agree; tests
 pin the two routes against each other.  Ideals are immutable.
+
+The generators of a monomial ideal are a Gröbner basis under every
+order, so its normal form drops exactly the terms the ideal holds
+(Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, §2.3-2.4):
+`normal_form` and `contains` test each term by exponent-tuple
+divisibility and never run Buchberger nor pack the polynomial.  The
+exact quotients of `colon_poly` come from `groebner.divide`.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import monomials as mo
 from .errors import NonHomogeneousInput
-from .groebner import buchberger, normal_form
+from .groebner import buchberger, divide, normal_form
 from .orders import MonomialOrder, elimination_order, grevlex
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, monomial_divides
 
 
 class Ideal:
@@ -113,17 +118,19 @@ class Ideal:
         return basis
 
     def normal_form(self, f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
+        packed = self.packed()
+        if packed is not None:
+            lay = mo.layout(self.ring.arity)
+            gens = [mo.unpack(lay, w) for w in packed]
+            return Polynomial(self.ring, {
+                e: c for e, c in f.terms.items()
+                if not any(monomial_divides(g, e) for g in gens)
+            })
         order = order or self.ring.order
         return normal_form(f, self.groebner(order), order)
 
     def contains(self, f: Polynomial) -> bool:
-        if f.is_zero():
-            return True
-        packed = self.packed()
-        if packed is not None and f.is_term():
-            lay = mo.layout(self.ring.arity)
-            return mo.member(lay, mo.pack(lay, next(iter(f.terms))), packed)
-        return self.normal_form(f).is_zero()
+        return f.is_zero() or self.normal_form(f).is_zero()
 
     def subset_of(self, other: Ideal) -> bool:
         a, b = self.packed(), other.packed()
@@ -166,17 +173,10 @@ class Ideal:
     def power(self, n: int) -> Ideal:
         if n < 0:
             raise ValueError("negative ideal power")
-        if n == 0:
-            return Ideal(self.ring, [self.ring.one()])
-        packed = self.packed()
-        if packed is not None:
-            lay = mo.layout(self.ring.arity)
-            return Ideal.from_packed(self.ring, mo.power(lay, packed, n))
-        gens = [
-            _product(combo)
-            for combo in itertools.combinations_with_replacement(self.gens, n)
-        ]
-        return Ideal(self.ring, gens)
+        out = Ideal(self.ring, [self.ring.one()])
+        for _ in range(n):
+            out = out.multiply(self)
+        return out
 
     def intersect(self, other: Ideal) -> Ideal:
         self._same_ring(other)
@@ -213,7 +213,13 @@ class Ideal:
             word = mo.pack(lay, next(iter(f.terms)))
             return Ideal.from_packed(self.ring, mo.colon_monomial(lay, packed, word))
         meet = self.intersect(Ideal(self.ring, [f]))
-        return Ideal(self.ring, [_divide_exact(g, f) for g in meet.gens])
+        quotients = []
+        for g in meet.gens:
+            (q,), rest = divide(g, [f])
+            if not rest.is_zero():
+                raise ArithmeticError("division witness failed: quotient is not exact")
+            quotients.append(q)
+        return Ideal(self.ring, quotients)
 
     def colon_ideal(self, other: Ideal) -> Ideal:
         if other.is_zero():
@@ -245,51 +251,12 @@ class Ideal:
             raise ValueError("ideals from different rings")
 
 
-def _product(polys) -> Polynomial:
-    out = None
-    for p in polys:
-        out = p if out is None else out * p
-    return out
-
-
 def _lift(ext: PolyRing, f: Polynomial) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in f.terms.items()})
 
 
 def _drop_first(ring: PolyRing, f: Polynomial) -> Polynomial:
     return Polynomial(ring, {e[1:]: c for e, c in f.terms.items()})
-
-
-def _divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient g/f, failing loudly if the division is not exact."""
-    ring = g.ring
-    order = ring.order
-    lt_f = f.leading_monomial(order)
-    lc_f = f.leading_coefficient(order)
-    p = ring.characteristic
-    work = dict(g.terms)
-    quotient: dict = {}
-    from .poly import monomial_div, monomial_divides, monomial_mul
-
-    while work:
-        mu = max(work, key=order.sort_key)
-        if not monomial_divides(lt_f, mu):
-            raise ArithmeticError("division witness failed: quotient is not exact")
-        shift = monomial_div(mu, lt_f)
-        factor = work[mu] * ring.coeff_inv(lc_f)
-        if p:
-            factor %= p
-        quotient[shift] = factor
-        for e2, c2 in f.terms.items():
-            key = monomial_mul(e2, shift)
-            s = work.get(key, 0) - factor * c2
-            if p:
-                s %= p
-            if s == 0:
-                work.pop(key, None)
-            else:
-                work[key] = s
-    return Polynomial(ring, quotient)
 
 
 def require_homogeneous(ideal: Ideal, what: str) -> None:

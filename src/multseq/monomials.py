@@ -165,13 +165,6 @@ def multiply(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, 
     return minimalize(lay, products)
 
 
-def power(lay: Layout, gens: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = (0,)  # unit ideal
-    for _ in range(n):
-        out = multiply(lay, out, gens)
-    return out
-
-
 def lcm(lay: Layout, a: int, b: int) -> int:
     ea, eb = unpack(lay, a), unpack(lay, b)
     return pack(lay, tuple(max(x, y) for x, y in zip(ea, eb)))

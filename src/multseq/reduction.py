@@ -245,6 +245,14 @@ def _nzd_exponent(
     return None
 
 
+def _trial_context(
+    ideal: Ideal,
+) -> tuple[Ideal, list[tuple[int, list[Polynomial]]]]:
+    """What every trial on `ideal` shares: m·I and the degree classes."""
+    classes = _degree_classes(_minimal_generators(ideal))
+    return _variables_ideal(ideal.ring).multiply(ideal), classes
+
+
 def _run_trial(
     ideal: Ideal,
     module: CyclicModule,
@@ -334,9 +342,7 @@ def superficial_search(
     if module.dim < 1:
         raise PreconditionError("superficial elements need positive dimension")
     low_entries = baseline.entries[: module.dim - 1]
-    gens = _minimal_generators(ideal)
-    classes = _degree_classes(gens)
-    m_times_ideal = _variables_ideal(ideal.ring).multiply(ideal)
+    m_times_ideal, classes = _trial_context(ideal)
     records = []
     for trial in range(params.trials):
         rec, candidate = _run_trial(
@@ -364,9 +370,7 @@ def revalidate(
     which the candidate carries.
     """
     params = (params or Params()).replace(seed=candidate.seed)
-    gens = _minimal_generators(ideal)
-    classes = _degree_classes(gens)
-    m_times_ideal = _variables_ideal(ideal.ring).multiply(ideal)
+    m_times_ideal, classes = _trial_context(ideal)
     rec, redone = _run_trial(
         ideal,
         module,

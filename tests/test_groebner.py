@@ -3,8 +3,8 @@
 Oracles: hand-checked reduced bases for small classics, plus the
 defining properties (remainder freeness, ideal membership, s-polynomial
 reduction) verified directly.  The basis kernel runs on packed words;
-`normal_form` and `s_polynomial` stay on exponent tuples and are the
-independent route its results are checked with.
+`divide`, `normal_form` and `s_polynomial` stay on exponent tuples and
+are the independent route its results are checked with.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ from multseq import (
 from multseq import groebner, ideals
 from multseq import monomials as mo
 from multseq.errors import EngineLimit
-from multseq.groebner import LANE_BITS, buchberger, s_polynomial
+from multseq.groebner import LANE_BITS, buchberger, divide, s_polynomial
 from multseq.orders import MonomialOrder, weight_order
 
 
@@ -62,6 +62,64 @@ class TestNormalForm:
         r = ring("x")
         f = poly(r, "x^2 + 1")
         assert normal_form(f, []) == f
+
+
+def random_poly(rng, r, terms=3, top=2):
+    out = {}
+    for _ in range(rng.randrange(1, terms + 1)):
+        e = tuple(rng.randrange(top + 1) for _ in range(r.arity))
+        out[e] = r.coeff(rng.randrange(1, 7) * rng.choice((1, -1)))
+    return Polynomial(r, out)
+
+
+class TestDivide:
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_quotients_and_remainder(self, char):
+        rng = random.Random(19 + char)
+        for arity in (2, 3, 4):
+            names = ("x", "y", "z", "w")[:arity]
+            for order in random_orders(rng, arity):
+                r = PolyRing(names, char, order)
+                divisors = [
+                    random_poly(rng, r, terms=4, top=3)
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                divisors.insert(rng.randrange(len(divisors) + 1), r.zero())
+                f = random_poly(rng, r, terms=8, top=5)
+                quotients, rem = divide(f, divisors, order)
+                total = rem
+                for q, g in zip(quotients, divisors, strict=True):
+                    total = total + q * g
+                assert total == f
+                assert all(q.is_zero() for q, g in zip(quotients, divisors) if g.is_zero())
+                leads = [g.leading_monomial(order) for g in divisors if not g.is_zero()]
+                for e in rem.terms:
+                    assert not any(all(a <= b for a, b in zip(lt, e)) for lt in leads)
+                assert normal_form(f, divisors, order) == rem
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_colon_quotients_times_f_are_the_intersection(self, char):
+        rng = random.Random(23 + char)
+        r = ring("x", "y", "z", char=char)
+        checked = 0
+        for _ in range(6):
+            a = Ideal(r, [random_poly(rng, r) for _ in range(2)])
+            f = random_poly(rng, r, terms=2)
+            if f.is_constant() or a.packed() is not None:
+                continue
+            meet = a.intersect(Ideal(r, [f]))
+            assert [q * f for q in a.colon_poly(f).gens] == list(meet.gens)
+            checked += 1
+        assert checked >= 4
+
+    def test_inexact_colon_division_fails_loudly(self, monkeypatch):
+        r = ring("x", "y")
+        f = poly(r, "x + y")
+        monkeypatch.setattr(
+            Ideal, "intersect", lambda self, other: ideal(r, "x^2 + y")
+        )
+        with pytest.raises(ArithmeticError, match="division witness failed"):
+            ideal(r, "x^2 - y^2").colon_poly(f)
 
 
 class TestSortKey:
@@ -245,14 +303,6 @@ class TestBasisLimit:
 class TestRandomBases:
     """Seeded bases, checked through the tuple routes only."""
 
-    @staticmethod
-    def random_poly(rng, r):
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            e = tuple(rng.randrange(3) for _ in range(r.arity))
-            terms[e] = r.coeff(rng.randrange(1, 7) * rng.choice((1, -1)))
-        return Polynomial(r, terms)
-
     @pytest.mark.parametrize("char", [0, 101])
     def test_reduced_and_every_s_polynomial_reduces_to_zero(self, char):
         rng = random.Random(3 + char)
@@ -260,7 +310,7 @@ class TestRandomBases:
             names = ("x", "y", "z", "w")[:arity]
             for order in random_orders(rng, arity):
                 r = PolyRing(names, char, order)
-                gens = [self.random_poly(rng, r) for _ in range(rng.randrange(2, 4))]
+                gens = [random_poly(rng, r) for _ in range(rng.randrange(2, 4))]
                 gb = buchberger(gens, order)
                 leads = [g.leading_monomial(order) for g in gb]
                 for g, lead in zip(gb, leads):
@@ -637,6 +687,56 @@ class TestIdealOps:
             assert lazy.gens == eager.gens
             assert repr(lazy) == repr(eager)
             assert lazy.groebner() == eager.groebner()
+
+    @pytest.mark.parametrize("char", [0, 101])
+    def test_monomial_normal_form_is_the_division_remainder(self, char, monkeypatch):
+        # the term-by-term route of a monomial ideal against the
+        # remainder by its reduced basis; it runs no Buchberger
+        calls = []
+
+        def counted(gens, order, grading=None):
+            calls.append(order)
+            return buchberger(gens, order, grading)
+
+        monkeypatch.setattr(ideals, "buchberger", counted)
+        rng = random.Random(29 + char)
+        cases = []
+        for arity in (2, 3, 4):
+            names = ("x", "y", "z", "w")[:arity]
+            for order in random_orders(rng, arity):
+                r = PolyRing(names, char, order)
+                gens = [
+                    r.monomial(
+                        tuple(rng.randrange(4) for _ in names), rng.randrange(1, 5)
+                    )
+                    for _ in range(rng.randrange(1, 5))
+                ]
+                a = Ideal(r, gens)
+                for _ in range(4):
+                    f = random_poly(rng, r, terms=6, top=5)
+                    if rng.random() < 0.5:  # a combination of the generators
+                        f = sum((random_poly(rng, r) * g for g in gens), r.zero())
+                    cases.append((a, f, a.normal_form(f), a.contains(f)))
+        assert calls == []
+        members = 0
+        for a, f, nf, held in cases:
+            expected = normal_form(f, a.groebner(), a.ring.order)
+            assert nf == expected
+            assert held == expected.is_zero()
+            members += held
+        assert 0 < members < len(cases)
+
+    def test_membership_past_the_packed_range(self, monkeypatch):
+        monkeypatch.setattr(ideals, "buchberger", None)
+        r = ring("x", "y")
+        big = mo.MAX_EXPONENT * 2
+        a = ideal(r, "x", "y^2")
+        assert a.contains(poly(r, f"x^{big}"))
+        assert not a.contains(poly(r, f"x^{big} + y"))
+        assert a.normal_form(poly(r, f"x^{big} + y")) == poly(r, "y")
+        b = ideal(r, "x*y", "y^2")
+        assert not b.contains(poly(r, f"x^{big}"))
+        assert b.contains(poly(r, f"x^{big}*y + 3*y^{big}"))
 
     def test_zero_ideal_edge_cases(self):
         r = ring("x")

@@ -9,8 +9,10 @@ field, through `multseq.cli.main` of CHECKOUT in-process, once with
 `--format json` and once with `--format table`.  The grid adds
 documents the workloads do not run, among them four-variable
 `verify-formula` and `check-reduction` documents, whose witness scan
-multiplies the largest packed ideals of the grid, and the prime-field
-rows, where the Groebner kernel reduces mod p.  Each report prints as
+multiplies the largest packed ideals of the grid, four-variable
+`superficial` documents, whose principal relations `colon_poly`
+divides out, and the prime-field rows, where the Groebner kernel
+reduces mod p.  Each report prints as
 one line,
 `label sha256(exit code, stdout, stderr)`.  The engine comes from
 CHECKOUT/src and the workload documents from CHECKOUT/perfbench; the
@@ -45,14 +47,16 @@ GRID = (
     ("check-reduction", "pair", 3, "mixed"),
     ("check-reduction", "pair", 4, "zero"),
     ("superficial", "superficial", 3, "mixed"),
+    ("superficial", "superficial", 4, "mixed"),
 )
-# four rows of GRID again, over the prime field of PRIME
+# five rows of GRID again, over the prime field of PRIME
 PRIME = 32003
 PRIME_GRID = (
     ("compute", "primary", 3, "mixed"),
     ("verify-formula", "single", 4, "monomial"),
     ("check-reduction", "pair", 3, "mixed"),
     ("superficial", "superficial", 3, "mixed"),
+    ("superficial", "superficial", 4, "mixed"),
 )
 
 
