@@ -57,7 +57,6 @@ _PARAM_FLAGS = (
     "umax",
     "vmax",
     "window_width",
-    "grow_cap",
     "nmax",
     "trials",
     "seed",
@@ -92,7 +91,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--umax", type=int, help="initial window height")
     parser.add_argument("--vmax", type=int, help="initial window width")
     parser.add_argument("--window-width", type=int, dest="window_width")
-    parser.add_argument("--grow-cap", type=int, dest="grow_cap")
     parser.add_argument("--nmax", type=int, help="reduction power budget")
     parser.add_argument("--trials", type=int, help="superficial trial budget")
     parser.add_argument("--seed", type=int)
@@ -149,7 +147,7 @@ def _base_report(task: str, params: Params, inputs) -> dict:
 def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
     seq, table = multiplicity_sequence(problem.ideal, module, params)
-    diag = diagnostics(problem.ideal, module, table, params)
+    diag = diagnostics(problem.ideal, module, table)
     report = _base_report("compute", params, problem.source)
     report["sequence"] = sequence_dict(seq)
     report["diagnostics"] = diagnostics_dict(diag)
@@ -377,9 +375,6 @@ def main(argv=None) -> int:
         NonHomogeneousInput,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, StabilizationError):
-            for window, cells in exc.residuals.items():
-                print(f"  residual {window}: {cells}", file=sys.stderr)
         return EXIT_LIMIT
     except Exception as exc:  # pragma: no cover - bug guard
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

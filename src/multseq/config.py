@@ -17,10 +17,8 @@ MINIMUMS = {
     "umax": 1,
     "vmax": 1,
     "window_width": 2,
-    "grow_cap": 1,
     "nmax": 0,
     "nmax_escalation": 0,
-    "power_cap": 1,
     "nzd_cap": 1,
     "trials": 0,
     "coeff_bound": 1,
@@ -32,10 +30,8 @@ class Params:
     umax: int | None = None  # initial table rows; None = dim + 4
     vmax: int | None = None  # initial table columns; None = dim + 4
     window_width: int = 3
-    grow_cap: int = 48  # largest allowed table side
     nmax: int = 12  # reduction witness search bound
     nmax_escalation: int = 48  # bound after geometric escalation
-    power_cap: int = 6  # powers checked by the dimension-drop test
     nzd_cap: int = 10  # largest power tried for the nonzerodivisor step
     trials: int = 10  # superficial search attempts
     coeff_bound: int = 5  # initial coefficient box for random combinations

@@ -16,11 +16,7 @@ class PreconditionError(ValueError):
 
 
 class StabilizationError(RuntimeError):
-    """Finite differences failed to stabilize within the table budget."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals or {}
+    """Finite differences failed to stabilize within the values computed."""
 
 
 class SearchExhausted(RuntimeError):

@@ -296,7 +296,7 @@ def verify_formula(
     seq, _ = multiplicity_sequence(ideal, module, params)
     strata = _monomial_strata(ideal, module)
     het = _height(ideal, module, strata)
-    star = _star(ideal, module, params, strata, het)
+    star = _star(ideal, module, strata, het)
     ring = ideal.ring
     lay = mo.layout(ring.arity)
     ip, kp = ideal.packed(), module.relations.packed()

@@ -199,6 +199,28 @@ def colon_ideal(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[in
     return result
 
 
+def saturate(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """(a) : (b)^∞, intersecting the saturations by the generators of b.
+
+    (a) : g^∞ drops every exponent of a's generators on the support of
+    g, and (a) : (b)^∞ is the intersection of these over g in b.
+    """
+    if not b:
+        raise ValueError("saturation by the zero ideal")
+    result: tuple[int, ...] | None = None
+    for g in b:
+        support = [bool(x) for x in unpack(lay, g)]
+        piece = minimalize(
+            lay,
+            [
+                pack(lay, tuple(0 if s else x for s, x in zip(support, unpack(lay, w))))
+                for w in a
+            ],
+        )
+        result = piece if result is None else intersect(lay, result, piece)
+    return result
+
+
 def radical(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
     out = []
     for g in gens:

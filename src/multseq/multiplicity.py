@@ -40,16 +40,21 @@ expanded in exact integers, at and past the proof point
 report keeps the growth rounds of the grid route, whose certificate
 is constant (k, d-k) differences over a corner window plus vanishing
 (d+1)-order differences, with the table grown geometrically until it
-holds or the budget is exhausted.  `multiplicity_sequence` builds a
-grid only on the `grow_cap` round, for its residuals: a round whose
+holds, but `multiplicity_sequence` builds no grid: a round whose
 window differences reach only cells at or past the proof point
 certifies by theorem, with the window corner read off Q by series
-convolution as the second reading; a round that reaches below reads
-its window cells off Q until one breaks the certificate, and
-certifies only if it reads the entries of P.
+convolution as the second reading, so growth ends at the latest at
+the first such round; a round that reaches below reads its window
+cells off Q until one breaks the certificate, and certifies only if
+it reads the entries of P.
 `hilbert_table`, which fills its grid on first read, and
 `extract_top_coefficients` remain the grid route the tests hold
 `multiplicity_sequence` to.
+
+The star condition, that I^n M keeps the local dimension of M at
+every prime over I + K for every n, is read once per stratum off the
+saturation K : I^∞ (`monomials.saturate`), where the ascending chain
+of the colons K : I^n ends.
 """
 
 from __future__ import annotations
@@ -89,8 +94,11 @@ class CyclicModule:
         self.relations = relations
         if equidimensional is None:
             equidimensional = False
-        # free modules and hypersurfaces are unmixed; upgrade silently
-        if relations.generator_count() <= 1:
+        # free modules and hypersurfaces are unmixed; upgrade silently.
+        # A principal ideal has one minimal generator, and one element
+        # in its reduced basis, which `is_proper` has already built
+        packed = relations.packed()
+        if len(relations.groebner() if packed is None else packed) <= 1:
             equidimensional = True
         self.equidimensional = bool(equidimensional)
         self._dim = None
@@ -158,7 +166,10 @@ class BigradedTable:
 
     Both are read off `numerator`, Q(s, t) as {(p, q): coefficient},
     over (1-s)^n (1-t)^r, with r the number of generators of I, and
-    filled on first read: the sequence needs only r and Q.
+    filled on first read.  Each of `values` and `components` costs
+    (umax+1)(vmax+1) cells, and a table past a far proof point is
+    large; production reads neither, since the sequence, the spread
+    and the report need only the shape, r and Q.
     """
 
     umax: int
@@ -384,17 +395,18 @@ def _stabilize(
 
     The entries are those of the Hilbert polynomial (`_hilbert_top`);
     the rounds and their shapes are those of the grid route
-    (`hilbert_table`, `extract_top_coefficients`), and only the
-    `grow_cap` round builds a grid, for its residuals.  A round whose
-    window differences reach only cells at or past the proof point
-    certifies by theorem; its window corner, read off Q, is the second
-    reading.  A round that reaches below the proof point reads its
-    window cells off Q from the low corner and stops at the first that
-    breaks the grid's certificate; one that passes every cell certifies
-    at the shape the grid route would report (no benchmark workload
-    has such a round; `TestGridOracle` pins one).  A window below the
-    proof point can also be constant by chance: it certifies only if
-    it reads the Hilbert polynomial's entries.
+    (`hilbert_table`, `extract_top_coefficients`), each side 1.5 times
+    the last, and no round builds a grid.  A round whose window
+    differences reach only cells at or past the proof point certifies
+    by theorem; its window corner, read off Q, is the second reading.
+    Both sides grow without bound, so such a round always comes, and
+    growth ends there.  A round that reaches below the proof point
+    reads its window cells off Q from the low corner and stops at the
+    first that breaks the grid's certificate; one that passes every
+    cell certifies at the shape the grid route would report (no
+    benchmark workload has such a round; `TestGridOracle` pins one).
+    A window below the proof point can also be constant by chance: it
+    certifies only if it reads the Hilbert polynomial's entries.
     """
     width = params.window_width
     exact, (pu, pv) = _hilbert_top(d, n, r, numerator)
@@ -402,9 +414,6 @@ def _stabilize(
     v = max(params.vmax or 0, d + 4, d + width)
     cell = partial(_cell, n, r, numerator)
     while True:
-        capped = max(u, v) >= params.grow_cap
-        table = BigradedTable(u, v, n, r, numerator)
-        residuals: dict[str, list[int]] = {}
         # the (a, b) difference on the window reaches back a + width - 1
         # rows and b + width - 1 columns, and a + b <= d + 1
         if u - width - d >= pu and v - width - d >= pv:
@@ -413,38 +422,16 @@ def _stabilize(
                     f"window corner of a {u}x{v} table disagrees with the "
                     f"Hilbert polynomial's entries {exact}: engine bug"
                 )
-            entries = exact
-        elif capped:
-            entries, residuals = extract_top_coefficients(table.values, d, width)
-        else:
-            entries = _scan_window(cell, d, width, u, v)
-        if entries == exact:
-            if any(c < 0 for c in entries):
-                raise RuntimeError(
-                    f"negative multiplicity entries {entries}: engine bug"
-                )
-            seq = MultiplicitySequence(
-                tuple(entries),
-                d,
-                {
-                    "u": [u - width + 1, u],
-                    "v": [v - width + 1, v],
-                    "width": width,
-                },
-                (u, v),
-            )
-            return seq, table
-        if capped:
-            if entries is None:
-                raise StabilizationError(
-                    f"no stable window within a {u}x{v} table", residuals
-                )
-            raise StabilizationError(
-                f"the window of a {u}x{v} table reads {entries} below the "
-                f"proof point ({pu}, {pv}), not the Hilbert polynomial's {exact}"
-            )
-        u = min(params.grow_cap, math.ceil(u * 1.5))
-        v = min(params.grow_cap, math.ceil(v * 1.5))
+            break
+        if _scan_window(cell, d, width, u, v) == exact:
+            break
+        u = math.ceil(u * 1.5)
+        v = math.ceil(v * 1.5)
+    if any(c < 0 for c in exact):
+        raise RuntimeError(f"negative multiplicity entries {exact}: engine bug")
+    window = {"u": [u - width + 1, u], "v": [v - width + 1, v], "width": width}
+    seq = MultiplicitySequence(tuple(exact), d, window, (u, v))
+    return seq, BigradedTable(u, v, n, r, numerator)
 
 
 def _hilbert_top(
@@ -552,6 +539,8 @@ def classical_multiplicity(
         raise PreconditionError("ideal does not have finite colength on the module")
     d = module.dim
     width = params.window_width
+    # values of the colength function read before giving up
+    longest = 96
     count = d + width + 3
     while True:
         values = [
@@ -568,7 +557,7 @@ def classical_multiplicity(
                 raise RuntimeError(f"nonpositive multiplicity {e}: engine bug")
             return e
         count = math.ceil(count * 1.5)
-        if count > 2 * params.grow_cap:
+        if count > longest:
             raise StabilizationError("colength differences failed to stabilize")
 
 
@@ -657,30 +646,29 @@ def _height(ideal: Ideal, module: CyclicModule, strata: dict | None) -> int:
     return module.dim - krull_dimension(joined)
 
 
-def star_condition(
-    ideal: Ideal, module: CyclicModule, params: Params | None = None
-) -> bool | None:
+def star_condition(ideal: Ideal, module: CyclicModule) -> bool | None:
     """Does every power of I act with full dimension, locally everywhere?
 
     Positive height settles it; otherwise the monomial route checks
     dim(I^n M) = dim M at every monomial prime of the support of M/IM
-    for n up to the power cap.  None means the engine cannot decide
-    (general data with height zero).
+    and every n at once, through the saturation K : I^∞.  None means
+    the engine cannot decide (general data with height zero).
     """
-    params = params or Params()
     _check_pair(ideal, module)
     strata = _monomial_strata(ideal, module)
-    return _star(ideal, module, params, strata, _height(ideal, module, strata))
+    return _star(ideal, module, strata, _height(ideal, module, strata))
 
 
 def _star(
-    ideal: Ideal,
-    module: CyclicModule,
-    params: Params,
-    strata: dict | None,
-    height: int,
+    ideal: Ideal, module: CyclicModule, strata: dict | None, height: int
 ) -> bool | None:
-    """`star_condition`, given the pair's strata map and height."""
+    """`star_condition`, given the pair's strata map and height.
+
+    I^n M_p = I^n / (I^n ∩ K) has the dimension of R_p / (K : I^n).
+    The colons only grow with n, so their dimensions only fall from
+    dim M_p at n = 0, and every n passes exactly when the saturation
+    K : I^∞, which the chain reaches, has dimension dim M_p.
+    """
     if height > 0:
         return True
     if strata is None:
@@ -689,19 +677,15 @@ def _star(
     ip, kp = ideal.packed(), module.relations.packed()
     for kept, d_local in strata.items():
         sub_lay = mo.layout(len(kept))
-        k_local = mo.restrict(lay, kp, kept)
         i_local = mo.restrict(lay, ip, kept)
-        power = (0,)
-        for _ in range(params.power_cap):
-            power = mo.multiply(sub_lay, power, i_local)
-            colon = mo.colon_ideal(sub_lay, k_local, power)
-            if mo.is_unit(colon):
-                # the power kills the localized module, which only a
-                # zero-dimensional localization survives
-                if d_local != 0:
-                    return False
-            elif mo.dimension(sub_lay, colon) != d_local:
+        colon = mo.saturate(sub_lay, mo.restrict(lay, kp, kept), i_local)
+        if mo.is_unit(colon):
+            # a power kills the localized module, which only a
+            # zero-dimensional localization survives
+            if d_local != 0:
                 return False
+        elif mo.dimension(sub_lay, colon) != d_local:
+            return False
     return True
 
 
@@ -723,14 +707,12 @@ def diagnostics(
     ideal: Ideal,
     module: CyclicModule,
     table: BigradedTable,
-    params: Params | None = None,
 ) -> Diagnostics:
     """Dimensions, height, star condition and spread of the pair.
 
     `table` is a table of this pair (`multiplicity_sequence`,
     `hilbert_table`); the spread is read off the Q(s, t) it keeps.
     """
-    params = params or Params()
     _check_pair(ideal, module)
     # one strata map gives the height, the star condition and, for
     # monomial data, dim M/IM: n minus the size of the smallest prime
@@ -740,7 +722,7 @@ def diagnostics(
     else:
         q = krull_dimension(ideal.add(module.relations))
     het = _height(ideal, module, strata)
-    star = _star(ideal, module, params, strata, het)
+    star = _star(ideal, module, strata, het)
     spread = _spread(table.r, table.numerator)
     return Diagnostics(
         dim=module.dim,

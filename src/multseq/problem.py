@@ -132,12 +132,10 @@ def _build_ideal(ring: PolyRing, gens, location: str) -> Ideal:
 
 
 def _monomial_words(ring: PolyRing, parsed: list[dict]) -> tuple[int, ...] | None:
-    """Packed words of generators that are each one nonzero term, or None.
+    """Minimal packed words of generators that are each one nonzero term.
 
-    None also for a redundant list, which keeps its given generators
-    (`CyclicModule` reads one given relation as a hypersurface), and
-    for an exponent past the packed range, which the engine reports
-    where it packs the ideal.
+    None otherwise, and for an exponent past the packed range, which the
+    engine reports where it packs the ideal.
     """
     if not all(len(terms) == 1 for terms in parsed):
         return None
@@ -146,8 +144,7 @@ def _monomial_words(ring: PolyRing, parsed: list[dict]) -> tuple[int, ...] | Non
         words = [mo.pack(lay, exponents) for terms in parsed for exponents in terms]
     except EngineLimit:
         return None
-    minimal = mo.minimalize(lay, words)
-    return minimal if len(minimal) == len(words) else None
+    return mo.minimalize(lay, words)
 
 
 def problem_from_dict(doc: dict) -> Problem:

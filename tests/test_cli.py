@@ -145,9 +145,8 @@ class TestCompute:
         assert out == ""
         assert "EngineLimit" in err
         assert "packable" in err
-        # x^20000*y fits; its table is the Hilbert function of R/(x^20000*y)
-        # in every column, cubic in (u, v) below degree 20001, so no window
-        # within the grow cap certifies
+        # x^20000*y fits; Q = 1 - s^20001, so past the proof point (19999, -1)
+        # h(u, v) = (v+1)(20001u + const) and growth ends there
         path = write(
             tmp_path,
             "deep.json",
@@ -158,11 +157,11 @@ class TestCompute:
             },
         )
         code, out, err = run(capsys, ["--task", "compute", "--input", path])
-        assert code == 4
-        assert out == ""
-        assert "StabilizationError" in err
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["sequence"]["entries"] == [0, 20001, 0]
 
-    def test_high_degree_generators_exit_four(self, tmp_path, capsys):
+    def test_high_degree_generators_answer(self, tmp_path, capsys):
         # the numerator recursion must not nest once per exponent step
         path = write(
             tmp_path,
@@ -174,31 +173,8 @@ class TestCompute:
             },
         )
         code, out, err = run(capsys, ["--task", "compute", "--input", path])
-        assert code == 4
-        assert out == ""
-        assert "internal error" not in err
-
-    def test_unstable_window_prints_residuals(self, tmp_path, capsys):
-        # (x^3, y^2) needs a table wider than 6x6; the windows that failed
-        # certification follow the message on stderr
-        path = write(
-            tmp_path,
-            "cap.json",
-            {
-                "schema": 1,
-                "ring": {"variables": ["x", "y"]},
-                "ideals": {"I": ["x^3", "y^2"], "K": []},
-            },
-        )
-        code, out, err = run(
-            capsys, ["--task", "compute", "--input", path, "--grow-cap", "6"]
-        )
-        assert code == 4
-        assert out == ""
-        lines = err.splitlines()
-        assert lines[0] == "StabilizationError: no stable window within a 6x6 table"
-        assert "  residual order (3,0): [0, 0, 0, 15, 21, 28, 0, 0, 0]" in lines
-        assert all(line.startswith("  residual order (") for line in lines[1:])
+        assert code == 0
+        assert err == ""
 
 
 class TestVerdictExits:
@@ -239,6 +215,24 @@ class TestVerdictExits:
         rows = {row["k"]: row for row in report["rows"]}
         assert (rows[1]["lhs"], rows[1]["rhs"]) == (2, 1)
         assert rows[1]["matches"] is False
+
+    def test_power_killing_the_module_fails_the_hypotheses(self, tmp_path, capsys):
+        # (x) acting on k[x, y]/(x^7): I^7 M = 0, so the star condition
+        # fails; a check of the first six powers read it as holding
+        path = write(
+            tmp_path,
+            "killed.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y"]},
+                "ideals": {"I": ["x"], "K": ["x^7"]},
+            },
+        )
+        code, out, _ = run(capsys, ["--task", "verify-formula", "--input", path])
+        assert code == 2
+        report = json.loads(out)["formula"]
+        assert report["star"] is False
+        assert report["verdict"] == "hypotheses-not-met"
 
     def test_reduction_verdicts(self, tmp_path, capsys):
         path = write(
@@ -360,8 +354,8 @@ class TestOptimizedInterpreter:
             [],
         ),
         "superficial": ("superficial", XYZ, {"I": ["x", "y"], "K": ["x*y + z^2"]}, []),
-        # the exit-4 case of TestCompute, residual lines included
-        "grow-cap": ("compute", ["x", "y"], {"I": ["x^3", "y^2"]}, ["--grow-cap", "6"]),
+        # the exit-4 case of TestCompute
+        "packed-lanes": ("compute", ["x", "y"], {"I": ["x^40000*y"]}, []),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -542,6 +536,23 @@ class TestParameterRanges:
         assert out == ""
         assert named in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "params, flags, named",
+        [
+            ({"grow_cap": 48}, [], "unknown parameter 'grow_cap'"),
+            ({"power_cap": 6}, [], "unknown parameter 'power_cap'"),
+            ({}, ["--grow-cap", "48"], "--grow-cap"),
+        ],
+    )
+    def test_removed_caps_exit_three(self, tmp_path, capsys, params, flags, named):
+        # table growth ends at the proof point and the star condition
+        # reads one saturation, so neither loop has a cap to set
+        path = write(tmp_path, "p.json", dict(UNSTABLE, params=params))
+        code, out, err = run(capsys, ["--task", "compute", "--input", path, *flags])
+        assert code == 3
+        assert out == ""
+        assert named in err
 
 
 class TestCorpusTask:

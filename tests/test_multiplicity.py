@@ -37,7 +37,7 @@ from multseq import (
     total_length,
 )
 from multseq import groebner, monomials, multiplicity
-from multseq.errors import NonHomogeneousInput, PreconditionError, StabilizationError
+from multseq.errors import NonHomogeneousInput, PreconditionError
 from multseq.groebner import buchberger
 from multseq.multiplicity import _diff_u, _diff_v, _gr_numerator, _window_cells
 from multseq.orders import elimination_order, weight_order
@@ -452,15 +452,15 @@ class TestSequences:
         assert calls["bigraded_numerator"] == 1
 
 
-def growth_schedule(d, params):
-    """The table shapes of the growth rounds, up to `grow_cap`."""
+def growth_schedule(d, params, side=48):
+    """The table shapes of the growth rounds, up to the first past `side`."""
     width = params.window_width
     u = max(params.umax or 0, d + 4, d + width)
     v = max(params.vmax or 0, d + 4, d + width)
     shapes = [(u, v)]
-    while max(u, v) < params.grow_cap:
-        u = min(params.grow_cap, math.ceil(u * 1.5))
-        v = min(params.grow_cap, math.ceil(v * 1.5))
+    while max(u, v) < side:
+        u = math.ceil(u * 1.5)
+        v = math.ceil(v * 1.5)
         shapes.append((u, v))
     return shapes
 
@@ -471,7 +471,7 @@ def grid_sequence(a, m, params=Params()):
     One `hilbert_table` at the last shape of the schedule holds every
     round's table as its corner; `extract_top_coefficients` reads each
     round's window.  Returns (entries, window, shape), or (None,
-    residuals, shape) when the `grow_cap` round does not certify.
+    residuals, shape) when no round of the schedule certifies.
     """
     d, width = m.dim, params.window_width
     shapes = growth_schedule(d, params)
@@ -486,10 +486,7 @@ def grid_sequence(a, m, params=Params()):
 
 
 def engine_sequence(a, m, params=Params()):
-    try:
-        seq, _ = multiplicity_sequence(a, m, params)
-    except StabilizationError as exc:
-        return None, exc.residuals, growth_schedule(m.dim, params)[-1]
+    seq, _ = multiplicity_sequence(a, m, params)
     return seq.entries, seq.window, seq.table_shape
 
 
@@ -529,23 +526,6 @@ class TestGridOracle:
             i = triangular_ci(rng, r, a, b)
             m = module(r, f"z^{c}") if c else free_module(r)
             assert engine_sequence(i, m) == grid_sequence(i, m), (i, m)
-
-    def test_cap_below_the_proof_point_gives_the_grid_residuals(self):
-        r = ring("x", "y", "z")
-        a, m = ideal(r, "x^7", "y^7", "z^7"), free_module(r)
-        params = Params(grow_cap=9)
-        n, _, numerator = _gr_numerator(a, m)
-        u, v = growth_schedule(m.dim, params)[-1]
-        # the window's differences reach row u - width - d, below the
-        # proof point max p - n
-        assert u - params.window_width - m.dim < max(p for p, _ in numerator) - n
-        with pytest.raises(StabilizationError) as info:
-            multiplicity_sequence(a, m, params)
-        entries, residuals, shape = grid_sequence(a, m, params)
-        assert entries is None and residuals
-        assert info.value.residuals == residuals
-        assert list(info.value.residuals) == list(residuals)
-        assert str(info.value) == f"no stable window within a {u}x{v} table"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -621,9 +601,6 @@ class TestGridOracle:
         seq, _ = multiplicity_sequence(a, m, params)
         assert seq.entries == exact
         assert seq.table_shape in growth_schedule(m.dim, params)[1:]
-        # with no round past the proof point left, the budget runs out
-        with pytest.raises(StabilizationError, match="below the proof point"):
-            multiplicity_sequence(a, m, params.replace(grow_cap=shape[0]))
 
     def test_lazy_table_equals_hilbert_table(self):
         r = ring("x", "y", "z")
@@ -952,6 +929,87 @@ class TestInvariantsOfThePair:
         assert star_condition(ideal(r, "x"), free_module(r)) is True
         assert star_condition(ideal(r, "x"), module(r, "x")) is False
         assert star_condition(ideal(r, "x"), module(r, "x*y")) is True
+
+    @pytest.mark.parametrize("e", range(1, 11))
+    def test_star_fails_when_a_power_kills_the_module(self, e):
+        # I^e M = 0 on M = k[x, y]/(x^e), whose dimension is 1
+        r = ring("x", "y")
+        assert star_condition(ideal(r, "x"), module(r, f"x^{e}")) is False
+
+    @staticmethod
+    def last_power(lay, i_packed, k_packed):
+        """r(e-1)+1, where K : I^n has reached K : I^∞.
+
+        r counts the generators of I and e is K's largest exponent: a
+        product of that many generators holds some generator at least
+        e times, and past e an exponent on its support is never needed.
+        """
+        e = max((max(monomials.unpack(lay, w)) for w in k_packed), default=1)
+        return len(i_packed) * max(e - 1, 0) + 1
+
+    @staticmethod
+    def random_monomials(rng, n, count):
+        lay = monomials.layout(n)
+        words = [
+            monomials.pack(lay, tuple(rng.randint(0, 5) for _ in range(n)))
+            for _ in range(count)
+        ]
+        return monomials.minimalize(lay, [w for w in words if w])
+
+    def test_saturation_is_the_last_colon(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            lay = monomials.layout(n)
+            a = self.random_monomials(rng, n, rng.randint(0, 3))
+            b = self.random_monomials(rng, n, rng.randint(1, 3))
+            if not b:
+                continue
+            power = (0,)
+            for _ in range(self.last_power(lay, b, a)):
+                power = monomials.multiply(lay, power, b)
+            assert monomials.saturate(lay, a, b) == monomials.colon_ideal(
+                lay, a, power
+            ), (a, b)
+
+    def star_by_powers(self, a, m):
+        """The star condition from the colons K : I^n, n <= r(e-1)+1."""
+        lay = monomials.layout(a.ring.arity)
+        ip, kp = a.packed(), m.relations.packed()
+        for kept, d_local in multiplicity._monomial_strata(a, m).items():
+            sub = monomials.layout(len(kept))
+            i_local = monomials.restrict(lay, ip, kept)
+            k_local = monomials.restrict(lay, kp, kept)
+            power = (0,)
+            for _ in range(self.last_power(sub, i_local, k_local)):
+                power = monomials.multiply(sub, power, i_local)
+                colon = monomials.colon_ideal(sub, k_local, power)
+                if monomials.is_unit(colon):
+                    if d_local:
+                        return False
+                elif monomials.dimension(sub, colon) != d_local:
+                    return False
+        return True
+
+    def test_star_matches_every_power_at_height_zero(self):
+        rng = random.Random(43)
+        outcomes = Counter()
+        for _ in range(400):
+            n = rng.randint(2, 4)
+            r = ring(*"xyzw"[:n])
+            gens = self.random_monomials(rng, n, rng.randint(1, 3))
+            rels = self.random_monomials(rng, n, rng.randint(1, 3))
+            if not gens or not rels:
+                continue
+            a = Ideal.from_packed(r, gens)
+            m = CyclicModule(r, Ideal.from_packed(r, rels))
+            if height_on_module(a, m):
+                continue
+            star = star_condition(a, m)
+            assert star == self.star_by_powers(a, m), (a, m)
+            outcomes[star] += 1
+        # both answers occur among the seeded pairs
+        assert outcomes[True] and outcomes[False], outcomes
 
     def test_star_indeterminate_on_general_height_zero(self):
         r = ring("x", "y")

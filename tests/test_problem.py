@@ -134,8 +134,8 @@ class TestRejection:
     def test_out_of_range_parameter_rejected(self):
         with pytest.raises(ProblemError, match="params: window_width must be at least 2"):
             problem_from_dict(doc(params={"window_width": 1}))
-        with pytest.raises(ValueError, match="power_cap"):
-            Params(power_cap=0)
+        with pytest.raises(ValueError, match="nzd_cap"):
+            Params(nzd_cap=0)
 
     def test_schema_lists_every_parameter_and_minimum(self):
         path = Path(multseq.__file__).parent / "schema" / "problem.schema.json"
@@ -205,13 +205,20 @@ class TestMonomialDocuments:
         assert [str(g) for g in p.ideal.gens] == ["x^2", "x*y", "y^3"]
 
     def test_mixed_or_redundant_lists_keep_their_generators(self):
-        # a redundant list reads as given: two relations, not one
-        # hypersurface, so the module keeps the asserted unmixedness
-        p = problem_from_dict(doc(ideals={"I": ["x"], "K": ["x*y", "x^2*y"]}))
-        assert [str(g) for g in p.relations.gens] == ["x*y", "x^2*y"]
-        assert p.module().equidimensional is False
-        p = problem_from_dict(doc(ideals={"I": ["x"], "K": ["x*y"]}))
+        # a mixed list keeps its given generators; a redundant list of
+        # terms reads minimal, so (x*y, x^2*y) is the hypersurface (x*y)
+        # and unmixed however it is written
+        for relations in (["x*y", "x^2*y"], ["x*y"]):
+            p = problem_from_dict(doc(ideals={"I": ["x"], "K": relations}))
+            assert [str(g) for g in p.relations.gens] == ["x*y"]
+            assert p.module().equidimensional is True
+        # a principal ideal given by a redundant list of binomials
+        relations = ["x*y - y^2", "x^2*y - x*y^2"]
+        p = problem_from_dict(doc(ideals={"I": ["x"], "K": relations}))
+        assert p.relations.generator_count() == 2
         assert p.module().equidimensional is True
+        p = problem_from_dict(doc(ideals={"I": ["x"], "K": ["x*y", "y^3"]}))
+        assert p.module().equidimensional is False
         p = problem_from_dict(doc(ideals={"I": ["x^2 - y^2", "x*y"], "K": []}))
         assert p.ideal.packed() is None
         assert [str(g) for g in p.ideal.gens] == ["x^2 - y^2", "x*y"]
