@@ -7,7 +7,7 @@ On top of it sit a support-wise decomposition check, a Rees-type
 reduction test, and a seeded search for superficial elements.
 """
 
-from .config import Params, params_from_env
+from .config import Params
 from .errors import (
     EngineLimit,
     NonHomogeneousInput,
@@ -125,7 +125,6 @@ __all__ = [
     "minimal_primes_monomial",
     "multiplicity_sequence",
     "normal_form",
-    "params_from_env",
     "parse_polynomial",
     "problem_from_dict",
     "quotient_degree",

@@ -21,7 +21,7 @@ import sys
 import time
 from importlib import metadata
 
-from .config import Params, params_from_env
+from .config import Params
 from .corpus import MAX_DEGREE, MAX_VARIABLES, generate_corpus
 from .errors import (
     EngineLimit,
@@ -54,9 +54,6 @@ EXIT_LIMIT = 4
 EXIT_BUG = 5
 
 _PARAM_FLAGS = (
-    "umax",
-    "vmax",
-    "window_width",
     "nmax",
     "trials",
     "seed",
@@ -88,9 +85,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--input", help="problem JSON file (all tasks but corpus)")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--timings", action="store_true", help="include wall times")
-    parser.add_argument("--umax", type=int, help="initial window height")
-    parser.add_argument("--vmax", type=int, help="initial window width")
-    parser.add_argument("--window-width", type=int, dest="window_width")
     parser.add_argument("--nmax", type=int, help="reduction power budget")
     parser.add_argument("--trials", type=int, help="superficial trial budget")
     parser.add_argument("--seed", type=int)
@@ -125,13 +119,12 @@ def _effective_params(problem: Problem | None, args) -> Params:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
+    # a document's params were checked when it loaded
+    params = Params() if problem is None else problem.effective_params(Params())
     try:
-        params = params_from_env(Params())
-        if problem is not None:
-            params = problem.effective_params(params)
-        return params.replace(**overrides) if overrides else params
+        return params.replace(**overrides)
     except ValueError as exc:
-        # an out-of-range flag or environment override is bad input
+        # an out-of-range flag is bad input
         raise _UsageError(str(exc)) from None
 
 
@@ -146,7 +139,7 @@ def _base_report(task: str, params: Params, inputs) -> dict:
 
 def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
-    seq, table = multiplicity_sequence(problem.ideal, module, params)
+    seq, table = multiplicity_sequence(problem.ideal, module)
     diag = diagnostics(problem.ideal, module, table)
     report = _base_report("compute", params, problem.source)
     report["sequence"] = sequence_dict(seq)
@@ -156,7 +149,7 @@ def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
 
 def _run_verify(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
-    rep = verify_formula(problem.ideal, module, params)
+    rep = verify_formula(problem.ideal, module)
     report = _base_report("verify-formula", params, problem.source)
     report["formula"] = formula_dict(rep)
     if rep.verdict == "verified":

@@ -10,7 +10,9 @@ order, so its normal form drops exactly the terms the ideal holds
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, §2.3-2.4):
 `normal_form` and `contains` test each term by exponent-tuple
 divisibility and never run Buchberger nor pack the polynomial.  The
-exact quotients of `colon_poly` come from `groebner.divide`.
+exact quotients of `colon_poly` come from `groebner.divide`, and
+`saturate` repeats `colon_ideal` until the ascending chain of colons
+stops rising.
 """
 
 from __future__ import annotations
@@ -233,6 +235,19 @@ class Ideal:
             piece = self.colon_poly(g)
             result = piece if result is None else result.intersect(piece)
         return result
+
+    def saturate(self, other: Ideal) -> Ideal:
+        """(self : other^∞), where the chain self : other^n stops rising."""
+        a, b = self.packed(), other.packed()
+        if a is not None and b is not None:
+            lay = mo.layout(self.ring.arity)
+            return Ideal.from_packed(self.ring, mo.saturate(lay, a, b))
+        current = self
+        while True:
+            widened = current.colon_ideal(other)
+            if widened.equals(current):
+                return current
+            current = widened
 
     def initial_ideal(self) -> Ideal:
         """Monomial ideal of grevlex leading terms (order fixed for

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import monomials as mo
-from .config import Params
 from .errors import PreconditionError
 from .ideals import Ideal
 from .multiplicity import (
@@ -143,22 +142,17 @@ def _lambda_sets(
     )
 
 
-def local_c0(
-    ideal: Ideal,
-    module: CyclicModule,
-    prime: MonomialPrime,
-    params: Params | None = None,
-) -> int:
+def local_c0(ideal: Ideal, module: CyclicModule, prime: MonomialPrime) -> int:
     """Leading coefficient c_0 of the localized pair at the prime."""
-    return _c0(localize_ideal(ideal, prime), localize_module(module, prime), params)
+    return _c0(localize_ideal(ideal, prime), localize_module(module, prime))
 
 
-def _c0(local_i: Ideal, local_m: CyclicModule, params: Params | None) -> int:
+def _c0(local_i: Ideal, local_m: CyclicModule) -> int:
     if not local_i.is_proper():
         return 0  # the ideal is a unit there; nothing is carried
     if local_i.is_zero():
         return 0
-    seq, _ = multiplicity_sequence(local_i, local_m, params)
+    seq, _ = multiplicity_sequence(local_i, local_m)
     return seq.entries[0]
 
 
@@ -270,11 +264,7 @@ class FormulaReport:
         return self.verdict == "verified"
 
 
-def verify_formula(
-    ideal: Ideal,
-    module: CyclicModule,
-    params: Params | None = None,
-) -> FormulaReport:
+def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     """Compare the sequence against its support decomposition.
 
     Each entry c_k is the degree of the k-dimensional part of the
@@ -292,8 +282,7 @@ def verify_formula(
     rhs + residual exactly; otherwise the rows are reported as a
     lower-bound certificate rather than a verification.
     """
-    params = params or Params()
-    seq, _ = multiplicity_sequence(ideal, module, params)
+    seq, _ = multiplicity_sequence(ideal, module)
     strata = _monomial_strata(ideal, module)
     het = _height(ideal, module, strata)
     star = _star(ideal, module, strata, het)
@@ -313,7 +302,6 @@ def verify_formula(
             local[key] = _c0(
                 Ideal.from_packed(sub, i_words),
                 _local_module(Ideal.from_packed(sub, k_words)),
-                params,
             )
         return local[key]
 

@@ -65,13 +65,16 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from . import monomials as mo
-from .config import Params
 from .errors import PreconditionError, StabilizationError
 from .groebner import _Packed, pair_loop
 from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
 from .ideals import Ideal, require_homogeneous
 from .orders import elimination_order
 from .poly import Polynomial, PolyRing
+
+# side of the square window whose differences certify a growth round;
+# the entries never depend on it, only the reported window and shape do
+WINDOW_WIDTH = 3
 
 
 class CyclicModule:
@@ -317,7 +320,7 @@ def _window_cells(grid: list[list[int]], width: int) -> list[int]:
 
 
 def extract_top_coefficients(
-    values, degree: int, width: int = 3
+    values, degree: int, width: int = WINDOW_WIDTH
 ) -> tuple[list[int] | None, dict]:
     """Read the normalized top coefficients of a table of a polynomial.
 
@@ -378,29 +381,27 @@ class MultiplicitySequence:
 
 
 def multiplicity_sequence(
-    ideal: Ideal,
-    module: CyclicModule,
-    params: Params | None = None,
+    ideal: Ideal, module: CyclicModule
 ) -> tuple[MultiplicitySequence, BigradedTable]:
     """Stabilized sequence c_0..c_d plus the certifying table."""
-    params = params or Params()
     _check_pair(ideal, module)
-    return _stabilize(module.dim, *_gr_numerator(ideal, module), params)
+    return _stabilize(module.dim, *_gr_numerator(ideal, module))
 
 
 def _stabilize(
-    d: int, n: int, r: int, numerator: dict, params: Params
+    d: int, n: int, r: int, numerator: dict
 ) -> tuple[MultiplicitySequence, BigradedTable]:
     """Grow the table of Q(s, t) until its top window certifies c_0..c_d.
 
     The entries are those of the Hilbert polynomial (`_hilbert_top`);
     the rounds and their shapes are those of the grid route
-    (`hilbert_table`, `extract_top_coefficients`), each side 1.5 times
-    the last, and no round builds a grid.  A round whose window
-    differences reach only cells at or past the proof point certifies
-    by theorem; its window corner, read off Q, is the second reading.
-    Both sides grow without bound, so such a round always comes, and
-    growth ends there.  A round that reaches below the proof point
+    (`hilbert_table`, `extract_top_coefficients`): square tables of
+    side d + 4, then each side 1.5 times the last, with a window of
+    side `WINDOW_WIDTH`, and no round builds a grid.  A round whose
+    window differences reach only cells at or past the proof point
+    certifies by theorem; its window corner, read off Q, is the second
+    reading.  The side grows without bound, so such a round always
+    comes, and growth ends there.  A round that reaches below the proof point
     reads its window cells off Q from the low corner and stops at the
     first that breaks the grid's certificate; one that passes every
     cell certifies at the shape the grid route would report (no
@@ -408,30 +409,29 @@ def _stabilize(
     A window below the proof point can also be constant by chance: it
     certifies only if it reads the Hilbert polynomial's entries.
     """
-    width = params.window_width
-    exact, (pu, pv) = _hilbert_top(d, n, r, numerator)
-    u = max(params.umax or 0, d + 4, d + width)
-    v = max(params.vmax or 0, d + 4, d + width)
+    width = WINDOW_WIDTH
+    exact, proof = _hilbert_top(d, n, r, numerator)
+    side = d + 4
     cell = partial(_cell, n, r, numerator)
     while True:
         # the (a, b) difference on the window reaches back a + width - 1
         # rows and b + width - 1 columns, and a + b <= d + 1
-        if u - width - d >= pu and v - width - d >= pv:
-            if any(cell(k, d - k, u, v) != c for k, c in enumerate(exact)):
+        if side - width - d >= max(proof):
+            if any(cell(k, d - k, side, side) != c for k, c in enumerate(exact)):
                 raise RuntimeError(
-                    f"window corner of a {u}x{v} table disagrees with the "
+                    f"window corner of a {side}x{side} table disagrees with the "
                     f"Hilbert polynomial's entries {exact}: engine bug"
                 )
             break
-        if _scan_window(cell, d, width, u, v) == exact:
+        if _scan_window(cell, d, side) == exact:
             break
-        u = math.ceil(u * 1.5)
-        v = math.ceil(v * 1.5)
+        side = math.ceil(side * 1.5)
     if any(c < 0 for c in exact):
         raise RuntimeError(f"negative multiplicity entries {exact}: engine bug")
-    window = {"u": [u - width + 1, u], "v": [v - width + 1, v], "width": width}
-    seq = MultiplicitySequence(tuple(exact), d, window, (u, v))
-    return seq, BigradedTable(u, v, n, r, numerator)
+    corner = [side - width + 1, side]
+    window = {"u": corner, "v": list(corner), "width": width}
+    seq = MultiplicitySequence(tuple(exact), d, window, (side, side))
+    return seq, BigradedTable(side, side, n, r, numerator)
 
 
 def _hilbert_top(
@@ -505,7 +505,7 @@ def _power_coefficient(e: int, m: int) -> int:
     return -math.comb(e, m) if m & 1 else math.comb(e, m)
 
 
-def _scan_window(cell, d: int, width: int, u: int, v: int) -> list[int] | None:
+def _scan_window(cell, d: int, side: int) -> list[int] | None:
     """The grid's certificate on one window, stopping at its first failure.
 
     The (a, d+1-a) differences vanishing on the window make every
@@ -514,31 +514,29 @@ def _scan_window(cell, d: int, width: int, u: int, v: int) -> list[int] | None:
     certificate, read from the low corner, where a round below the
     proof point fails first.
     """
-    for i in range(u - width + 1, u + 1):
-        for j in range(v - width + 1, v + 1):
+    low = side - WINDOW_WIDTH + 1
+    for i in range(low, side + 1):
+        for j in range(low, side + 1):
             if any(cell(a, d + 1 - a, i, j) for a in range(d + 2)):
                 return None
-    return [cell(k, d - k, u, v) for k in range(d + 1)]
+    return [cell(k, d - k, side, side) for k in range(d + 1)]
 
 
 # -- classical multiplicity ----------------------------------------------
 
 
-def classical_multiplicity(
-    ideal: Ideal, module: CyclicModule, params: Params | None = None
-) -> int:
+def classical_multiplicity(ideal: Ideal, module: CyclicModule) -> int:
     """Leading normalized coefficient of n -> length of M/I^(n+1)M.
 
     Needs finite colength; computed as the eventually constant d-th
     finite difference, certified over a window like the tables are.
     """
-    params = params or Params()
     _check_pair(ideal, module)
     joined = ideal.add(module.relations)
     if krull_dimension(joined) != 0:
         raise PreconditionError("ideal does not have finite colength on the module")
     d = module.dim
-    width = params.window_width
+    width = WINDOW_WIDTH
     # values of the colength function read before giving up
     longest = 96
     count = d + width + 3

@@ -9,9 +9,12 @@ hypotheses at all, so the two routes cross-check each other.
 
 Superficial elements are found by seeded random homogeneous
 combinations drawn degree by degree from the ideal itself and accepted
-purely on testable consequences: not in m·I, a
-nonzerodivisor on a bounded power of the ideal times the module, and
+purely on testable consequences: not in m·I, a nonzerodivisor on some
+power of the ideal times the module, a dimension drop of one, and
 preservation of the low multiplicity entries after killing the element.
+Such a power exists exactly when (K : x) ⊆ K : I^∞, so one saturation
+decides that step and the least power is found by a search that must
+end.
 """
 
 from __future__ import annotations
@@ -104,11 +107,11 @@ def rees_criterion(
     params = params or Params()
     if not small.subset_of(large):
         raise PreconditionError("the candidate reduction is not contained in the ideal")
-    seq_small, _ = multiplicity_sequence(small, module, params)
+    seq_small, _ = multiplicity_sequence(small, module)
     if large.subset_of(small):
         seq_large = seq_small  # the same ideal
     else:
-        seq_large, _ = multiplicity_sequence(large, module, params)
+        seq_large, _ = multiplicity_sequence(large, module)
     equal = seq_small.entries == seq_large.entries
     het = height_on_module(small, module)
     if not equal:
@@ -228,21 +231,26 @@ def _draw_coefficients(rng: random.Random, count: int, bound: int) -> tuple[int,
 
 
 def _nzd_exponent(
-    element: Polynomial, ideal: Ideal, module: CyclicModule, cap: int
+    element: Polynomial, ideal: Ideal, module: CyclicModule
 ) -> int | None:
-    """Least c with ((K : x) ∩ (I^c + K)) ⊆ K, or None up to the cap."""
+    """Least c with ((K : x) ∩ (I^c + K)) ⊆ K, or None when there is none.
+
+    x is then a nonzerodivisor on I^c M.  Such a c exists exactly when
+    (K : x) ⊆ K : I^∞: a power of I kills every element that x kills,
+    and by the Artin-Rees lemma the elements x kills meet I^c M only in
+    0 for large c (Atiyah-Macdonald, *Introduction to Commutative
+    Algebra*, Ch. 10).  So past that inclusion the search must end.
+    """
     relations = module.relations
-    if not relations.gens:
-        return 0  # free module: a nonzero element is a nonzerodivisor
     annihilating = relations.colon_poly(element)
-    power = ideal.power(0)  # I^c
-    for c in range(cap + 1):
-        if c:
-            power = power.multiply(ideal)
-        meet = annihilating.intersect(power.add(relations))
-        if meet.subset_of(relations):
-            return c
-    return None
+    if annihilating.subset_of(relations):
+        return 0
+    if not annihilating.subset_of(relations.saturate(ideal)):
+        return None
+    c, power = 1, ideal  # I^c
+    while not annihilating.intersect(power.add(relations)).subset_of(relations):
+        c, power = c + 1, power.multiply(ideal)
+    return c
 
 
 def _trial_context(
@@ -285,9 +293,11 @@ def _run_trial(
     if m_times_ideal.contains(element):
         return record("element fell inside m times the ideal"), None
     evidence.append(EvidenceItem("outside-m-times-ideal", str(element), True))
-    c = _nzd_exponent(element, ideal, module, params.nzd_cap)
+    c = _nzd_exponent(element, ideal, module)
     if c is None:
-        return record(f"no nonzerodivisor power within cap {params.nzd_cap}"), None
+        return record(
+            "no nonzerodivisor power: (K : x) is not inside K : I^∞"
+        ), None
     evidence.append(
         EvidenceItem("nonzerodivisor-power", f"c = {c}", True)
     )
@@ -299,7 +309,7 @@ def _run_trial(
     evidence.append(
         EvidenceItem("dimension-drop", f"{d} -> {quotient.dim}", True)
     )
-    seq_quotient, _ = multiplicity_sequence(ideal, quotient, params)
+    seq_quotient, _ = multiplicity_sequence(ideal, quotient)
     got = seq_quotient.entries[: d - 1]
     if got != low_entries:
         return record(f"low entries changed: {list(got)} vs {list(low_entries)}"), None
@@ -338,7 +348,7 @@ def superficial_search(
         raise PreconditionError(
             "the ideal acts nilpotently on the module; no superficial element exists"
         )
-    baseline, _ = _stabilize(module.dim, n, r, numerator, params)
+    baseline, _ = _stabilize(module.dim, n, r, numerator)
     if module.dim < 1:
         raise PreconditionError("superficial elements need positive dimension")
     low_entries = baseline.entries[: module.dim - 1]

@@ -92,8 +92,7 @@ class TestCompute:
         assert "(0, 1, 0)" in out or "0, 1, 0" in out
 
     def test_flag_overrides_file_params(self, tmp_path, capsys):
-        # the certified window rides the top of the table, so the first
-        # component of table_shape reads back the effective cap
+        # every report echoes the effective seed
         path = write(
             tmp_path,
             "p.json",
@@ -101,33 +100,15 @@ class TestCompute:
                 "schema": 1,
                 "ring": {"variables": ["x", "y"]},
                 "ideals": {"I": ["x"], "K": []},
-                "params": {"umax": 8},
+                "params": {"seed": 8},
             },
         )
         _, out, _ = run(capsys, ["--task", "compute", "--input", path])
-        assert json.loads(out)["sequence"]["table_shape"][0] == 8
+        assert json.loads(out)["seed"] == 8
         _, out, _ = run(
-            capsys, ["--task", "compute", "--input", path, "--umax", "12"]
+            capsys, ["--task", "compute", "--input", path, "--seed", "12"]
         )
-        assert json.loads(out)["sequence"]["table_shape"][0] == 12
-
-    def test_env_sits_below_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MULTSEQ_UMAX", "8")
-        path = golden(tmp_path)
-        _, out, _ = run(capsys, ["--task", "compute", "--input", path])
-        assert json.loads(out)["sequence"]["table_shape"][0] == 8
-        path2 = write(
-            tmp_path,
-            "q.json",
-            {
-                "schema": 1,
-                "ring": {"variables": ["x", "y"]},
-                "ideals": {"I": ["x"], "K": []},
-                "params": {"umax": 10},
-            },
-        )
-        _, out, _ = run(capsys, ["--task", "compute", "--input", path2])
-        assert json.loads(out)["sequence"]["table_shape"][0] == 10
+        assert json.loads(out)["seed"] == 12
 
     def test_degrees_past_packed_lanes_exit_four(self, tmp_path, capsys):
         # x^40000 does not fit a packed exponent lane
@@ -300,6 +281,23 @@ class TestVerdictExits:
         assert code == 0
         report = json.loads(out)
         assert report["candidate"]["element"] == "x + y"
+        assert report["revalidated"] is True
+
+    def test_nonzerodivisor_power_past_ten(self, tmp_path, capsys):
+        # the least power is 12, so the search must not stop at a cap
+        path = write(
+            tmp_path,
+            "deep.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y", "z"]},
+                "ideals": {"I": ["y"], "K": ["x^2", "x*y^12"]},
+            },
+        )
+        code, out, err = run(capsys, ["--task", "superficial", "--input", path])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["candidate"]["c_exponent"] == 12
         assert report["revalidated"] is True
 
     def test_variable_named_like_an_auxiliary_one(self, tmp_path, capsys):
@@ -496,8 +494,8 @@ class TestUsage:
         assert "input error" in err
 
 
-# at window_width 1 this input exited 0 with (0, 45, 6, 0); a one-cell
-# window certifies any table
+# a one-cell window would read (0, 45, 6, 0) here, since it certifies
+# any table
 UNSTABLE = {
     "schema": 1,
     "ring": {"variables": ["x", "y", "z"]},
@@ -518,11 +516,10 @@ class TestParameterRanges:
             ({"window_width": 1}, [], {}, "window_width"),
             ({"power_cap": 0}, [], {}, "power_cap"),
             ({"coeff_bound": -2}, [], {}, "coeff_bound"),
-            ({}, ["--window-width", "1"], {}, "window_width"),
+            # no MULTSEQ_ variable is read, so the flag's error shows
+            ({}, ["--nmax", "-1"], {"MULTSEQ_NMAX": "abc"}, "nmax"),
             ({}, ["--nmax", "-3"], {}, "nmax"),
             ({}, ["--trials", "-1"], {}, "trials"),
-            ({}, [], {"MULTSEQ_UMAX": "abc"}, "MULTSEQ_UMAX"),
-            ({}, [], {"MULTSEQ_NZD_CAP": "0"}, "MULTSEQ_NZD_CAP"),
         ],
     )
     def test_out_of_range_exits_three(
@@ -535,6 +532,7 @@ class TestParameterRanges:
         assert code == 3
         assert out == ""
         assert named in err
+        assert "MULTSEQ" not in err
         assert "internal error" not in err
 
     @pytest.mark.parametrize(
@@ -543,11 +541,19 @@ class TestParameterRanges:
             ({"grow_cap": 48}, [], "unknown parameter 'grow_cap'"),
             ({"power_cap": 6}, [], "unknown parameter 'power_cap'"),
             ({}, ["--grow-cap", "48"], "--grow-cap"),
+            ({"umax": 8}, [], "unknown parameter 'umax'"),
+            ({"vmax": 8}, [], "unknown parameter 'vmax'"),
+            ({"window_width": 3}, [], "unknown parameter 'window_width'"),
+            ({"nzd_cap": 10}, [], "unknown parameter 'nzd_cap'"),
+            ({}, ["--umax", "8"], "--umax"),
+            ({}, ["--vmax", "8"], "--vmax"),
+            ({}, ["--window-width", "1"], "--window-width"),
         ],
     )
     def test_removed_caps_exit_three(self, tmp_path, capsys, params, flags, named):
-        # table growth ends at the proof point and the star condition
-        # reads one saturation, so neither loop has a cap to set
+        # table growth ends at the proof point, the star condition and
+        # the nonzerodivisor step each read one saturation, and no
+        # window knob can change an entry, so none of them is settable
         path = write(tmp_path, "p.json", dict(UNSTABLE, params=params))
         code, out, err = run(capsys, ["--task", "compute", "--input", path, *flags])
         assert code == 3

@@ -18,7 +18,6 @@ from conftest import ideal, module, poly, ring
 from multseq import (
     CyclicModule,
     Ideal,
-    Params,
     PolyRing,
     Polynomial,
     analytic_spread,
@@ -39,7 +38,13 @@ from multseq import (
 from multseq import groebner, monomials, multiplicity
 from multseq.errors import NonHomogeneousInput, PreconditionError
 from multseq.groebner import buchberger
-from multseq.multiplicity import _diff_u, _diff_v, _gr_numerator, _window_cells
+from multseq.multiplicity import (
+    WINDOW_WIDTH,
+    _diff_u,
+    _diff_v,
+    _gr_numerator,
+    _window_cells,
+)
 from multseq.orders import elimination_order, weight_order
 
 
@@ -447,25 +452,22 @@ class TestSequences:
         seq, _ = multiplicity_sequence(ideal(r, *gens), module(r, *relations))
         # the rounds are the sizes of the growth schedule up to the
         # certified shape
-        assert growth_schedule(seq.dim, Params()).index(seq.table_shape) >= 2
+        assert growth_schedule(seq.dim).index(seq.table_shape) >= 2
         assert calls["pair_loop"] == 2
         assert calls["bigraded_numerator"] == 1
 
 
-def growth_schedule(d, params, side=48):
-    """The table shapes of the growth rounds, up to the first past `side`."""
-    width = params.window_width
-    u = max(params.umax or 0, d + 4, d + width)
-    v = max(params.vmax or 0, d + 4, d + width)
-    shapes = [(u, v)]
-    while max(u, v) < side:
-        u = math.ceil(u * 1.5)
-        v = math.ceil(v * 1.5)
-        shapes.append((u, v))
+def growth_schedule(d, last=48):
+    """The table shapes of the growth rounds, up to the first past `last`."""
+    side = d + 4
+    shapes = [(side, side)]
+    while side < last:
+        side = math.ceil(side * 1.5)
+        shapes.append((side, side))
     return shapes
 
 
-def grid_sequence(a, m, params=Params()):
+def grid_sequence(a, m):
     """The growth loop on the grid route, the oracle for `_stabilize`.
 
     One `hilbert_table` at the last shape of the schedule holds every
@@ -473,8 +475,8 @@ def grid_sequence(a, m, params=Params()):
     round's window.  Returns (entries, window, shape), or (None,
     residuals, shape) when no round of the schedule certifies.
     """
-    d, width = m.dim, params.window_width
-    shapes = growth_schedule(d, params)
+    d, width = m.dim, WINDOW_WIDTH
+    shapes = growth_schedule(d)
     top = hilbert_table(a, m, *shapes[-1])
     for u, v in shapes:
         values = [row[: v + 1] for row in top.values[: u + 1]]
@@ -485,8 +487,8 @@ def grid_sequence(a, m, params=Params()):
     return None, residuals, (u, v)
 
 
-def engine_sequence(a, m, params=Params()):
-    seq, _ = multiplicity_sequence(a, m, params)
+def engine_sequence(a, m):
+    seq, _ = multiplicity_sequence(a, m)
     return seq.entries, seq.window, seq.table_shape
 
 
@@ -527,32 +529,10 @@ class TestGridOracle:
             m = module(r, f"z^{c}") if c else free_module(r)
             assert engine_sequence(i, m) == grid_sequence(i, m), (i, m)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"umax": 12},
-            {"vmax": 15},
-            {"umax": 9, "vmax": 20},
-            {"window_width": 2},
-            {"window_width": 5},
-            {"window_width": 5, "umax": 30},
-        ],
-    )
-    def test_overrides_match_grid_growth(self, overrides):
-        params = Params(**overrides)
-        r = ring("x", "y", "z")
-        cases = (
-            (ideal(r, "x^4", "y^4", "z^4"), free_module(r)),
-            (ideal(r, "x^2", "x*y", "y^3"), module(r, "x*z^2")),
-            (ideal(r, "x^3 + y^2*z", "y^3"), module(r, "z^2")),
-        )
-        for a, m in cases:
-            assert engine_sequence(a, m, params) == grid_sequence(a, m, params)
-
     @staticmethod
-    def below_the_proof_point(a, m, params, shape):
+    def below_the_proof_point(a, m, shape):
         n, r, numerator = _gr_numerator(a, m)
-        reach = params.window_width + m.dim
+        reach = WINDOW_WIDTH + m.dim
         return (
             shape[0] - reach < max(p for p, _ in numerator) - n
             or shape[1] - reach < max(q for _, q in numerator) - r
@@ -562,13 +542,13 @@ class TestGridOracle:
         # a window below the proof point that reads the Hilbert
         # polynomial's entries certifies where the grid's does
         r = ring("x", "y", "z", "w")
-        a = ideal(r, "x^2*y^3*z^3*w^5", "x^3*y^5*z*w")
-        m = module(r, "y*z*w^2", "x*z^2*w")
-        params = Params(window_width=2)
-        got = engine_sequence(a, m, params)
-        assert got == grid_sequence(a, m, params)
-        assert got[0] == (0, 0, 0, 2)
-        assert self.below_the_proof_point(a, m, params, got[2])
+        a = ideal(r, "x*y^5*w^4", "x^2*y^3*z^4")
+        m = module(r, "x^3*z^3*w^2")
+        got = engine_sequence(a, m)
+        assert got == grid_sequence(a, m)
+        assert got[0] == (0, 0, 48, 3)
+        assert got[2] == (17, 17)
+        assert self.below_the_proof_point(a, m, got[2])
 
     @pytest.mark.parametrize(
         "variables, gens, relations, windowed, exact",
@@ -591,16 +571,15 @@ class TestGridOracle:
         # than the table far past it
         r = ring(*variables)
         a, m = ideal(r, *gens), module(r, *relations)
-        params = Params()
-        entries, _, shape = grid_sequence(a, m, params)
+        entries, _, shape = grid_sequence(a, m)
         assert entries == windowed
-        assert shape == growth_schedule(m.dim, params)[0]
-        assert self.below_the_proof_point(a, m, params, shape)
+        assert shape == growth_schedule(m.dim)[0]
+        assert self.below_the_proof_point(a, m, shape)
         far = hilbert_table(a, m, 40, 40)
         assert extract_top_coefficients(far.values, m.dim)[0] == list(exact)
-        seq, _ = multiplicity_sequence(a, m, params)
+        seq, _ = multiplicity_sequence(a, m)
         assert seq.entries == exact
-        assert seq.table_shape in growth_schedule(m.dim, params)[1:]
+        assert seq.table_shape in growth_schedule(m.dim)[1:]
 
     def test_lazy_table_equals_hilbert_table(self):
         r = ring("x", "y", "z")

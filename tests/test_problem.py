@@ -52,18 +52,18 @@ class TestBuilding:
                 label="demo",
                 ideals={"I": ["x"], "J": ["x", "y"], "K": []},
                 assertions={"equidimensional": True},
-                params={"umax": 9, "seed": 3},
+                params={"nmax": 9, "seed": 3},
             )
         )
         assert p.label == "demo"
         assert p.larger_ideal is not None
         assert p.module().equidimensional
-        assert p.effective_params(Params()).umax == 9
+        assert p.effective_params(Params()).nmax == 9
         assert p.effective_params(Params()).seed == 3
 
     def test_defaults_pass_through_when_params_empty(self):
         p = problem_from_dict(doc())
-        base = Params(umax=17)
+        base = Params(seed=17)
         assert p.effective_params(base) is base
 
 
@@ -125,22 +125,24 @@ class TestRejection:
 
     def test_boolean_parameter_rejected(self):
         with pytest.raises(ProblemError, match="integers"):
-            problem_from_dict(doc(params={"umax": True}))
+            problem_from_dict(doc(params={"trials": True}))
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ProblemError, match="unknown parameter"):
             problem_from_dict(doc(params={"depth": 3}))
 
     def test_out_of_range_parameter_rejected(self):
-        with pytest.raises(ProblemError, match="params: window_width must be at least 2"):
-            problem_from_dict(doc(params={"window_width": 1}))
-        with pytest.raises(ValueError, match="nzd_cap"):
-            Params(nzd_cap=0)
+        with pytest.raises(ProblemError, match="params: coeff_bound must be at least 1"):
+            problem_from_dict(doc(params={"coeff_bound": 0}))
+        with pytest.raises(ValueError, match="trials"):
+            Params(trials=-1)
 
     def test_schema_lists_every_parameter_and_minimum(self):
         path = Path(multseq.__file__).parent / "schema" / "problem.schema.json"
         schema = json.loads(path.read_text())["properties"]["params"]["properties"]
-        assert set(schema) == {f.name for f in fields(Params)}
+        names = [f.name for f in fields(Params)]
+        assert names == ["nmax", "nmax_escalation", "trials", "coeff_bound", "seed"]
+        assert set(schema) == set(names)
         assert {k: v["minimum"] for k, v in schema.items() if "minimum" in v} == MINIMUMS
 
 
@@ -257,7 +259,7 @@ class TestCanonicalJson:
         assert text.index('"c"') < text.index('"d"')
 
     def test_byte_stability(self):
-        payload = doc(params={"seed": 1, "umax": 4})
+        payload = doc(params={"seed": 1, "nmax": 4})
         assert canonical_json(payload) == canonical_json(json.loads(canonical_json(payload)))
 
     @staticmethod

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import ideal, module, ring
 from multseq import (
+    Ideal,
     MonomialPrime,
     Params,
     PolyRing,
@@ -25,7 +26,7 @@ from multseq import (
     revalidate,
     superficial_search,
 )
-from multseq import multiplicity, reduction
+from multseq import monomials, multiplicity, reduction
 from multseq.errors import PreconditionError, SearchExhausted
 
 
@@ -277,3 +278,66 @@ class TestSuperficial:
         with pytest.raises(SearchExhausted) as info:
             superficial_search(ideal(r, "x", "y"), module(r), Params(trials=0))
         assert info.value.trials == []
+
+
+class TestNonzerodivisorStep:
+    """x is a nonzerodivisor on some I^c M exactly when (K : x) ⊆ K : I^∞."""
+
+    def test_power_past_ten_is_found(self):
+        # K : y = (x^2, x*y^11) meets (y^c) + K outside K until c = 12,
+        # past any small fixed cap on c
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "y"), module(r, "x^2", "x*y^12")
+        cand = superficial_search(a, m, Params())
+        assert cand.trial == 0
+        assert cand.c_exponent == 12
+        assert revalidate(cand, a, m, Params())
+
+    def test_annihilator_outside_the_saturation_rejects(self):
+        # trial 0 draws x, and K : x = (z) is not inside K : I^∞ = (x*z):
+        # the powers y^(2c) * z stay outside K, so no c exists
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x", "y^2"), module(r, "x*z")
+        with pytest.raises(SearchExhausted) as info:
+            superficial_search(a, m, Params(trials=1))
+        (record,) = info.value.trials
+        assert record.coefficients == (1,)
+        assert record.outcome == (
+            "no nonzerodivisor power: (K : x) is not inside K : I^∞"
+        )
+
+    def test_saturation_of_a_binomial(self):
+        r = ring("x", "y")
+        got = ideal(r, "x^2 + x*y").saturate(ideal(r, "x"))
+        assert got.equals(ideal(r, "x + y"))
+
+    @staticmethod
+    def disguised(r, words):
+        """The monomial ideal of `words` with one more, non-term generator,
+        so every operation on it takes the Gröbner route."""
+        mono = Ideal.from_packed(r, words)
+        first = mono.gens[0]
+        spare = first * (r.variable(r.variables[0]) + r.variable(r.variables[1]))
+        return Ideal(r, [*mono.gens, spare])
+
+    def test_colon_chain_equals_the_monomial_saturation(self):
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(2, 3)
+            r = ring(*"xyz"[:n])
+            lay = monomials.layout(n)
+            k, i = (
+                monomials.minimalize(lay, [
+                    monomials.pack(lay, tuple(rng.randint(0, 4) for _ in range(n)))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(2)
+            )
+            if not k or not i or monomials.is_unit(k) or monomials.is_unit(i):
+                continue
+            got = self.disguised(r, k).saturate(self.disguised(r, i))
+            want = Ideal.from_packed(r, monomials.saturate(lay, k, i))
+            assert got.equals(want), (k, i)
+            checked += 1
+        assert checked > 40
