@@ -13,34 +13,21 @@ from .errors import (
     NonHomogeneousInput,
     PreconditionError,
     SearchExhausted,
-    StabilizationError,
 )
 from .orders import MonomialOrder, elimination_order, grevlex, lex
 from .poly import Polynomial, PolyRing
 from .parse import ParseError, format_polynomial, parse_polynomial
 from .groebner import buchberger, normal_form
 from .ideals import Ideal
-from .hilbert import (
-    HilbertSeries,
-    hilbert_series,
-    krull_dimension,
-    minimal_primes_monomial,
-    quotient_degree,
-    total_length,
-)
+from .hilbert import HilbertSeries, krull_dimension
 from .multiplicity import (
     BigradedTable,
     CyclicModule,
     Diagnostics,
     MultiplicitySequence,
     analytic_spread,
-    classical_multiplicity,
-    component_ideal,
-    component_length,
     diagnostics,
-    extract_top_coefficients,
     height_on_module,
-    hilbert_table,
     multiplicity_sequence,
     star_condition,
 )
@@ -96,25 +83,18 @@ __all__ = [
     "ProblemError",
     "ReductionReport",
     "SearchExhausted",
-    "StabilizationError",
     "SuperficialCandidate",
     "TrialRecord",
     "analytic_spread",
     "buchberger",
     "canonical_json",
-    "classical_multiplicity",
-    "component_ideal",
-    "component_length",
     "diagnostics",
     "elimination_order",
     "enumerate_lambda",
-    "extract_top_coefficients",
     "format_polynomial",
     "generate_corpus",
     "grevlex",
     "height_on_module",
-    "hilbert_series",
-    "hilbert_table",
     "is_reduction",
     "krull_dimension",
     "lex",
@@ -122,16 +102,13 @@ __all__ = [
     "local_c0",
     "localize_ideal",
     "localize_module",
-    "minimal_primes_monomial",
     "multiplicity_sequence",
     "normal_form",
     "parse_polynomial",
     "problem_from_dict",
-    "quotient_degree",
     "rees_criterion",
     "revalidate",
     "star_condition",
     "superficial_search",
-    "total_length",
     "verify_formula",
 ]

@@ -22,17 +22,17 @@ import time
 from importlib import metadata
 
 from .config import Params
-from .corpus import MAX_DEGREE, MAX_VARIABLES, generate_corpus
+from .corpus import generate_corpus
 from .errors import (
     EngineLimit,
     NonHomogeneousInput,
     PreconditionError,
     SearchExhausted,
-    StabilizationError,
 )
 from .localization import verify_formula
 from .multiplicity import diagnostics, multiplicity_sequence
 from .parse import ParseError
+from .poly import _is_prime
 from .problem import (
     Problem,
     ProblemError,
@@ -189,6 +189,12 @@ def _run_superficial(problem: Problem, params: Params) -> tuple[dict, int]:
 
 
 def _run_corpus(args, params: Params) -> tuple[dict, int]:
+    # out-of-range flags are bad input; the engine's own checks would
+    # read as internal errors
+    if args.count < 0:
+        raise _UsageError(f"--count must be nonnegative, got {args.count}")
+    if args.char and not _is_prime(args.char):
+        raise _UsageError(f"--char must be 0 or a prime, got {args.char}")
     documents = generate_corpus(
         args.count,
         n_vars=args.n_vars,
@@ -363,7 +369,6 @@ def main(argv=None) -> int:
     except (
         PreconditionError,
         EngineLimit,
-        StabilizationError,
         SearchExhausted,
         NonHomogeneousInput,
     ) as exc:

@@ -15,10 +15,6 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for the input."""
 
 
-class StabilizationError(RuntimeError):
-    """Finite differences failed to stabilize within the values computed."""
-
-
 class SearchExhausted(RuntimeError):
     """A randomized search used all its trials; carries per-trial records."""
 

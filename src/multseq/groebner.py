@@ -60,11 +60,12 @@ comparing them, and the selection order never shows in a result.  The
 minimal leads of any basis are the leads of the reduced one, so a
 caller that reads only leads needs no inter-reduction.
 
-`divide`, `normal_form` and `s_polynomial` stay on exponent tuples:
-they serve callers outside the kernel, and the tests use them as the
-independent route.  `divide` is the one division loop there:
-`normal_form` keeps its remainder, and `ideals.Ideal.colon_poly` its
-quotient by a single polynomial.
+`divide` and `normal_form` stay on exponent tuples: they serve
+callers outside the kernel, and the tests use them, with the
+`s_polynomial` of `tests/oracles.py`, as the independent route.
+`divide` is the one division loop there: `normal_form` keeps its
+remainder, and `ideals.Ideal.colon_poly` its quotient by a single
+polynomial.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .poly import (
     add_term,
     monomial_div,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
 )
 
@@ -137,15 +137,6 @@ def normal_form(
 ) -> Polynomial:
     """Full remainder of f against a list of polynomials."""
     return divide(f, basis, order)[1]
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    ltf = f.leading_monomial(order)
-    ltg = g.leading_monomial(order)
-    common = monomial_lcm(ltf, ltg)
-    a = f.mul_term(monomial_div(common, ltf), f.ring.coeff_inv(f.leading_coefficient(order)))
-    b = g.mul_term(monomial_div(common, ltg), g.ring.coeff_inv(g.leading_coefficient(order)))
-    return a - b
 
 
 LANE_BITS = 32

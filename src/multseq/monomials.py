@@ -233,17 +233,6 @@ def is_unit(gens: tuple[int, ...]) -> bool:
     return bool(gens) and gens[0] == 0
 
 
-def irrelevant_power(lay: Layout, i: int) -> tuple[int, ...]:
-    """Generators of the i-th power of the ideal of all variables."""
-    words = []
-    for combo in itertools.combinations_with_replacement(range(lay.arity), i):
-        exps = [0] * lay.arity
-        for v in combo:
-            exps[v] += 1
-        words.append(pack(lay, tuple(exps)))
-    return tuple(sorted(words))
-
-
 def supports(lay: Layout, gens: tuple[int, ...]) -> list[frozenset[int]]:
     out = []
     for g in gens:
@@ -306,15 +295,6 @@ def restrict(
 
 
 # -- Hilbert numerators ---------------------------------------------------
-
-
-def hilbert_numerator(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Numerator N(t) with series of the quotient = N(t) / (1-t)^arity."""
-    numer = bigraded_numerator(lay, gens, lay.arity)
-    out = [0] * (1 + max((p for p, _ in numer), default=0))
-    for (p, _), c in numer.items():
-        out[p] = c
-    return tuple(out)
 
 
 def bigraded_numerator(

@@ -14,8 +14,8 @@ table is counted from one Gröbner basis of a presentation of gr_I(M)
 in k[x, T], one T_i per generator of I, under a weight order that
 reads the m-adic filtration off the leading monomials; a bigraded
 Hilbert numerator Q(s, t) of those leading monomials gives all cells
-at once (`hilbert_table`), and its u = 0 column, the fiber of I on M,
-gives the analytic spread.  `_gr_numerator` computes Q with both of
+at once, and its u = 0 column, the fiber of I on M, gives the
+analytic spread.  `_gr_numerator` computes Q with both of
 its bases, the Rees elimination basis and the weight basis, under one
 order and in one layout of the Gröbner kernel's packed words: the
 second basis starts from the t-free part of the first as a finished
@@ -23,8 +23,9 @@ prefix.  It reads only their minimal leads, so the table path builds
 no polynomial ring, no `Polynomial` and no reduced tail.  Every table
 keeps the Q it was divided from, so `diagnostics` reads the spread off
 the table the sequence came with, and `analytic_spread` is the route
-for a pair with no table.  The per-cell `component_length` is the
-independent route the tests check tables against.
+for a pair with no table.  The per-cell `component_length` in
+`tests/oracles.py` is the independent route the tests check tables
+against.
 
 For monomial data one map (`_monomial_strata`) sends each
 variable-subset prime over I + K to the local dimension of M there.
@@ -47,9 +48,9 @@ convolution as the second reading, so growth ends at the latest at
 the first such round; a round that reaches below reads its window
 cells off Q until one breaks the certificate, and certifies only if
 it reads the entries of P.
-`hilbert_table`, which fills its grid on first read, and
-`extract_top_coefficients` remain the grid route the tests hold
-`multiplicity_sequence` to.
+The grid route the tests hold `multiplicity_sequence` to, a grid of h
+divided out of Q (`hilbert_table`) and the certificate read off its
+window (`extract_top_coefficients`), is in `tests/oracles.py`.
 
 The star condition, that I^n M keeps the local dimension of M at
 every prime over I + K for every n, is read once per stratum off the
@@ -62,12 +63,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from . import monomials as mo
-from .errors import PreconditionError, StabilizationError
+from .errors import PreconditionError
 from .groebner import _Packed, pair_loop
-from .hilbert import HilbertSeries, krull_dimension, length_subquotient, total_length
+from .hilbert import HilbertSeries, krull_dimension
 from .ideals import Ideal, require_homogeneous
 from .orders import elimination_order
 from .poly import Polynomial, PolyRing
@@ -130,49 +131,17 @@ def _variables_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, [ring.variable(name) for name in ring.variables])
 
 
-# -- bigraded components --------------------------------------------------
-
-
-def component_ideal(ideal: Ideal, module: CyclicModule, i: int, j: int) -> Ideal:
-    """m^i I^j + I^(j+1) + K, the numerator ideal of the (i, j) piece."""
-    ring = ideal.ring
-    m_i = Ideal.from_packed(ring, mo.irrelevant_power(mo.layout(ring.arity), i))
-    return (
-        m_i.multiply(ideal.power(j))
-        .add(ideal.power(j + 1))
-        .add(module.relations)
-    )
-
-
-def component_length(ideal: Ideal, module: CyclicModule, i: int, j: int) -> int:
-    """Length of the (i, j) piece of the doubly filtered module.
-
-    Multiplying the numerator by every variable lands in the
-    denominator, so the piece is a finite-dimensional vector space and
-    the series difference is a polynomial; a division failure here is
-    an engine bug, not bad input.
-    """
-    _check_pair(ideal, module)
-    if i < 0 or j < 0:
-        raise ValueError("negative filtration index")
-    larger = component_ideal(ideal, module, i, j)
-    smaller = component_ideal(ideal, module, i + 1, j)
-    return length_subquotient(larger, smaller)
-
-
 # -- tables ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BigradedTable:
-    """Partial sums h(u, v) and the per-bidegree counts behind them.
+    """The shape a sequence was certified at, and its Q(s, t).
 
-    Both are read off `numerator`, Q(s, t) as {(p, q): coefficient},
-    over (1-s)^n (1-t)^r, with r the number of generators of I, and
-    filled on first read.  Each of `values` and `components` costs
-    (umax+1)(vmax+1) cells, and a table past a far proof point is
-    large; production reads neither, since the sequence, the spread
-    and the report need only the shape, r and Q.
+    `numerator` is Q(s, t) as {(p, q): coefficient}, over
+    (1-s)^n (1-t)^r, with r the number of generators of I.  The
+    sequence, the spread and the report need only these; the cells and
+    h(u, v) of the table are divided out of Q by `tests/oracles.py`.
     """
 
     umax: int
@@ -180,20 +149,6 @@ class BigradedTable:
     n: int
     r: int
     numerator: dict = field(repr=False, hash=False)
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return _divide(self.n, self.r, self.numerator, self.umax, self.vmax)
-
-    @cached_property
-    def values(self) -> tuple[tuple[int, ...], ...]:
-        # h sums the cells once more each way
-        grid = [list(row) for row in self.components]
-        _sum_down(grid)
-        return tuple(tuple(itertools.accumulate(row)) for row in grid)
-
-    def h(self, u: int, v: int) -> int:
-        return self.values[u][v]
 
 
 def _generator_terms(ideal: Ideal) -> list[dict]:
@@ -267,105 +222,6 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     return n, r, mo.bigraded_numerator(lay, leads, n)
 
 
-def hilbert_table(
-    ideal: Ideal, module: CyclicModule, umax: int, vmax: int
-) -> BigradedTable:
-    """Exact table of h(u, v) for 0 <= u <= umax, 0 <= v <= vmax.
-
-    comp(i, j) is the coefficient of s^i t^j in the series
-    Q(s, t) / ((1-s)^n (1-t)^r) of gr_m(gr_I(M)) (`_gr_numerator`).
-    """
-    _check_pair(ideal, module)
-    return BigradedTable(umax, vmax, *_gr_numerator(ideal, module))
-
-
-def _divide(
-    n: int, r: int, numerator: dict, umax: int, vmax: int
-) -> tuple[tuple[int, ...], ...]:
-    """The cells of Q(s, t) / ((1-s)^n (1-t)^r) up to (umax, vmax)."""
-    grid = [[0] * (vmax + 1) for _ in range(umax + 1)]
-    for (p, q), c in numerator.items():
-        if p <= umax and q <= vmax:
-            grid[p][q] = c
-    # dividing by (1-s) or (1-t) is a running sum down or across
-    for _ in range(n):
-        _sum_down(grid)
-    for _ in range(r):
-        grid = [list(itertools.accumulate(row)) for row in grid]
-    return tuple(map(tuple, grid))
-
-
-def _sum_down(grid: list[list[int]]) -> None:
-    for above, row in zip(grid, grid[1:]):
-        for j, c in enumerate(above):
-            row[j] += c
-
-
-# -- extraction -----------------------------------------------------------
-
-
-def _diff_u(grid: list[list[int]]) -> list[list[int]]:
-    return [
-        [grid[u][v] - grid[u - 1][v] for v in range(len(grid[0]))]
-        for u in range(1, len(grid))
-    ]
-
-
-def _diff_v(grid: list[list[int]]) -> list[list[int]]:
-    return [[row[v] - row[v - 1] for v in range(1, len(row))] for row in grid]
-
-
-def _window_cells(grid: list[list[int]], width: int) -> list[int]:
-    return [c for row in grid[-width:] for c in row[-width:]]
-
-
-def extract_top_coefficients(
-    values, degree: int, width: int = WINDOW_WIDTH
-) -> tuple[list[int] | None, dict]:
-    """Read the normalized top coefficients of a table of a polynomial.
-
-    For a table of h(u, v) agreeing with a polynomial of total degree
-    `degree` near the top corner, the mixed difference of order (k,
-    degree-k) is constant there and equals k!(degree-k)! times the
-    u^k v^(degree-k) coefficient.  Returns (entries, diagnostics); the
-    entries are None unless every window is constant and every
-    difference of order degree+1 vanishes on the window.
-    """
-    umax = len(values) - 1
-    vmax = len(values[0]) - 1
-    if umax < degree + width or vmax < degree + width:
-        raise ValueError("table too small for the requested window")
-    # a difference of order (a, b) on the window reaches back a + width
-    # rows and b + width columns, and a + b <= degree + 1
-    reach = degree + 1 + width
-    grid = [list(row[-reach:]) for row in values[-reach:]]
-    diffs: dict[tuple[int, int], list[list[int]]] = {(0, 0): grid}
-    for a in range(degree + 2):
-        for b in range(degree + 2 - a):
-            if (a, b) in diffs:
-                continue
-            if a and (a - 1, b) in diffs:
-                diffs[(a, b)] = _diff_u(diffs[(a - 1, b)])
-            else:
-                diffs[(a, b)] = _diff_v(diffs[(a, b - 1)])
-    entries: list[int] = []
-    stable = True
-    residuals: dict[str, list[int]] = {}
-    for k in range(degree + 1):
-        cells = _window_cells(diffs[(k, degree - k)], width)
-        if len(set(cells)) != 1:
-            stable = False
-            residuals[f"order ({k},{degree - k})"] = cells
-        entries.append(cells[-1])
-    for a in range(degree + 2):
-        b = degree + 1 - a
-        cells = _window_cells(diffs[(a, b)], width)
-        if any(cells):
-            stable = False
-            residuals[f"order ({a},{b})"] = cells
-    return (entries if stable else None), residuals
-
-
 @dataclass(frozen=True)
 class MultiplicitySequence:
     entries: tuple[int, ...]
@@ -394,10 +250,10 @@ def _stabilize(
     """Grow the table of Q(s, t) until its top window certifies c_0..c_d.
 
     The entries are those of the Hilbert polynomial (`_hilbert_top`);
-    the rounds and their shapes are those of the grid route
-    (`hilbert_table`, `extract_top_coefficients`): square tables of
-    side d + 4, then each side 1.5 times the last, with a window of
-    side `WINDOW_WIDTH`, and no round builds a grid.  A round whose
+    the rounds and their shapes are those of the grid route of
+    `tests/oracles.py`: square tables of side d + 4, then each side
+    1.5 times the last, with a window of side `WINDOW_WIDTH`, and no
+    round builds a grid.  A round whose
     window differences reach only cells at or past the proof point
     certifies by theorem; its window corner, read off Q, is the second
     reading.  The side grows without bound, so such a round always
@@ -520,43 +376,6 @@ def _scan_window(cell, d: int, side: int) -> list[int] | None:
             if any(cell(a, d + 1 - a, i, j) for a in range(d + 2)):
                 return None
     return [cell(k, d - k, side, side) for k in range(d + 1)]
-
-
-# -- classical multiplicity ----------------------------------------------
-
-
-def classical_multiplicity(ideal: Ideal, module: CyclicModule) -> int:
-    """Leading normalized coefficient of n -> length of M/I^(n+1)M.
-
-    Needs finite colength; computed as the eventually constant d-th
-    finite difference, certified over a window like the tables are.
-    """
-    _check_pair(ideal, module)
-    joined = ideal.add(module.relations)
-    if krull_dimension(joined) != 0:
-        raise PreconditionError("ideal does not have finite colength on the module")
-    d = module.dim
-    width = WINDOW_WIDTH
-    # values of the colength function read before giving up
-    longest = 96
-    count = d + width + 3
-    while True:
-        values = [
-            total_length(ideal.power(n + 1).add(module.relations))
-            for n in range(count + 1)
-        ]
-        diffs = values
-        for _ in range(d):
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        window = diffs[-width:]
-        if len(window) == width and len(set(window)) == 1:
-            e = window[0]
-            if e <= 0:
-                raise RuntimeError(f"nonpositive multiplicity {e}: engine bug")
-            return e
-        count = math.ceil(count * 1.5)
-        if count > longest:
-            raise StabilizationError("colength differences failed to stabilize")
 
 
 # -- analytic spread ------------------------------------------------------
@@ -708,8 +527,8 @@ def diagnostics(
 ) -> Diagnostics:
     """Dimensions, height, star condition and spread of the pair.
 
-    `table` is a table of this pair (`multiplicity_sequence`,
-    `hilbert_table`); the spread is read off the Q(s, t) it keeps.
+    `table` is a table of this pair (`multiplicity_sequence`); the
+    spread is read off the Q(s, t) it keeps.
     """
     _check_pair(ideal, module)
     # one strata map gives the height, the star condition and, for

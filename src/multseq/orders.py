@@ -25,8 +25,9 @@ variables).
 - weight: one weighted block.
 `rows` spells the shape out as a matrix, which `groebner` packs into
 one integer word per monomial, and `sort_key` evaluates it on one
-exponent tuple, for `sorted`, `max` and heaps.  `compare`, written out
-per kind, is the independent statement the tests hold both to.
+exponent tuple, for `sorted`, `max` and heaps.  The comparison written
+out per kind, in `tests/oracles.py`, is the independent statement the
+tests hold both to.
 """
 
 from __future__ import annotations
@@ -39,34 +40,6 @@ GREVLEX = "grevlex"
 LEX = "lex"
 BLOCK = "block"
 WEIGHT = "weight"
-
-
-def _cmp_grevlex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    da, db = sum(a), sum(b)
-    if da != db:
-        return 1 if da > db else -1
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            # smaller exponent in the latest differing slot wins
-            return 1 if a[i] < b[i] else -1
-    return 0
-
-
-def _cmp_lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
-
-
-def _cmp_weighted(
-    weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]
-) -> int:
-    wa = sum(w * x for w, x in zip(weights, a))
-    wb = sum(w * x for w, x in zip(weights, b))
-    if wa != wb:
-        return 1 if wa > wb else -1
-    return _cmp_grevlex(a, b)
 
 
 @dataclass(frozen=True)
@@ -94,27 +67,6 @@ class MonomialOrder:
         elif self.weights is not None:
             raise ValueError(f"{self.kind} order takes no weights")
 
-    def compare(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """Return +1 if a is larger, -1 if b is larger, 0 if equal."""
-        if len(a) != len(b):
-            raise ValueError("exponent tuples of different arity")
-        if self.kind == GREVLEX:
-            return _cmp_grevlex(a, b)
-        if self.kind == LEX:
-            return _cmp_lex(a, b)
-        k = self.block
-        # the weights cover the trailing block, all of a when k is None
-        if self.weights is not None and len(a[k:]) != len(self.weights):
-            raise ValueError("exponent tuple and weights of different arity")
-        if self.kind == WEIGHT:
-            return _cmp_weighted(self.weights, a, b)
-        c = _cmp_grevlex(a[:k], b[:k])
-        if c:
-            return c
-        if self.weights is None:
-            return _cmp_grevlex(a[k:], b[k:])
-        return _cmp_weighted(self.weights, a[k:], b[k:])
-
     def rows(self, arity: int) -> tuple[tuple[int, ...], ...]:
         """The order's rows on `arity` variables, most significant first."""
         rows = []
@@ -130,7 +82,7 @@ class MonomialOrder:
         return tuple(rows)
 
     def sort_key(self, exps: tuple[int, ...]) -> tuple:
-        """Row values of exps: a tuple ordered as `compare` orders exponents."""
+        """Row values of exps: a tuple ordered as the order orders exponents."""
         key = []
         for lo, hi, weights in self._shape(len(exps)):
             block = exps[lo:hi]

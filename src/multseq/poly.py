@@ -44,10 +44,6 @@ def monomial_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return out
 
 
-def monomial_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def add_term(terms: dict, exps: tuple[int, ...], c, p: int) -> None:
     """Add c x^exps into a term dict in place, reduced mod p if p > 0;
     a sum of zero drops the term."""

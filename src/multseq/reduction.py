@@ -85,10 +85,6 @@ class ReductionReport:
     consistent: bool
     note: str = ""
 
-    @property
-    def sequences_equal(self) -> bool:
-        return self.sequence_small.entries == self.sequence_large.entries
-
 
 def rees_criterion(
     small: Ideal,

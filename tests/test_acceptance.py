@@ -1,34 +1,41 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
-Covers the golden principal-ideal case, the collapse to the classical
-multiplicity for finite-colength inputs, the support decomposition and
-the vanishing bounds on a seeded corpus, reduction detection, the
-power-image shift, superficial search, and coefficient extraction.
+Covers the golden principal-ideal case, the README's example, the
+collapse to the classical multiplicity for finite-colength inputs, the
+support decomposition and the vanishing bounds on a seeded corpus,
+reduction detection, the power-image shift, superficial search, and
+coefficient extraction.
 Run with -v to get one verdict line per guarantee; the printed
 summaries name the offending inputs when a guarantee breaks.
 """
 
 import math
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import ideal, module, poly, ring
 from multseq import (
     CyclicModule,
     Params,
-    classical_multiplicity,
     diagnostics,
-    extract_top_coefficients,
     generate_corpus,
-    hilbert_table,
     multiplicity_sequence,
     problem_from_dict,
     rees_criterion,
     revalidate,
     superficial_search,
     verify_formula,
+)
+from oracles import (
+    classical_multiplicity,
+    extract_top_coefficients,
+    hilbert_table,
+    sequences_equal,
 )
 
 
@@ -79,7 +86,7 @@ def test_principal_ideal_golden_case():
     m = module(r)
     seq, table = multiplicity_sequence(a, m)
     assert seq.entries == (0, 1, 0)
-    for u, row in enumerate(table.values):
+    for u, row in enumerate(oracles.values(table)):
         for v, value in enumerate(row):
             assert value == (u + 1) * (v + 1), f"h({u}, {v}) = {value}"
     report = verify_formula(a, m)
@@ -92,6 +99,18 @@ def test_principal_ideal_golden_case():
     elapsed = time.perf_counter() - start
     print(f"golden case: sequence (0, 1, 0), decomposition verified, {elapsed:.2f}s")
     assert elapsed < 1.0
+
+
+def test_readme_example_runs():
+    # the README's import example, run as written, so it cannot go stale
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    names = {}
+    exec(blocks[0], names)
+    assert names["seq"].entries == (0, 1, 0)
+    assert names["report"].verdict == "verified"
 
 
 def test_finite_colength_collapses_to_classical():
@@ -166,7 +185,7 @@ def test_reduction_detection_and_consistency():
     report = rees_criterion(ideal(r, "x^2", "y^2"), ideal(r, "x^2", "x*y", "y^2"), m)
     assert report.criterion_verdict == "reduction"
     assert report.reduced_at == 1
-    assert report.sequences_equal and report.consistent
+    assert sequences_equal(report) and report.consistent
 
     report = rees_criterion(ideal(r, "x^2", "y^2"), ideal(r, "x", "y"), m)
     assert report.criterion_verdict == "not-reduction"
@@ -184,10 +203,10 @@ def test_reduction_detection_and_consistency():
         assert report.consistent, (label, report)
         assert report.criterion_verdict in ("reduction", "not-reduction"), label
         if report.reduced_at is not None:
-            assert report.sequences_equal, (label, report)
+            assert sequences_equal(report), (label, report)
         if report.criterion_verdict == "not-reduction":
             assert report.reduced_at is None, (label, report)
-            assert not report.sequences_equal, (label, report)
+            assert not sequences_equal(report), (label, report)
     elapsed = time.perf_counter() - start
     print(f"reduction detection: 2 curated + 30 seeded pairs, {elapsed:.1f}s")
     assert elapsed < 300.0
@@ -208,7 +227,7 @@ def test_power_image_shift_identity():
         ]
         a = ideal(r, g_text)
         m = module(r, *relations)
-        big = hilbert_table(a, m, 6, 9)
+        big = oracles.values(hilbert_table(a, m, 6, 9))
         for n in (1, 2, 3):
             colon = ideal(r, *relations).colon_poly(poly(r, g_text) ** n)
             if not colon.is_proper():
@@ -216,14 +235,14 @@ def test_power_image_shift_identity():
                 # the zero module, so the shifted table must vanish
                 for u in range(7):
                     for v in range(10 - n):
-                        assert big.values[u][v + n] == big.values[u][n - 1]
+                        assert big[u][v + n] == big[u][n - 1]
                 continue
             surrogate = CyclicModule(r, colon)
-            small = hilbert_table(a, surrogate, 6, 9 - n)
+            small = oracles.values(hilbert_table(a, surrogate, 6, 9 - n))
             for u in range(7):
                 for v in range(10 - n):
-                    want = big.values[u][v + n] - big.values[u][n - 1]
-                    assert small.h(u, v) == want, (index, g_text, relations, n, u, v)
+                    want = big[u][v + n] - big[u][n - 1]
+                    assert small[u][v] == want, (index, g_text, relations, n, u, v)
     print("power image shift: 20 seeded inputs exact for n in (1, 2, 3)")
 
 

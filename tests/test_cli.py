@@ -1,15 +1,20 @@
 """Command line front end: task dispatch, exit codes, report shape."""
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
 from importlib import metadata
+from pathlib import Path
 
 import pytest
 
 import multseq
+import oracles
 from multseq import cli, monomials
 from multseq.cli import main
 from multseq.localization import verify_formula
@@ -465,6 +470,67 @@ class TestOneProcess:
         grown = {name for name, size in tables().items() if size != before.get(name)}
         assert grown <= {"monomials._LAYOUTS"}
 
+    # engine names that only the tests called, each with the oracle in
+    # tests/oracles.py that replaces it
+    MOVED = {
+        "component_ideal": "component_ideal",
+        "component_length": "component_length",
+        "hilbert_table": "hilbert_table",
+        "_divide": "components",
+        "_sum_down": "sum_down",
+        "_diff_u": "diff_u",
+        "_diff_v": "diff_v",
+        "_window_cells": "window_cells",
+        "extract_top_coefficients": "extract_top_coefficients",
+        "classical_multiplicity": "classical_multiplicity",
+        "length_subquotient": "length_subquotient",
+        "total_length": "total_length",
+        "quotient_degree": "quotient_degree",
+        "minimal_primes_monomial": "minimal_primes_monomial",
+        "hilbert_series": "hilbert_series",
+        "s_polynomial": "s_polynomial",
+        "monomial_lcm": "s_polynomial",
+        "_cmp_grevlex": "compare",
+        "_cmp_lex": "compare",
+        "_cmp_weighted": "compare",
+    }
+    MOVED_METHODS = {
+        ("BigradedTable", "components"): "components",
+        ("BigradedTable", "values"): "values",
+        ("BigradedTable", "h"): "h",
+        ("HilbertSeries", "expansion"): "expansion",
+        ("HilbertSeries", "length"): "length",
+        ("MonomialOrder", "compare"): "compare",
+        ("ReductionReport", "sequences_equal"): "sequences_equal",
+    }
+    DELETED = ("StabilizationError", "irrelevant_power", "hilbert_numerator")
+
+    def test_the_engine_ships_no_oracle(self):
+        # the slow routes the tests hold the engine to live in
+        # tests/oracles.py, and read only public engine names there
+        tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multseq"):
+                assert not any(part.startswith("_") for part in node.module.split("."))
+                assert not [a.name for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Import):
+                assert not [a.name for a in node.names if "._" in a.name]
+            elif isinstance(node, ast.Attribute):
+                private = node.attr.startswith("_") and not node.attr.startswith("__")
+                assert not private, node.attr
+        engine = [
+            importlib.import_module(f"multseq.{info.name}")
+            for info in pkgutil.iter_modules(multseq.__path__)
+        ]
+        for mod in [multseq, *engine]:
+            for name in [*self.MOVED, *self.DELETED]:
+                assert not hasattr(mod, name), (mod.__name__, name)
+        for (cls, method), oracle in self.MOVED_METHODS.items():
+            assert not hasattr(getattr(multseq, cls), method), (cls, method)
+            assert callable(getattr(oracles, oracle))
+        for oracle in self.MOVED.values():
+            assert callable(getattr(oracles, oracle))
+
 
 class TestUsage:
     def test_unknown_task(self, capsys):
@@ -562,6 +628,34 @@ class TestParameterRanges:
 
 
 class TestCorpusTask:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--count", "-1"], "--count"),
+            (["--char", "4"], "--char"),
+            (["--char", "1"], "--char"),
+            (["--char", "-3"], "--char"),
+        ],
+    )
+    def test_out_of_range_flags_exit_three(self, capsys, flags, named):
+        code, out, err = run(capsys, ["--task", "corpus", *flags])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert named in err
+
+    def test_engine_value_error_stays_internal(self, capsys, monkeypatch):
+        # only the flags are checked up front: a ValueError from inside
+        # the engine is still a bug
+        def broken(*args, **kwargs):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(cli, "generate_corpus", broken)
+        code, out, err = run(capsys, ["--task", "corpus", "--count", "1"])
+        assert code == 5
+        assert out == ""
+        assert "internal error: ValueError: engine fault" in err
+
     def test_inline_documents_deterministic(self, capsys):
         argv = ["--task", "corpus", "--count", "4", "--seed", "5"]
         _, first, _ = run(capsys, argv)

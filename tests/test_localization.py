@@ -27,7 +27,6 @@ from multseq import (
     local_c0,
     localize_ideal,
     localize_module,
-    minimal_primes_monomial,
     multiplicity_sequence,
     problem_from_dict,
     grevlex,
@@ -35,6 +34,7 @@ from multseq import (
 )
 from multseq.errors import PreconditionError
 from multseq.localization import moving_residual
+from oracles import minimal_primes_monomial
 
 
 class TestPrimes:

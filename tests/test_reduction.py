@@ -28,6 +28,7 @@ from multseq import (
 )
 from multseq import monomials, multiplicity, reduction
 from multseq.errors import PreconditionError, SearchExhausted
+from oracles import sequences_equal
 
 
 class TestWitnessScan:
@@ -202,8 +203,8 @@ class TestCriterion:
             rep = rees_criterion(small, large, m, budget)
             assert rep.consistent, rep.note
             if rep.reduced_at is not None:
-                assert rep.sequences_equal
-            if rep.sequences_equal and rep.height > 0 and rep.equidimensional:
+                assert sequences_equal(rep)
+            if sequences_equal(rep) and rep.height > 0 and rep.equidimensional:
                 assert rep.criterion_verdict == "reduction"
                 assert rep.reduced_at is not None
 
