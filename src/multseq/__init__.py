@@ -48,7 +48,6 @@ from .reduction import (
     ReductionReport,
     SuperficialCandidate,
     TrialRecord,
-    is_reduction,
     rees_criterion,
     revalidate,
     superficial_search,
@@ -95,7 +94,6 @@ __all__ = [
     "generate_corpus",
     "grevlex",
     "height_on_module",
-    "is_reduction",
     "krull_dimension",
     "lex",
     "load_problem",

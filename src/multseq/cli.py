@@ -22,7 +22,7 @@ import time
 from importlib import metadata
 
 from .config import Params
-from .corpus import generate_corpus
+from .corpus import MAX_DEGREE, MAX_VARIABLES, generate_corpus
 from .errors import (
     EngineLimit,
     NonHomogeneousInput,
@@ -53,11 +53,7 @@ EXIT_BAD_INPUT = 3
 EXIT_LIMIT = 4
 EXIT_BUG = 5
 
-_PARAM_FLAGS = (
-    "nmax",
-    "trials",
-    "seed",
-)
+_PARAM_FLAGS = ("trials", "seed")
 
 
 class _UsageError(Exception):
@@ -85,7 +81,6 @@ def _build_parser() -> _Parser:
     parser.add_argument("--input", help="problem JSON file (all tasks but corpus)")
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--timings", action="store_true", help="include wall times")
-    parser.add_argument("--nmax", type=int, help="reduction power budget")
     parser.add_argument("--trials", type=int, help="superficial trial budget")
     parser.add_argument("--seed", type=int)
     corpus = parser.add_argument_group("corpus")
@@ -166,7 +161,7 @@ def _run_reduction(problem: Problem, params: Params) -> tuple[dict, int]:
     if large is None:
         raise ProblemError("task check-reduction requires ideal J", "ideals")
     module = problem.module()
-    rep = rees_criterion(problem.ideal, large, module, params)
+    rep = rees_criterion(problem.ideal, large, module)
     report = _base_report("check-reduction", params, problem.source)
     report["reduction"] = reduction_dict(rep)
     if not rep.consistent:
@@ -190,9 +185,15 @@ def _run_superficial(problem: Problem, params: Params) -> tuple[dict, int]:
 
 def _run_corpus(args, params: Params) -> tuple[dict, int]:
     # out-of-range flags are bad input; the engine's own checks would
-    # read as internal errors
+    # read as internal errors or engine limits
     if args.count < 0:
         raise _UsageError(f"--count must be nonnegative, got {args.count}")
+    for flag, value, most in (
+        ("--n-vars", args.n_vars, MAX_VARIABLES),
+        ("--max-degree", args.max_degree, MAX_DEGREE),
+    ):
+        if not 1 <= value <= most:
+            raise _UsageError(f"{flag} must be between 1 and {most}, got {value}")
     if args.char and not _is_prime(args.char):
         raise _UsageError(f"--char must be 0 or a prime, got {args.char}")
     documents = generate_corpus(

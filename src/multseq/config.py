@@ -2,8 +2,8 @@
 
 Defaults < problem-file params < command-line flags.  Each is a plain
 int; building a `Params` checks it against `MINIMUMS`.  The sequence
-itself reads none of them: they bound the reduction witness scan, shape
-the superficial search, and seed it.
+and the reduction check read none of them: they shape the superficial
+search and seed it.
 """
 
 from __future__ import annotations
@@ -11,11 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-# smallest accepted value of each parameter; seed takes any integer.
-# Budgets of 0 are legal.
+# smallest accepted value of each parameter; seed takes any integer
 MINIMUMS = {
-    "nmax": 0,
-    "nmax_escalation": 0,
     "trials": 0,
     "coeff_bound": 1,
 }
@@ -23,8 +20,6 @@ MINIMUMS = {
 
 @dataclass(frozen=True)
 class Params:
-    nmax: int = 12  # reduction witness search bound
-    nmax_escalation: int = 48  # bound after geometric escalation
     trials: int = 10  # superficial search attempts
     coeff_bound: int = 5  # initial coefficient box for random combinations
     seed: int = 0

@@ -7,9 +7,9 @@ indices of its minimal leads.  It has two entries:
   inter-reduces the kept elements on words and unpacks the reduced
   basis once;
 - `multiplicity._gr_numerator` fills a `_Packed` itself and runs the
-  loop twice in one layout and order: the second run keeps part of the
-  first's basis as its finished prefix.  It reads only leads, so its
-  bases are never tail-reduced nor unpacked into `Polynomial`s.
+  loop two or three times in one layout and order: each later run keeps
+  part of the first's basis as its finished prefix.  It reads only
+  leads, so its bases are never tail-reduced nor unpacked into `Polynomial`s.
 A basis that grows past `DEFAULT_BASIS_LIMIT` elements raises
 `EngineLimit`.  In characteristic 0 a coefficient inside the kernel is
 a Python int while it is whole; a Fraction appears only once a lead

@@ -160,7 +160,9 @@ def _generator_terms(ideal: Ideal) -> list[dict]:
     return [{mo.unpack(lay, w): 1} for w in packed]
 
 
-def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
+def _gr_numerator(
+    ideal: Ideal, module: CyclicModule, inside: Ideal | None = None
+) -> tuple[int, int, dict] | tuple[int, int, dict, dict]:
     """(n, r, Q): the bigraded numerator of gr_m(gr_I(M)).
 
     First the Rees module of M = R/K, the sum of the I^j M =
@@ -195,6 +197,13 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
     both stay packed words from the presentation to Q.  Every table
     keeps its Q, so the spread of a pair that has a table is read off
     that table (`diagnostics`), with no second call here.
+
+    With an ideal L inside I as `inside`, a fourth value is the Q of
+    R_I(M) / L·t·R_I(M), whose T-degree v + 1 is I^(v+1)M / L·I^vM.  For
+    g = sum a_i f_i in L, t·g is congruent to the t-free sum a_i T_i, so
+    its normal form against the first basis has no t and needs no
+    division by the f_i; the nonzero forms (a zero one is a g in K)
+    replace the f_i after the prefix in a third loop.
     """
     n, p = ideal.ring.arity, ideal.ring.characteristic
     gens = _generator_terms(ideal)
@@ -209,17 +218,28 @@ def _gr_numerator(ideal: Ideal, module: CyclicModule) -> tuple[int, int, dict]:
         relation[(0,) * (1 + n + i) + (1,) + (0,) * (r - 1 - i)] = 1
         basis.append(basis.pack(relation))
     grading = (1,) * (1 + n) + tuple(1 + d for d in degrees)
+    kept = pair_loop(basis, grading)
+    rounds = [[basis.pack({(0,) + e + pad: c for e, c in f.items()}) for f in gens]]
+    if inside is not None:
+        t_gens = [
+            {(1,) + e + pad: c for e, c in g.items()} for g in _generator_terms(inside)
+        ]
+        rounds.append([basis.remainder(basis.pack(tg), kept) for tg in t_gens])
     # the kept t-free elements: a basis of the Rees relations, which
     # already contain K, under the weight order
-    basis.keep([k for k in pair_loop(basis, grading) if not basis.exps[k][0]])
+    basis.keep([k for k in kept if not basis.exps[k][0]])
     done = len(basis.leads)
-    for terms in gens:
-        basis.append(basis.pack({(0,) + e + pad: c for e, c in terms.items()}))
     lay = mo.layout(n + r)
-    leads = tuple(
-        mo.pack(lay, basis.exps[k][1:]) for k in pair_loop(basis, grading, done)
-    )
-    return n, r, mo.bigraded_numerator(lay, leads, n)
+    numerators = []
+    for appended in rounds:
+        basis.keep(range(done))
+        for terms in filter(None, appended):
+            basis.append(terms)
+        leads = tuple(
+            mo.pack(lay, basis.exps[k][1:]) for k in pair_loop(basis, grading, done)
+        )
+        numerators.append(mo.bigraded_numerator(lay, leads, n))
+    return (n, r, *numerators)
 
 
 @dataclass(frozen=True)

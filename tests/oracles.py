@@ -21,7 +21,10 @@ imports:
 - `s_polynomial` and `compare` state the S-polynomial and each monomial
   order on exponent tuples, for the packed Gröbner kernel and
   `MonomialOrder.sort_key`;
-- `sequences_equal` compares the two sequences of a reduction report.
+- `is_reduction` scans n = 0..n_max for the least n with
+  J^(n+1)M = I·J^nM, the direct route the exact reduction number of
+  `rees_criterion` is held to, and `sequences_equal` compares the two
+  sequences of a reduction report.
 """
 
 from __future__ import annotations
@@ -370,6 +373,36 @@ def _weighted(weights: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) 
 
 
 # -- reduction ------------------------------------------------------------
+
+
+def is_reduction(small: Ideal, large: Ideal, module, n_max: int) -> int | None:
+    """Least n with (J^(n+1) + K) = (I·J^n + K), or None past n_max."""
+    if small.ring != large.ring or small.ring != module.ring:
+        raise ValueError("ideals and module from different rings")
+    require_homogeneous(small, "reduction testing")
+    require_homogeneous(large, "reduction testing")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if not small.subset_of(large):
+        raise PreconditionError("the candidate reduction is not contained in the ideal")
+    if not large.is_proper() or large.is_zero():
+        raise PreconditionError("reduction testing needs a proper nonzero ideal")
+    k = module.relations
+
+    def equal_at(lower: Ideal, upper: Ideal) -> bool:
+        """J^(n+1) + K = I·J^n + K, given J^n and J^(n+1)."""
+        return upper.add(k).equals(small.multiply(lower).add(k))
+
+    lower = large.power(0)  # J^n
+    for n in range(n_max + 1):
+        upper = lower.multiply(large)
+        if equal_at(lower, upper):
+            # equality propagates upward; one step is a cheap engine check
+            if not equal_at(upper, upper.multiply(large)):
+                raise RuntimeError(f"reduction equality at {n} failed to propagate")
+            return n
+        lower = upper
+    return None
 
 
 def sequences_equal(report) -> bool:

@@ -243,20 +243,53 @@ class TestVerdictExits:
         assert code == 3
         assert "requires ideal J" in err
 
-    def test_forced_budget_exits_one(self, tmp_path, capsys):
+    def test_false_unmixedness_exits_one(self, tmp_path, capsys):
+        # K = (xy, yz) has components of dimensions 2 and 1, so the
+        # assertion is false: the criterion says reduction, and the
+        # reduction number shows there is none
         path = write(
             tmp_path,
-            "forced.json",
+            "mixed.json",
             {
                 "schema": 1,
-                "ring": {"variables": ["x", "y"]},
-                "ideals": {"I": ["x^2", "y^2"], "J": ["x^2", "x*y", "y^2"], "K": []},
-                "params": {"nmax": 0, "nmax_escalation": 0},
+                "ring": {"variables": ["x", "y", "z"]},
+                "ideals": {
+                    "I": ["x", "y^2", "z^3"],
+                    "J": ["x", "y", "z^3"],
+                    "K": ["x*y", "y*z"],
+                },
+                "assertions": {"equidimensional": True},
             },
         )
         code, out, _ = run(capsys, ["--task", "check-reduction", "--input", path])
         assert code == 1
-        assert json.loads(out)["reduction"]["consistent"] is False
+        report = json.loads(out)["reduction"]
+        assert report["criterion_verdict"] == "reduction"
+        assert report["reduced_at"] is None
+        assert report["consistent"] is False
+
+    def test_reduction_number_past_the_old_budget_exits_zero(self, tmp_path, capsys):
+        # (x^50, y^50) reduces (x^50, x^49*y, y^50) at n = 49, past the
+        # 48 steps a witness scan was given
+        path = write(
+            tmp_path,
+            "deep.json",
+            {
+                "schema": 1,
+                "ring": {"variables": ["x", "y"]},
+                "ideals": {
+                    "I": ["x^50", "y^50"],
+                    "J": ["x^50", "x^49*y", "y^50"],
+                    "K": [],
+                },
+            },
+        )
+        code, out, _ = run(capsys, ["--task", "check-reduction", "--input", path])
+        assert code == 0
+        report = json.loads(out)["reduction"]
+        assert report["reduced_at"] == 49
+        assert report["checked_to"] == 48
+        assert report["consistent"] is True
 
     def test_indeterminate_exits_two(self, tmp_path, capsys):
         path = write(
@@ -493,6 +526,7 @@ class TestOneProcess:
         "_cmp_grevlex": "compare",
         "_cmp_lex": "compare",
         "_cmp_weighted": "compare",
+        "is_reduction": "is_reduction",
     }
     MOVED_METHODS = {
         ("BigradedTable", "components"): "components",
@@ -583,8 +617,8 @@ class TestParameterRanges:
             ({"power_cap": 0}, [], {}, "power_cap"),
             ({"coeff_bound": -2}, [], {}, "coeff_bound"),
             # no MULTSEQ_ variable is read, so the flag's error shows
-            ({}, ["--nmax", "-1"], {"MULTSEQ_NMAX": "abc"}, "nmax"),
-            ({}, ["--nmax", "-3"], {}, "nmax"),
+            ({}, ["--trials", "-1"], {"MULTSEQ_TRIALS": "abc"}, "trials"),
+            ({}, ["--trials", "-3"], {}, "trials"),
             ({}, ["--trials", "-1"], {}, "trials"),
         ],
     )
@@ -614,11 +648,15 @@ class TestParameterRanges:
             ({}, ["--umax", "8"], "--umax"),
             ({}, ["--vmax", "8"], "--vmax"),
             ({}, ["--window-width", "1"], "--window-width"),
+            ({"nmax": 12}, [], "unknown parameter 'nmax'"),
+            ({"nmax_escalation": 48}, [], "unknown parameter 'nmax_escalation'"),
+            ({}, ["--nmax", "12"], "--nmax"),
         ],
     )
     def test_removed_caps_exit_three(self, tmp_path, capsys, params, flags, named):
         # table growth ends at the proof point, the star condition and
-        # the nonzerodivisor step each read one saturation, and no
+        # the nonzerodivisor step each read one saturation, the
+        # reduction number is read off the Rees module of J, and no
         # window knob can change an entry, so none of them is settable
         path = write(tmp_path, "p.json", dict(UNSTABLE, params=params))
         code, out, err = run(capsys, ["--task", "compute", "--input", path, *flags])
@@ -635,6 +673,10 @@ class TestCorpusTask:
             (["--char", "4"], "--char"),
             (["--char", "1"], "--char"),
             (["--char", "-3"], "--char"),
+            (["--n-vars", "0"], "--n-vars"),
+            (["--n-vars", "5"], "--n-vars"),
+            (["--max-degree", "0"], "--max-degree"),
+            (["--max-degree", "6"], "--max-degree"),
         ],
     )
     def test_out_of_range_flags_exit_three(self, capsys, flags, named):

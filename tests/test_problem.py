@@ -52,13 +52,13 @@ class TestBuilding:
                 label="demo",
                 ideals={"I": ["x"], "J": ["x", "y"], "K": []},
                 assertions={"equidimensional": True},
-                params={"nmax": 9, "seed": 3},
+                params={"trials": 9, "seed": 3},
             )
         )
         assert p.label == "demo"
         assert p.larger_ideal is not None
         assert p.module().equidimensional
-        assert p.effective_params(Params()).nmax == 9
+        assert p.effective_params(Params()).trials == 9
         assert p.effective_params(Params()).seed == 3
 
     def test_defaults_pass_through_when_params_empty(self):
@@ -141,7 +141,7 @@ class TestRejection:
         path = Path(multseq.__file__).parent / "schema" / "problem.schema.json"
         schema = json.loads(path.read_text())["properties"]["params"]["properties"]
         names = [f.name for f in fields(Params)]
-        assert names == ["nmax", "nmax_escalation", "trials", "coeff_bound", "seed"]
+        assert names == ["trials", "coeff_bound", "seed"]
         assert set(schema) == set(names)
         assert {k: v["minimum"] for k, v in schema.items() if "minimum" in v} == MINIMUMS
 
@@ -259,7 +259,7 @@ class TestCanonicalJson:
         assert text.index('"c"') < text.index('"d"')
 
     def test_byte_stability(self):
-        payload = doc(params={"seed": 1, "nmax": 4})
+        payload = doc(params={"seed": 1, "trials": 4})
         assert canonical_json(payload) == canonical_json(json.loads(canonical_json(payload)))
 
     @staticmethod

@@ -2,8 +2,9 @@
 
 The classical anchor: (x^2, y^2) reduces (x, y)^2 with witness at
 n = 1, and both sequences collapse to the mixed-power multiplicity 4.
-Random pairs only ever assert cross-consistency between the witness
-scan and the sequence comparison, never an unverified ground truth.
+Random pairs only ever assert cross-consistency between the reduction
+number, the witness scan of `oracles.is_reduction` and the sequence
+comparison, never an unverified ground truth.
 """
 
 import random
@@ -19,7 +20,6 @@ from multseq import (
     PolyRing,
     buchberger,
     generate_corpus,
-    is_reduction,
     local_c0,
     problem_from_dict,
     rees_criterion,
@@ -28,7 +28,7 @@ from multseq import (
 )
 from multseq import monomials, multiplicity, reduction
 from multseq.errors import PreconditionError, SearchExhausted
-from oracles import sequences_equal
+from oracles import is_reduction, sequences_equal
 
 
 class TestWitnessScan:
@@ -162,19 +162,20 @@ class TestCriterion:
         assert rep.criterion_verdict == "indeterminate"
         assert rep.reduced_at == 0
 
-    def test_forced_budget_reports_inconsistency(self):
-        # a reduction verdict with a zero-step witness budget must be
-        # flagged, not silently trusted
-        r = ring("x", "y")
-        small = ideal(r, "x^2", "y^2")
-        large = ideal(r, "x^2", "x*y", "y^2")
-        rep = rees_criterion(
-            small, large, module(r), Params(nmax=0, nmax_escalation=0)
-        )
+    def test_false_unmixedness_reports_inconsistency(self):
+        # K = (xy, yz) has components of dimensions 2 and 1, so the
+        # assertion is false: the sequences agree and the criterion says
+        # reduction, but (x, y^2, z^3) does not reduce (x, y, z^3) there
+        r = ring("x", "y", "z")
+        small = ideal(r, "x", "y^2", "z^3")
+        large = ideal(r, "x", "y", "z^3")
+        m = module(r, "x*y", "y*z", equidimensional=True)
+        rep = rees_criterion(small, large, m)
         assert rep.criterion_verdict == "reduction"
         assert rep.reduced_at is None
+        assert is_reduction(small, large, m, 3) is None
         assert not rep.consistent
-        assert "no witness within 0 steps" in rep.note
+        assert rep.note == "criterion predicts a reduction but no witness within 48 steps"
 
     def test_localwise_collapse_on_witnessed_pair(self):
         # a witnessed reduction equalizes the local leading term at
@@ -192,7 +193,6 @@ class TestCriterion:
         rng = random.Random(11)
         r = ring("x", "y")
         m = module(r)
-        budget = Params(nmax=8, nmax_escalation=16)
         for _ in range(10):
             degree = rng.randint(2, 4)
             a = rng.randint(0, degree)
@@ -200,13 +200,143 @@ class TestCriterion:
             gens = [f"x^{degree}", f"y^{degree}", f"x^{a}*y^{degree - a}"]
             small = ideal(r, gens[0], gens[1])
             large = ideal(r, *gens, f"x^{b}*y^{degree - b}")
-            rep = rees_criterion(small, large, m, budget)
+            rep = rees_criterion(small, large, m)
             assert rep.consistent, rep.note
             if rep.reduced_at is not None:
                 assert sequences_equal(rep)
             if sequences_equal(rep) and rep.height > 0 and rep.equidimensional:
                 assert rep.criterion_verdict == "reduction"
                 assert rep.reduced_at is not None
+
+
+def scan_agrees(small, large, m, bound: int) -> tuple:
+    """The reduction number, and the answer the scan to `bound` gives.
+
+    They must agree wherever the scan finds a witness, and the scan may
+    find none only when the reduction number is None or past `bound`.
+    """
+    reduced_at = rees_criterion(small, large, m).reduced_at
+    seen = reduced_at if reduced_at is not None and reduced_at <= bound else None
+    return reduced_at, seen, is_reduction(small, large, m, bound)
+
+
+def pair_problems(count: int, seeds=(0, 1, 2)):
+    for n_vars in (2, 3, 4):
+        for seed in seeds:
+            for char in (0, 101):
+                docs = generate_corpus(
+                    count, n_vars=n_vars, seed=seed, mode="pair", characteristic=char
+                )
+                yield from ((doc, problem_from_dict(doc)) for doc in docs)
+
+
+class TestReductionNumber:
+    """The reduction number is read off the Rees module of J, with no scan."""
+
+    @pytest.mark.parametrize("k, checked_to", [(3, 12), (14, 24), (50, 48)])
+    def test_power_family(self, k, checked_to):
+        # (x^k, y^k) reduces (x^k, x^(k-1)*y, y^k) first at n = k - 1;
+        # `checked_to` reports the budget a witness scan would have had
+        r = ring("x", "y")
+        small = ideal(r, f"x^{k}", f"y^{k}")
+        large = ideal(r, f"x^{k}", f"x^{k - 1}*y", f"y^{k}")
+        rep = rees_criterion(small, large, module(r))
+        assert rep.criterion_verdict == "reduction"
+        assert rep.reduced_at == k - 1
+        assert rep.checked_to == checked_to
+        assert rep.consistent and rep.note == ""
+
+    def test_pair_corpora_agree_with_the_scan(self):
+        found = set()
+        for doc, problem in pair_problems(10):
+            small, large = problem.ideal, problem.larger_ideal
+            reduced_at, seen, scan = scan_agrees(small, large, problem.module(), 4)
+            assert scan == seen, (doc, reduced_at)
+            found.add(reduced_at)
+        assert None in found and {0, 1} <= found
+
+    def test_monomial_relations_agree_with_the_scan(self):
+        # pair documents with one or two random monomial relations
+        rng = random.Random(7)
+        found = set()
+        for doc, problem in pair_problems(5, seeds=(3,)):
+            names = problem.ring.variables
+            relations = []
+            for _ in range(rng.randint(1, 2)):
+                exps = [0] * len(names)
+                for _ in range(rng.randint(2, 4)):
+                    exps[rng.randrange(len(names))] += 1
+                relations.append("*".join(f"{v}^{e}" for v, e in zip(names, exps) if e))
+            m = module(problem.ring, *relations)
+            small, large = problem.ideal, problem.larger_ideal
+            reduced_at, seen, scan = scan_agrees(small, large, m, 4)
+            assert scan == seen, (doc, relations, reduced_at)
+            found.add(reduced_at)
+        assert None in found and {0, 1} <= found
+
+    @pytest.mark.parametrize(
+        "names, char, small, large, relations, want",
+        [
+            ("xy", 0, ["x^2 + y^2", "x*y"], ["x^2", "x*y", "y^2"], [], 1),
+            ("xy", 101, ["x^2 + y^2", "x*y"], ["x^2", "x*y", "y^2"], [], 1),
+            ("xy", 0, ["x^2 - y^2", "x*y + y^2"], ["x^2", "x*y", "y^2"], [], None),
+            ("xy", 0, ["x + y", "y^2"], ["x", "y"], [], None),
+            ("xy", 0, ["x^3 + y^3", "x*y^2"], ["x^3", "x^2*y", "x*y^2", "y^3"], [], 1),
+            ("xy", 0, ["x^5 + y^5", "y^5"], ["x^5", "x^4*y", "y^5"], [], 4),
+            ("xyz", 0, ["x", "y"], ["x", "y", "z"], ["x*y + z^2"], 1),
+            ("xyz", 101, ["x", "y"], ["x", "y", "z"], ["x*y + z^2"], 1),
+            ("xyz", 0, ["x", "z"], ["x", "y", "z"], ["x*y + z^2"], None),
+            ("xyz", 0, ["x^2", "y^2"], ["x^2", "x*y", "y^2"], ["x*z - y^2"], 1),
+            (
+                "xyz", 101, ["x^2 + y*z", "y^2"], ["x^2", "y^2", "y*z", "x*y"],
+                ["z^2 - x*y"], 2,
+            ),
+            ("xyz", 0, ["x^2 - y*z", "z^2"], ["x^2", "y*z", "z^2"], [], None),
+            (
+                "xyz", 101, ["x*y - z^2", "x^2"], ["x^2", "x*y", "z^2"],
+                ["y^3 - x*z^2"], 2,
+            ),
+        ],
+    )
+    def test_general_inputs_agree_with_the_scan(
+        self, names, char, small, large, relations, want
+    ):
+        # the scan multiplies general ideals, so it runs only to 3
+        r = ring(*names, char=char)
+        m = module(r, *relations)
+        reduced_at, seen, scan = scan_agrees(ideal(r, *small), ideal(r, *large), m, 3)
+        assert reduced_at == want
+        assert scan == seen
+
+    def test_verdict_reduction_exactly_when_reduced(self):
+        # on the pair corpora the sequences agree with the reduction
+        # number, as the main theorem and its converse say they must
+        verdicts = set()
+        for doc, problem in pair_problems(20):
+            rep = rees_criterion(problem.ideal, problem.larger_ideal, problem.module())
+            reduction = rep.criterion_verdict == "reduction"
+            assert reduction == (rep.reduced_at is not None), doc
+            assert rep.consistent, doc
+            verdicts.add(reduction)
+        assert verdicts == {True, False}
+
+    def test_reduction_number_is_one_extra_numerator(self, monkeypatch):
+        # J's own sequence and its reduction number share the Rees
+        # basis: one Q for each sequence, one Q_N for the number
+        calls = []
+        real = monomials.bigraded_numerator
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(monomials, "bigraded_numerator", counted)
+        r = ring("x", "y")
+        rep = rees_criterion(
+            ideal(r, "x^2", "y^2"), ideal(r, "x^2", "x*y", "y^2"), module(r)
+        )
+        assert rep.reduced_at == 1
+        assert len(calls) == 3
 
 
 class TestSuperficial:

@@ -8,8 +8,8 @@ plus a fixed seeded corpus grid in characteristic 0 and in a prime
 field, through `multseq.cli.main` of CHECKOUT in-process, once with
 `--format json` and once with `--format table`.  The grid adds
 documents the workloads do not run, among them four-variable
-`verify-formula` and `check-reduction` documents, whose witness scan
-multiplies the largest packed ideals of the grid, four-variable
+`verify-formula` and `check-reduction` documents, whose Rees bases
+are the largest of the grid, four-variable
 `superficial` documents, whose principal relations `colon_poly`
 divides out, and the prime-field rows, where the Groebner kernel
 reduces mod p.  Each report prints as
