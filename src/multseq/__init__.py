@@ -25,22 +25,14 @@ from .multiplicity import (
     CyclicModule,
     Diagnostics,
     MultiplicitySequence,
-    analytic_spread,
     diagnostics,
     height_on_module,
     multiplicity_sequence,
-    star_condition,
 )
 from .localization import (
     Contribution,
     FormulaReport,
     KSummary,
-    LambdaSet,
-    MonomialPrime,
-    enumerate_lambda,
-    local_c0,
-    localize_ideal,
-    localize_module,
     verify_formula,
 )
 from .reduction import (
@@ -68,9 +60,7 @@ __all__ = [
     "HilbertSeries",
     "Ideal",
     "KSummary",
-    "LambdaSet",
     "MonomialOrder",
-    "MonomialPrime",
     "MultiplicitySequence",
     "NonHomogeneousInput",
     "Params",
@@ -84,12 +74,10 @@ __all__ = [
     "SearchExhausted",
     "SuperficialCandidate",
     "TrialRecord",
-    "analytic_spread",
     "buchberger",
     "canonical_json",
     "diagnostics",
     "elimination_order",
-    "enumerate_lambda",
     "format_polynomial",
     "generate_corpus",
     "grevlex",
@@ -97,16 +85,12 @@ __all__ = [
     "krull_dimension",
     "lex",
     "load_problem",
-    "local_c0",
-    "localize_ideal",
-    "localize_module",
     "multiplicity_sequence",
     "normal_form",
     "parse_polynomial",
     "problem_from_dict",
     "rees_criterion",
     "revalidate",
-    "star_condition",
     "superficial_search",
     "verify_formula",
 ]

@@ -115,9 +115,8 @@ def _effective_params(problem: Problem | None, args) -> Params:
         if value is not None:
             overrides[name] = value
     # a document's params were checked when it loaded
-    params = Params() if problem is None else problem.effective_params(Params())
     try:
-        return params.replace(**overrides)
+        return (problem.params if problem else Params()).replace(**overrides)
     except ValueError as exc:
         # an out-of-range flag is bad input
         raise _UsageError(str(exc)) from None

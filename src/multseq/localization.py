@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import monomials as mo
-from .errors import PreconditionError
 from .ideals import Ideal
 from .multiplicity import (
     CyclicModule,
@@ -37,123 +36,10 @@ from .orders import grevlex
 from .poly import PolyRing
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
-    """Prime generated by a subset of the variables."""
-
-    variables: tuple[str, ...]
-
-    @staticmethod
-    def from_indices(ring: PolyRing, indices) -> MonomialPrime:
-        return MonomialPrime(tuple(ring.variables[i] for i in sorted(indices)))
-
-    def indices(self, ring: PolyRing) -> tuple[int, ...]:
-        try:
-            return tuple(ring.variables.index(v) for v in self.variables)
-        except ValueError:
-            raise ValueError(f"prime variables {self.variables} not in ring")
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(self.variables) + ")" if self.variables else "(0)"
-
-
-def _restricted_ring(ring: PolyRing, prime: MonomialPrime) -> PolyRing:
+def _restricted_ring(ring: PolyRing, keep: tuple[int, ...]) -> PolyRing:
     # the localized picture lives in the prime's own variables
-    names = tuple(v for v in ring.variables if v in prime.variables)
+    names = tuple(ring.variables[i] for i in keep)
     return PolyRing(names, ring.characteristic, grevlex())
-
-
-def localize_ideal(ideal: Ideal, prime: MonomialPrime) -> Ideal:
-    """Image of a monomial ideal in the local ring at the prime.
-
-    Exponents on variables outside the prime are dropped; the result is
-    the ideal of the restricted polynomial ring in the prime's
-    variables that presents the localization.
-    """
-    packed = ideal.packed()
-    if packed is None:
-        raise PreconditionError("localization needs monomial generators")
-    ring = ideal.ring
-    if not prime.variables:
-        raise PreconditionError("cannot localize at the empty variable set")
-    lay = mo.layout(ring.arity)
-    restricted = mo.restrict(lay, packed, prime.indices(ring))
-    return Ideal.from_packed(_restricted_ring(ring, prime), restricted)
-
-
-def localize_module(module: CyclicModule, prime: MonomialPrime) -> CyclicModule:
-    return _local_module(localize_ideal(module.relations, prime))
-
-
-def _local_module(relations: Ideal) -> CyclicModule:
-    if not relations.is_proper():
-        raise PreconditionError("prime lies outside the support of the module")
-    return CyclicModule(relations.ring, relations)
-
-
-@dataclass(frozen=True)
-class LambdaSet:
-    """Primes of codimension-complement k meeting the dimension condition."""
-
-    k: int
-    primes: tuple[MonomialPrime, ...]
-    complete: bool
-    note: str = ""
-
-
-def enumerate_lambda(ideal: Ideal, module: CyclicModule) -> tuple[LambdaSet, ...]:
-    """The strata Λ_0..Λ_d, all read off one `_monomial_strata` map.
-
-    Λ_k holds the primes p over I plus relations with dim R/p = k and
-    dim M_p = d - k.  Monomial input enumerates every variable-subset
-    prime, so Λ_0 is the maximal ideal alone, and lists every fixed
-    component of the k-dimensional Stuckrad-Vogel cycle; `complete`
-    certifies that fixed list only.  Moving components are not listed
-    here (see `moving_residual`).  Primes over non-monomial data are not
-    enumerated: every stratum is returned empty and incomplete, so its
-    row reads as a lower bound.
-    """
-    if not ideal.add(module.relations).is_proper():
-        raise PreconditionError("support of the colength module is empty")
-    return _lambda_sets(ideal, module, _monomial_strata(ideal, module))
-
-
-def _lambda_sets(
-    ideal: Ideal, module: CyclicModule, strata: dict | None
-) -> tuple[LambdaSet, ...]:
-    """`enumerate_lambda`, given the pair's `_monomial_strata` map."""
-    ring = ideal.ring
-    n = ring.arity
-    d = module.dim
-    if strata is None:
-        note = "general input: primes over it are not enumerated"
-        return tuple(LambdaSet(k, (), False, note) for k in range(d + 1))
-    return tuple(
-        LambdaSet(
-            k,
-            tuple(
-                MonomialPrime.from_indices(ring, subset)
-                for subset, local_dim in strata.items()
-                if len(subset) == n - k and local_dim == d - k
-            ),
-            True,
-        )
-        for k in range(d + 1)
-    )
-
-
-def local_c0(ideal: Ideal, module: CyclicModule, prime: MonomialPrime) -> int:
-    """Leading coefficient c_0 of the localized pair at the prime."""
-    return _c0(localize_ideal(ideal, prime), localize_module(module, prime))
-
-
-def _c0(local_i: Ideal, local_m: CyclicModule) -> int:
-    if not local_i.is_proper():
-        return 0  # the ideal is a unit there; nothing is carried
-    if local_i.is_zero():
-        return 0
-    seq, _ = multiplicity_sequence(local_i, local_m)
-    return seq.entries[0]
 
 
 @dataclass(frozen=True)
@@ -271,50 +157,62 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     Stuckrad-Vogel cycle.  Its fixed part is `rhs`, the sum over the
     stratum Λ_k of the local leading coefficient times the degree of
     the residue ring; its moving part is `residual`, from
-    `moving_residual`.  One `_monomial_strata` map gives the height,
-    the star condition and every stratum.  Λ_0 is the maximal ideal,
-    where the localization is the pair itself, so row 0 reads c_0 off
-    the pair's sequence; every other prime takes the `local_c0` route,
-    on the pair built from the words its key restricts, once per
-    distinct localized pair.  A row is complete when the stratum is
-    fully enumerated and the residual is derived for it.  With the star
-    condition in force and every row complete, c_k must equal
-    rhs + residual exactly; otherwise the rows are reported as a
-    lower-bound certificate rather than a verification.
+    `moving_residual`.  Λ_k holds the primes p over I + K with
+    dim R/p = k and dim M_p = d - k.  One `_monomial_strata` map gives
+    the height, the star condition and every stratum: for monomial
+    input it holds every variable-subset prime over I + K, so each Λ_k
+    is listed in full, its fixed components all, and Λ_0 is the maximal
+    ideal alone.  There the localization is the pair itself, so row 0
+    reads c_0 off the pair's sequence; every other prime's c_0 is the
+    leading entry of the sequence of the pair built from the words its
+    key restricts, once per distinct localized pair.  Primes over
+    non-monomial data are not enumerated, so every row lists none.  A
+    row is complete when the stratum is fully enumerated and the
+    residual is derived for it.  With the star condition in force and
+    every row complete, c_k must equal rhs + residual exactly;
+    otherwise the rows are reported as a lower-bound certificate rather
+    than a verification.
     """
     seq, _ = multiplicity_sequence(ideal, module)
     strata = _monomial_strata(ideal, module)
     het = _height(ideal, module, strata)
     star = _star(ideal, module, strata, het)
     ring = ideal.ring
-    lay = mo.layout(ring.arity)
+    n, d = ring.arity, module.dim
+    lay = mo.layout(n)
     ip, kp = ideal.packed(), module.relations.packed()
     # primes whose localizations restrict I and K to the same words
     # have the same local pair, up to the names of its variables
     local: dict[tuple, int] = {}
 
-    def c0(prime: MonomialPrime) -> int:
-        keep = prime.indices(ring)
+    def c0(keep: tuple[int, ...]) -> int:
         i_words, k_words = mo.restrict(lay, ip, keep), mo.restrict(lay, kp, keep)
         key = (len(keep), i_words, k_words)
         if key not in local:
-            sub = _restricted_ring(ring, prime)
-            local[key] = _c0(
+            sub = _restricted_ring(ring, keep)
+            # keep is a prime over I + K: I_p is neither (1) nor 0, and
+            # K_p is proper
+            local_seq, _ = multiplicity_sequence(
                 Ideal.from_packed(sub, i_words),
-                _local_module(Ideal.from_packed(sub, k_words)),
+                CyclicModule(sub, Ideal.from_packed(sub, k_words)),
             )
+            local[key] = local_seq.entries[0]
         return local[key]
 
     rows = []
     all_complete = True
-    for lam in _lambda_sets(ideal, module, strata):
-        k = lam.k
+    for k in range(d + 1):
         contribs = tuple(
-            Contribution(p.variables, c0(p) if k else seq.entries[0], 1)
-            for p in lam.primes
+            Contribution(
+                tuple(ring.variables[i] for i in keep),
+                c0(keep) if k else seq.entries[0],
+                1,
+            )
+            for keep, local_dim in (strata or {}).items()
+            if len(keep) == n - k and local_dim == d - k
         )
         residual = moving_residual(ideal, module, k)
-        complete = lam.complete and residual is not None
+        complete = strata is not None and residual is not None
         rows.append(
             KSummary(
                 k=k,

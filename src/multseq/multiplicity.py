@@ -22,17 +22,16 @@ second basis starts from the t-free part of the first as a finished
 prefix.  It reads only their minimal leads, so the table path builds
 no polynomial ring, no `Polynomial` and no reduced tail.  Every table
 keeps the Q it was divided from, so `diagnostics` reads the spread off
-the table the sequence came with, and `analytic_spread` is the route
-for a pair with no table.  The per-cell `component_length` in
+the table the sequence came with.  The per-cell `component_length` in
 `tests/oracles.py` is the independent route the tests check tables
 against.
 
 For monomial data one map (`_monomial_strata`) sends each
 variable-subset prime over I + K to the local dimension of M there.
 The height is its least value, the star condition reads it at height
-zero, and `localization.enumerate_lambda` reads every support stratum
-off it; `diagnostics` and `localization.verify_formula` build it once
-per pair and pass it to all of them.
+zero, and the support strata of `localization.verify_formula` are
+read off it; `diagnostics` and `verify_formula` build it once per pair
+and pass it to all of them.
 
 The sequence is read off Q, once per pair, as a proof.  h(u, v) is
 the sum of Q_pq C(u-p+n, n) C(v-q+r, r), so it equals a polynomial P,
@@ -409,18 +408,6 @@ def _minimal_generators(ideal: Ideal) -> list[Polynomial]:
     return [ideal.ring.monomial(mo.unpack(lay, w)) for w in packed]
 
 
-def analytic_spread(ideal: Ideal, module: CyclicModule) -> int:
-    """Dimension of the special fiber of the I-filtration on the module.
-
-    The fiber, the sum of the I^j M / m*I^j M, is the u = 0 column of
-    gr_m(gr_I(M)), with series Q(0, t) / (1-t)^r; its dimension is the
-    order of the pole at t = 1, r - ord_{t=1} Q(0, t).
-    """
-    _check_pair(ideal, module)
-    _, r, numerator = _gr_numerator(ideal, module)
-    return _spread(r, numerator)
-
-
 def _spread(r: int, numerator: dict) -> int:
     """Dimension of the fiber whose series is Q(0, t) / (1-t)^r."""
     # Q(0, 0) = 1: the (0, 0) piece is M / (m + I)M = k
@@ -438,7 +425,9 @@ def _monomial_strata(ideal: Ideal, module: CyclicModule) -> dict | None:
     """Each variable-subset prime over I + K, mapped to dim M_p.
 
     Keys are sorted variable-index tuples, by size and then in
-    `itertools.combinations` order; None unless I and K are monomial.
+    `itertools.combinations` order, the order in which
+    `localization.verify_formula` lists each stratum; None unless I and
+    K are monomial.
     Outside variables become units, so K restricts to the kept
     variables, where the local dimension is read off; a prime over
     I + K contains K, so the restriction is never the unit ideal.
@@ -483,23 +472,15 @@ def _height(ideal: Ideal, module: CyclicModule, strata: dict | None) -> int:
     return module.dim - krull_dimension(joined)
 
 
-def star_condition(ideal: Ideal, module: CyclicModule) -> bool | None:
-    """Does every power of I act with full dimension, locally everywhere?
-
-    Positive height settles it; otherwise the monomial route checks
-    dim(I^n M) = dim M at every monomial prime of the support of M/IM
-    and every n at once, through the saturation K : I^∞.  None means
-    the engine cannot decide (general data with height zero).
-    """
-    _check_pair(ideal, module)
-    strata = _monomial_strata(ideal, module)
-    return _star(ideal, module, strata, _height(ideal, module, strata))
-
-
 def _star(
     ideal: Ideal, module: CyclicModule, strata: dict | None, height: int
 ) -> bool | None:
-    """`star_condition`, given the pair's strata map and height.
+    """Does every power of I act with full dimension, locally everywhere?
+
+    Positive height settles it; otherwise the monomial route checks
+    dim(I^n M_p) = dim M_p at every prime p of the pair's strata map and
+    every n at once, through the saturation K : I^∞.  None means the
+    engine cannot decide (general data with height zero).
 
     I^n M_p = I^n / (I^n ∩ K) has the dimension of R_p / (K : I^n).
     The colons only grow with n, so their dimensions only fall from

@@ -103,6 +103,9 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", offset3)
+                p = self.ring.characteristic
+                if p and Fraction(num, den).denominator % p == 0:
+                    raise ParseError("denominator vanishes in prime field", offset3)
             saw_anything = True
         while True:
             kind, value, offset = self.peek()
@@ -131,11 +134,7 @@ class _Parser:
             saw_anything = True
         if not saw_anything:
             raise ParseError("expected coefficient or variable", offset)
-        coefficient = Fraction(num, den)
-        if self.ring.characteristic:
-            if coefficient.denominator % self.ring.characteristic == 0:
-                raise ParseError("denominator vanishes in prime field", 0)
-        return tuple(exponents), coefficient
+        return tuple(exponents), Fraction(num, den)
 
 
 def parse_terms(ring: PolyRing, text: str) -> dict:

@@ -45,7 +45,7 @@ class Problem:
     ring: PolyRing
     ideals: dict[str, Ideal]
     equidimensional: bool
-    params: dict[str, int]
+    params: Params
     label: str | None
     source: dict
 
@@ -63,9 +63,6 @@ class Problem:
 
     def module(self) -> CyclicModule:
         return CyclicModule(self.ring, self.relations, self.equidimensional)
-
-    def effective_params(self, base: Params) -> Params:
-        return base.replace(**self.params) if self.params else base
 
 
 def _expect(condition: bool, message: str, location: str) -> None:
@@ -187,7 +184,7 @@ def problem_from_dict(doc: dict) -> Problem:
             f"params.{key}",
         )
     try:
-        Params(**params_doc)
+        params = Params(**params_doc)
     except ValueError as exc:
         raise ProblemError(str(exc), "params") from None
 
@@ -199,7 +196,7 @@ def problem_from_dict(doc: dict) -> Problem:
         ring=ring,
         ideals=ideals,
         equidimensional=equidimensional,
-        params=dict(params_doc),
+        params=params,
         label=label,
         source=doc,
     )
@@ -213,6 +210,8 @@ def load_problem(path: str) -> Problem:
         raise ProblemError(str(exc), path)
     except json.JSONDecodeError as exc:
         raise ProblemError(f"invalid JSON: {exc}", path)
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"not UTF-8: {exc}", path)
     return problem_from_dict(doc)
 
 

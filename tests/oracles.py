@@ -2,9 +2,9 @@
 
 No production path calls any of these.  Each is built from public
 engine names only (`Ideal` operations, the packed monomial kernel,
-and `multiplicity_sequence` for the Q(s, t) a pair's table keeps),
-never from a `_`-prefixed one, so its independence shows in its
-imports:
+and `multiplicity_sequence` for a pair's sequence and the Q(s, t) its
+table keeps), never from a `_`-prefixed one, so its independence shows
+in its imports:
 
 - `component_length` counts the (i, j) piece of the doubly filtered
   module as the length of two nested ideals, the per-cell route the
@@ -15,6 +15,9 @@ imports:
   `multiplicity_sequence` is held to;
 - `classical_multiplicity` reads c_0 of a finite-colength pair off
   colength differences;
+- `localize` restricts a monomial pair to the polynomial ring of a
+  variable prime, and `local_c0` reads the leading entry of the
+  localized pair's sequence;
 - `hilbert_series` collapses the bigraded numerator to one grading,
   and `expansion`, `length`, `length_subquotient`, `total_length`,
   `quotient_degree` and `minimal_primes_monomial` read off it;
@@ -35,9 +38,12 @@ from dataclasses import replace
 from itertools import zip_longest
 
 from multseq import (
+    CyclicModule,
     HilbertSeries,
     Ideal,
+    PolyRing,
     PreconditionError,
+    grevlex,
     krull_dimension,
     multiplicity_sequence,
 )
@@ -217,6 +223,38 @@ def classical_multiplicity(ideal, module) -> int:
         count = math.ceil(count * 1.5)
         if count > longest:
             raise AssertionError("colength differences failed to stabilize")
+
+
+# -- localization at variable primes --------------------------------------
+
+
+def localize(ideal, module, variables: tuple[str, ...]):
+    """The monomial pair at the prime generated by `variables`.
+
+    The variables outside the prime become units, so each generator
+    forgets their exponents; the local pair lives in the polynomial
+    ring of the prime's variables.  A module whose relations leave the
+    prime localizes to zero, which `CyclicModule` rejects.
+    """
+    ring = ideal.ring
+    ip, kp = ideal.packed(), module.relations.packed()
+    if ip is None or kp is None:
+        raise PreconditionError("localization needs monomial generators")
+    keep = tuple(ring.variables.index(v) for v in variables)
+    sub = PolyRing(tuple(variables), ring.characteristic, grevlex())
+    lay = mo.layout(ring.arity)
+    local_i = Ideal.from_packed(sub, mo.restrict(lay, ip, keep))
+    local_k = Ideal.from_packed(sub, mo.restrict(lay, kp, keep))
+    return local_i, CyclicModule(sub, local_k)
+
+
+def local_c0(ideal, module, variables: tuple[str, ...]) -> int:
+    """c_0 of the pair localized at the prime; 0 where I is a unit there."""
+    local_i, local_m = localize(ideal, module, variables)
+    if not local_i.is_proper() or local_i.is_zero():
+        return 0
+    seq, _ = multiplicity_sequence(local_i, local_m)
+    return seq.entries[0]
 
 
 # -- single-graded series -------------------------------------------------

@@ -527,6 +527,9 @@ class TestOneProcess:
         "_cmp_lex": "compare",
         "_cmp_weighted": "compare",
         "is_reduction": "is_reduction",
+        "local_c0": "local_c0",
+        "localize_ideal": "localize",
+        "localize_module": "localize",
     }
     MOVED_METHODS = {
         ("BigradedTable", "components"): "components",
@@ -537,7 +540,19 @@ class TestOneProcess:
         ("MonomialOrder", "compare"): "compare",
         ("ReductionReport", "sequences_equal"): "sequences_equal",
     }
-    DELETED = ("StabilizationError", "irrelevant_power", "hilbert_numerator")
+    DELETED = (
+        "StabilizationError",
+        "irrelevant_power",
+        "hilbert_numerator",
+        "MonomialPrime",
+        "LambdaSet",
+        "enumerate_lambda",
+        "analytic_spread",
+        "star_condition",
+        "_lambda_sets",
+        "_c0",
+        "_local_module",
+    )
 
     def test_the_engine_ships_no_oracle(self):
         # the slow routes the tests hold the engine to live in
@@ -564,6 +579,13 @@ class TestOneProcess:
             assert callable(getattr(oracles, oracle))
         for oracle in self.MOVED.values():
             assert callable(getattr(oracles, oracle))
+
+    def test_every_exported_name_resolves_once(self):
+        # `from multseq import *` fails on a name in __all__ that the
+        # package no longer binds
+        assert len(set(multseq.__all__)) == len(multseq.__all__)
+        for name in multseq.__all__:
+            assert hasattr(multseq, name), name
 
 
 class TestUsage:
@@ -592,6 +614,13 @@ class TestUsage:
         )
         assert code == 3
         assert "input error" in err
+
+    def test_non_utf8_input_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        code, _, err = run(capsys, ["--task", "compute", "--input", str(path)])
+        assert code == 3
+        assert "input error" in err and str(path) in err
 
 
 # a one-cell window would read (0, 45, 6, 0) here, since it certifies

@@ -16,17 +16,12 @@ from conftest import ideal, module, poly, ring
 from multseq import (
     CyclicModule,
     Ideal,
-    MonomialPrime,
     PolyRing,
     canonical_json,
     cli,
     diagnostics,
-    enumerate_lambda,
     generate_corpus,
     height_on_module,
-    local_c0,
-    localize_ideal,
-    localize_module,
     multiplicity_sequence,
     problem_from_dict,
     grevlex,
@@ -34,92 +29,70 @@ from multseq import (
 )
 from multseq.errors import PreconditionError
 from multseq.localization import moving_residual
-from oracles import minimal_primes_monomial
-
-
-class TestPrimes:
-    def test_construction_and_codimension(self):
-        r = ring("x", "y", "z")
-        p = MonomialPrime.from_indices(r, [2, 0])
-        assert p.variables == ("x", "z")
-        assert p.indices(r) == (0, 2)
-        assert str(p) == "(x, z)"
+from oracles import local_c0, localize, minimal_primes_monomial
 
 
 class TestLocalize:
     def test_drops_outside_variables(self):
         r = ring("x", "y", "z")
         a = ideal(r, "x^2*y", "z*x")
-        local = localize_ideal(a, MonomialPrime(("x",)))
+        local, _ = localize(a, module(r), ("x",))
         # y and z become units at (x), leaving (x^2, x) = (x)
         assert local.ring.variables == ("x",)
         assert local.equals(ideal(local.ring, "x"))
 
     def test_unit_when_ideal_misses_prime(self):
         r = ring("x", "y")
-        local = localize_ideal(ideal(r, "y"), MonomialPrime(("x",)))
+        local, _ = localize(ideal(r, "y"), module(r), ("x",))
         assert not local.is_proper()
 
     def test_zero_ideal_stays_zero(self):
         r = ring("x", "y")
-        local = localize_ideal(ideal(r), MonomialPrime(("x",)))
+        local, _ = localize(ideal(r), module(r), ("x",))
         assert local.is_zero()
-
-    def test_monomial_only(self):
-        r = ring("x", "y")
-        with pytest.raises(PreconditionError):
-            localize_ideal(ideal(r, "x + y"), MonomialPrime(("x",)))
 
     def test_module_outside_support_rejected(self):
         r = ring("x", "y")
         m = module(r, "x")
         with pytest.raises(PreconditionError):
-            localize_module(m, MonomialPrime(("y",)))
+            localize(ideal(r, "y"), m, ("y",))
 
     def test_module_localizes_relations(self):
         r = ring("x", "y")
         m = module(r, "x*y")
-        local = localize_module(m, MonomialPrime(("x",)))
+        _, local = localize(ideal(r, "x"), m, ("x",))
         assert local.dim == 0  # at (x) the relation becomes x
 
 
 class TestLambdaStrata:
+    @staticmethod
+    def primes(row):
+        return [c.prime for c in row.contributions]
+
     def test_principal_on_plane(self):
         r = ring("x", "y")
-        a = ideal(r, "x")
-        m = module(r)
-        at1 = enumerate_lambda(a, m)[1]
-        assert at1.complete
-        assert [p.variables for p in at1.primes] == [("x",)]
-        at0 = enumerate_lambda(a, m)[0]
-        assert [p.variables for p in at0.primes] == [("x", "y")]
-        assert enumerate_lambda(a, m)[2].primes == ()
+        rows = verify_formula(ideal(r, "x"), module(r)).rows
+        assert rows[1].complete
+        assert self.primes(rows[1]) == [("x",)]
+        assert self.primes(rows[0]) == [("x", "y")]
+        assert rows[2].contributions == ()
 
     def test_dimension_condition_filters(self):
         # M = R/(xy, xz) has a plane and a line; at (y, z) the module
         # localizes to the line's residue field, so dim R/p + dim M_p
         # is 1 + 0 < 2 = dim M and the prime is filtered out
         r = ring("x", "y", "z")
-        a = ideal(r, "y", "z")
-        m = module(r, "x*y", "x*z")
-        at1 = enumerate_lambda(a, m)[1]
-        assert at1.complete
-        assert at1.primes == ()
+        rows = verify_formula(ideal(r, "y", "z"), module(r, "x*y", "x*z")).rows
+        assert rows[1].complete
+        assert rows[1].contributions == ()
         # the maximal ideal always satisfies the condition
-        at0 = enumerate_lambda(a, m)[0]
-        assert [p.variables for p in at0.primes] == [("x", "y", "z")]
+        assert self.primes(rows[0]) == [("x", "y", "z")]
 
     def test_general_input_stratum_incomplete(self):
         r = ring("x", "y")
-        a = ideal(r, "x + y")
-        m = module(r)
-        stratum = enumerate_lambda(a, m)[1]
-        assert stratum.primes == ()
-        assert not stratum.complete
-        assert stratum.note
-        strata = enumerate_lambda(a, m)
-        assert [lam.k for lam in strata] == [0, 1, 2]
-        assert all(lam.primes == () and not lam.complete for lam in strata)
+        rows = verify_formula(ideal(r, "x + y"), module(r)).rows
+        assert [row.k for row in rows] == [0, 1, 2]
+        assert all(row.contributions == () and not row.complete for row in rows)
 
     def test_stratum_zero_is_the_maximal_ideal(self):
         # the row-0 read of verify_formula takes c_0 off the pair's own
@@ -136,12 +109,14 @@ class TestLambdaStrata:
                     problem = problem_from_dict(doc)
                     a, m = problem.ideal, problem.module()
                     assert problem.relations.is_zero() == (relations == "zero")
-                    at0 = enumerate_lambda(a, m)[0]
+                    rep = verify_formula(a, m)
+                    at0 = rep.rows[0]
                     assert at0.complete
-                    assert [p.variables for p in at0.primes] == [a.ring.variables]
-                    seq, _ = multiplicity_sequence(a, m)
-                    assert local_c0(a, m, at0.primes[0]) == seq.entries[0], doc
-                    leading.append(seq.entries[0])
+                    assert self.primes(at0) == [a.ring.variables]
+                    c0 = rep.sequence.entries[0]
+                    assert local_c0(a, m, a.ring.variables) == c0, doc
+                    assert at0.contributions[0].local_c0 == c0
+                    leading.append(c0)
         assert 0 in leading and max(leading) > 1
 
 
@@ -164,7 +139,7 @@ class TestHeight:
             m = module(r, *monomials(rng.randint(0, 2)))
             joined = a.add(m.relations)
             want = min(
-                localize_module(m, MonomialPrime.from_indices(r, p)).dim
+                localize(a, m, tuple(r.variables[i] for i in p))[1].dim
                 for p in minimal_primes_monomial(joined)
             )
             assert height_on_module(a, m) == want, (a, m)
@@ -177,15 +152,15 @@ class TestLocalMultiplicity:
         r = ring("x", "y")
         a = ideal(r, "x")
         m = module(r)
-        assert local_c0(a, m, MonomialPrime(("x",))) == 1
+        assert local_c0(a, m, ("x",)) == 1
         # at the irrelevant prime the ideal stays principal of
         # positive dimension: no finite leading term
-        assert local_c0(a, m, MonomialPrime(("x", "y"))) == 0
+        assert local_c0(a, m, ("x", "y")) == 0
 
     def test_local_c0_of_parameter_ideal(self):
         r = ring("x", "y")
         a = ideal(r, "x^2", "y^2")
-        assert local_c0(a, module(r), MonomialPrime(("x", "y"))) == 4
+        assert local_c0(a, module(r), ("x", "y")) == 4
 
 
 class TestFormula:
@@ -278,17 +253,13 @@ class TestFormula:
             calls.update(strata=0, sequence=0)
             rep = verify_formula(a, m)
             assert rep.height > 0
-            primes = [
-                MonomialPrime(c.prime) for row in rep.rows[1:] for c in row.contributions
+            pairs = [
+                localize(a, m, c.prime) for row in rep.rows[1:] for c in row.contributions
             ]
-            assert primes
+            assert pairs
             local_pairs = {
-                (
-                    len(p.variables),
-                    localize_ideal(a, p).packed(),
-                    localize_module(m, p).relations.packed(),
-                )
-                for p in primes
+                (len(i.ring.variables), i.packed(), k.relations.packed())
+                for i, k in pairs
             }
             assert calls == {"strata": 1, "sequence": 1 + len(local_pairs)}
             assert rep.rows[0].contributions[0].prime == r.variables
@@ -347,7 +318,7 @@ class TestFormula:
         # the localized pairs, built from restricted words, are the pairs
         # built from `Polynomial`s of the restricted exponents
         def localized(gens, prime, sub):
-            keep = prime.indices(gens.ring)
+            keep = tuple(gens.ring.variables.index(v) for v in prime)
             terms = [next(iter(g.terms)) for g in gens.gens]
             return Ideal(sub, [sub.monomial(tuple(e[i] for i in keep)) for e in terms])
 
@@ -357,11 +328,10 @@ class TestFormula:
             a, m = problem.ideal, problem.module()
             for row in verify_formula(a, m).rows[1:]:
                 for c in row.contributions:
-                    prime = MonomialPrime(c.prime)
-                    local_i, local_m = localize_ideal(a, prime), localize_module(m, prime)
-                    sub = PolyRing(prime.variables, a.ring.characteristic, grevlex())
-                    old_i = localized(a, prime, sub)
-                    old_k = localized(m.relations, prime, sub)
+                    local_i, local_m = localize(a, m, c.prime)
+                    sub = PolyRing(c.prime, a.ring.characteristic, grevlex())
+                    old_i = localized(a, c.prime, sub)
+                    old_k = localized(m.relations, c.prime, sub)
                     assert local_i.ring == sub
                     assert local_i.packed() == old_i.packed()
                     assert local_m.relations.packed() == old_k.packed()

@@ -43,7 +43,7 @@ class TestBuilding:
         assert p.relations.is_zero()
         assert p.larger_ideal is None
         assert p.equidimensional is False
-        assert p.params == {}
+        assert p.params == Params()
         assert p.label is None
 
     def test_full_document(self):
@@ -58,13 +58,12 @@ class TestBuilding:
         assert p.label == "demo"
         assert p.larger_ideal is not None
         assert p.module().equidimensional
-        assert p.effective_params(Params()).trials == 9
-        assert p.effective_params(Params()).seed == 3
+        assert p.params == Params(trials=9, seed=3)
 
     def test_defaults_pass_through_when_params_empty(self):
         p = problem_from_dict(doc())
-        base = Params(seed=17)
-        assert p.effective_params(base) is base
+        # a flag replaces one parameter and the others stay defaults
+        assert p.params.replace(seed=17) == Params(seed=17)
 
 
 class TestRejection:
@@ -176,7 +175,7 @@ class TestMonomialDocuments:
         with pytest.raises(ProblemError) as info:
             problem_from_dict(bad)
         assert str(info.value) == (
-            "ideals.I[1]: denominator vanishes in prime field (at offset 0)"
+            "ideals.I[1]: denominator vanishes in prime field (at offset 2)"
         )
 
     def test_malformed_relation_exits_bad_input(self, tmp_path, capsys):
