@@ -194,7 +194,7 @@ def _run_corpus(args, params: Params) -> tuple[dict, int]:
         if not 1 <= value <= most:
             raise _UsageError(f"{flag} must be between 1 and {most}, got {value}")
     if args.char and not _is_prime(args.char):
-        raise _UsageError(f"--char must be 0 or a prime, got {args.char}")
+        raise _UsageError(f"--char must be 0 or a prime below 3.3e24, got {args.char}")
     documents = generate_corpus(
         args.count,
         n_vars=args.n_vars,
@@ -214,13 +214,16 @@ def _run_corpus(args, params: Params) -> tuple[dict, int]:
     }
     report = _base_report("corpus", params, inputs)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         written = []
-        for index, doc in enumerate(documents):
-            path = os.path.join(args.out_dir, f"problem-{index:03d}.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(canonical_json(doc))
-            written.append(path)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+            for index, doc in enumerate(documents):
+                path = os.path.join(args.out_dir, f"problem-{index:03d}.json")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(canonical_json(doc))
+                written.append(path)
+        except OSError as exc:
+            raise _UsageError(f"--out-dir {args.out_dir}: {exc}") from None
         report["written"] = written
     else:
         report["documents"] = documents

@@ -68,10 +68,6 @@ def _random_relations(
     raise EngineLimit("could not draw positive-dimensional relations")
 
 
-def _supports(exponents) -> list[frozenset[int]]:
-    return [frozenset(i for i, a in enumerate(e) if a) for e in exponents]
-
-
 def _positive_height_ideal(
     rng: random.Random,
     ring: PolyRing,
@@ -89,10 +85,7 @@ def _positive_height_ideal(
             power = [0] * ring.arity
             power[v] = rng.randint(1, max_degree)
             exponents.append(tuple(power))
-        if any(
-            all(support & set(p) for support in _supports(exponents))
-            for p in primes
-        ):
+        if any(all(any(e[v] for v in p) for e in exponents) for p in primes):
             continue  # contained in a minimal prime of the relations
         return exponents
     raise EngineLimit("could not draw an ideal of positive height")
@@ -184,8 +177,8 @@ def _superficial_document(
         if relations:
             k_packed = mo.minimalize(lay, [mo.pack(lay, e) for e in relations])
             i_packed = mo.minimalize(lay, [mo.pack(lay, e) for e in exponents])
-            if mo.contains(lay, mo.radical(lay, k_packed), i_packed):
-                continue  # the ideal would act nilpotently
+            if mo.is_unit(mo.saturate(lay, k_packed, i_packed)):
+                continue  # the ideal would act nilpotently: I ⊆ √K
             relation_vars = {t for e in relations for t, a in enumerate(e) if a}
             if any(all(e[t] for e in exponents) for t in relation_vars):
                 continue  # every element of I would be a zerodivisor

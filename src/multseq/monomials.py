@@ -221,14 +221,6 @@ def saturate(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, 
     return result
 
 
-def radical(lay: Layout, gens: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for g in gens:
-        e = unpack(lay, g)
-        out.append(pack(lay, tuple(1 if x else 0 for x in e)))
-    return minimalize(lay, out)
-
-
 def is_unit(gens: tuple[int, ...]) -> bool:
     return bool(gens) and gens[0] == 0
 

@@ -52,9 +52,9 @@ divided out of Q (`hilbert_table`) and the certificate read off its
 window (`extract_top_coefficients`), is in `tests/oracles.py`.
 
 The star condition, that I^n M keeps the local dimension of M at
-every prime over I + K for every n, is read once per stratum off the
-saturation K : I^∞ (`monomials.saturate`), where the ascending chain
-of the colons K : I^n ends.
+every prime over I + K for every n, is read off the minimal primes of
+one saturation K : I^∞ (`monomials.saturate`) per pair, where the
+ascending chain of the colons K : I^n ends.
 """
 
 from __future__ import annotations
@@ -428,9 +428,10 @@ def _monomial_strata(ideal: Ideal, module: CyclicModule) -> dict | None:
     `itertools.combinations` order, the order in which
     `localization.verify_formula` lists each stratum; None unless I and
     K are monomial.
-    Outside variables become units, so K restricts to the kept
-    variables, where the local dimension is read off; a prime over
-    I + K contains K, so the restriction is never the unit ideal.
+    Outside variables become units, so the minimal primes of K_p are
+    the minimal primes of K inside p, and dim M_p is |p| minus the
+    size of the smallest of them; a prime over I + K contains K, so it
+    contains at least one.
     """
     jp = ideal.add(module.relations).packed()
     kp = module.relations.packed()
@@ -439,12 +440,12 @@ def _monomial_strata(ideal: Ideal, module: CyclicModule) -> dict | None:
     n = ideal.ring.arity
     lay = mo.layout(n)
     supports = mo.supports(lay, jp)
+    below = mo.minimal_primes(lay, kp)
     strata = {}
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
             if all(sp.intersection(subset) for sp in supports):
-                local = mo.restrict(lay, kp, subset)
-                strata[subset] = mo.dimension(mo.layout(size), local)
+                strata[subset] = max(size - len(q) for q in below if q <= set(subset))
     return strata
 
 
@@ -479,32 +480,29 @@ def _star(
 
     Positive height settles it; otherwise the monomial route checks
     dim(I^n M_p) = dim M_p at every prime p of the pair's strata map and
-    every n at once, through the saturation K : I^∞.  None means the
+    every n at once, through one saturation K : I^∞.  None means the
     engine cannot decide (general data with height zero).
 
     I^n M_p = I^n / (I^n ∩ K) has the dimension of R_p / (K : I^n).
     The colons only grow with n, so their dimensions only fall from
-    dim M_p at n = 0, and every n passes exactly when the saturation
-    K : I^∞, which the chain reaches, has dimension dim M_p.
+    dim M_p at n = 0, and every n passes exactly when (K : I^∞)_p,
+    which the chain reaches and which saturation commutes with
+    (Atiyah–Macdonald, Cor. 3.15), has dimension dim M_p: |p| minus
+    the size of the smallest minimal prime of K : I^∞ inside p.
     """
     if height > 0:
         return True
     if strata is None:
         return None
     lay = mo.layout(ideal.ring.arity)
-    ip, kp = ideal.packed(), module.relations.packed()
-    for kept, d_local in strata.items():
-        sub_lay = mo.layout(len(kept))
-        i_local = mo.restrict(lay, ip, kept)
-        colon = mo.saturate(sub_lay, mo.restrict(lay, kp, kept), i_local)
-        if mo.is_unit(colon):
-            # a power kills the localized module, which only a
-            # zero-dimensional localization survives
-            if d_local != 0:
-                return False
-        elif mo.dimension(sub_lay, colon) != d_local:
-            return False
-    return True
+    colon = mo.saturate(lay, module.relations.packed(), ideal.packed())
+    primes = [] if mo.is_unit(colon) else mo.minimal_primes(lay, colon)
+    # with no minimal prime inside p a power of I kills M_p, which only
+    # a zero-dimensional localization survives
+    return all(
+        max((len(p) - len(q) for q in primes if q <= set(p)), default=0) == d
+        for p, d in strata.items()
+    )
 
 
 # -- diagnostics ----------------------------------------------------------

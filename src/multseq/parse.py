@@ -63,6 +63,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def integer(self, digits: str, offset: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError(f"{len(digits)}-digit integer too long", offset) from None
+
     def parse(self) -> dict:
         if not self.tokens:
             raise ParseError("empty polynomial", 0)
@@ -92,7 +98,7 @@ class _Parser:
         kind, value, offset = self.peek()
         if kind == "int":
             self.take()
-            num *= int(value)
+            num *= self.integer(value, offset)
             kind2, value2, offset2 = self.peek()
             if kind2 == "op" and value2 == "/":
                 self.take()
@@ -100,7 +106,7 @@ class _Parser:
                 if kind3 != "int":
                     raise ParseError("expected denominator digits", offset3)
                 self.take()
-                den = int(value3)
+                den = self.integer(value3, offset3)
                 if den == 0:
                     raise ParseError("zero denominator", offset3)
                 p = self.ring.characteristic
@@ -129,7 +135,7 @@ class _Parser:
                 if kind3 != "int":
                     raise ParseError("expected exponent digits", offset3)
                 self.take()
-                power = int(value3)
+                power = self.integer(value3, offset3)
             exponents[var_index] += power
             saw_anything = True
         if not saw_anything:

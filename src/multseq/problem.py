@@ -212,6 +212,8 @@ def load_problem(path: str) -> Problem:
         raise ProblemError(f"invalid JSON: {exc}", path)
     except UnicodeDecodeError as exc:
         raise ProblemError(f"not UTF-8: {exc}", path)
+    except ValueError as exc:  # a number past the interpreter's digit limit
+        raise ProblemError(str(exc), path)
     return problem_from_dict(doc)
 
 

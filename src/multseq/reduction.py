@@ -331,14 +331,12 @@ def superficial_search(
     the result is deterministic in (seed, trial count).
     """
     params = params or Params()
-    _check_pair(ideal, module)
-    # the spread and the baseline sequence read one numerator
-    n, r, numerator = _gr_numerator(ideal, module)
-    if not _spread(r, numerator) > 0:
+    # the spread is read off the baseline sequence's own table
+    baseline, table = multiplicity_sequence(ideal, module)
+    if not _spread(table.r, table.numerator) > 0:
         raise PreconditionError(
             "the ideal acts nilpotently on the module; no superficial element exists"
         )
-    baseline, _ = _stabilize(module.dim, n, r, numerator)
     if module.dim < 1:
         raise PreconditionError("superficial elements need positive dimension")
     low_entries = baseline.entries[: module.dim - 1]

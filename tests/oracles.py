@@ -19,8 +19,10 @@ in its imports:
   variable prime, and `local_c0` reads the leading entry of the
   localized pair's sequence;
 - `hilbert_series` collapses the bigraded numerator to one grading,
-  and `expansion`, `length`, `length_subquotient`, `total_length`,
-  `quotient_degree` and `minimal_primes_monomial` read off it;
+  and `expansion`, `length`, `length_subquotient`, `total_length` and
+  `quotient_degree` read off it;
+- `minimal_primes_monomial` finds the minimal primes of a monomial
+  ideal by brute force over variable subsets;
 - `s_polynomial` and `compare` state the S-polynomial and each monomial
   order on exponent tuples, for the packed Gröbner kernel and
   `MonomialOrder.sort_key`;
@@ -336,14 +338,27 @@ def quotient_degree(ideal: Ideal) -> int:
 
 
 def minimal_primes_monomial(ideal: Ideal) -> list[tuple[int, ...]]:
-    """Minimal primes of a monomial ideal, as sorted variable-index tuples."""
+    """Minimal primes of a monomial ideal, as sorted variable-index tuples.
+
+    A brute force over variable subsets: a subset generates a prime over
+    the ideal when every generator has one of its variables, and the
+    minimal ones contain no other.  Listed by size, then in
+    `itertools.combinations` order.
+    """
     packed = ideal.packed()
     if packed is None:
         raise PreconditionError("minimal primes need a monomial ideal")
     if mo.is_unit(packed):
         raise PreconditionError("unit ideal has no primes")
-    lay = mo.layout(ideal.ring.arity)
-    return [tuple(sorted(s)) for s in mo.minimal_primes(lay, packed)]
+    n = ideal.ring.arity
+    gens = [mo.unpack(mo.layout(n), w) for w in packed]
+    covers = [
+        subset
+        for size in range(n + 1)
+        for subset in itertools.combinations(range(n), size)
+        if all(any(e[v] for v in subset) for e in gens)
+    ]
+    return [s for s in covers if not any(set(c) < set(s) for c in covers)]
 
 
 # -- Gröbner bases and orders on exponent tuples -------------------------

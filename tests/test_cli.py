@@ -163,6 +163,103 @@ class TestCompute:
         assert err == ""
 
 
+def table(capsys, tmp_path, task, ideals, variables=("x", "y"), *flags):
+    """Exit code and table lines of one task, without the engine line."""
+    argv = ["--task", task, "--format", "table", *flags]
+    if task != "corpus":
+        document = {"schema": 1, "ring": {"variables": list(variables)}, "ideals": ideals}
+        argv += ["--input", write(tmp_path, "p.json", document)]
+    code, out, err = run(capsys, argv)
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1].startswith("engine    multseq ")
+    return code, [lines[0], *lines[2:]]
+
+
+class TestTableFormat:
+    def test_verify_formula(self, tmp_path, capsys):
+        code, lines = table(capsys, tmp_path, "verify-formula", {"I": ["x"], "K": []})
+        assert code == 0
+        assert lines == [
+            "task      verify-formula",
+            "seed      0",
+            "formula   verified  height 1  star True  complete True",
+            "sequence  c = (0, 1, 0)  dim 2",
+            "k  c_k  sum  residual  match  primes",
+            "0  0    0    0         yes    (x, y): 0*1",
+            "1  1    1    0         yes    (x): 1*1",
+            "2  0    0    0         yes    -",
+        ]
+
+    def test_verify_formula_lower_bound_rows_read_open(self, tmp_path, capsys):
+        # w(x, y, z): the moving residual of row 1 is not derived
+        code, lines = table(
+            capsys, tmp_path, "verify-formula",
+            {"I": ["x*w", "y*w", "z*w"], "K": []}, ("x", "y", "z", "w"),
+        )
+        assert code == 2
+        assert lines[2:] == [
+            "formula   lower-bound  height 1  star True  complete False",
+            "sequence  c = (0, 2, 1, 1, 0)  dim 4",
+            "k  c_k  sum  residual  match  primes",
+            "0  0    0    0         yes    (x, y, z, w): 0*1",
+            "1  2    1    0         open   (x, y, z): 1*1, (x, y, w): 0*1,"
+            " (x, z, w): 0*1, (y, z, w): 0*1",
+            "2  1    0    1         yes    (x, w): 0*1, (y, w): 0*1, (z, w): 0*1",
+            "3  1    1    0         yes    (w): 1*1",
+            "4  0    0    0         yes    -",
+        ]
+
+    def test_check_reduction(self, tmp_path, capsys):
+        ideals = {"I": ["x^2", "y^2"], "J": ["x^2", "x*y", "y^2"], "K": []}
+        code, lines = table(capsys, tmp_path, "check-reduction", ideals)
+        assert code == 0
+        assert lines[2:] == [
+            "reduction reduction  reduced_at 1  checked_to 12",
+            "sequences small (4, 0, 0)  large (4, 0, 0)",
+            "checks    height 2  equidimensional True  consistent True",
+        ]
+
+    def test_superficial_evidence_rows(self, tmp_path, capsys):
+        code, lines = table(
+            capsys, tmp_path, "superficial", {"I": ["x*z", "y*z"], "K": []},
+            ("x", "y", "z"),
+        )
+        assert code == 0
+        assert lines[2:] == [
+            "element   x*z + y*z  (degree 2, trial 0, c = 0)",
+            "replay    ok",
+            "check                  result  detail",
+            "draw                   ok      degree 2, coefficients [1, 1]",
+            "outside-m-times-ideal  ok      x*z + y*z",
+            "nonzerodivisor-power   ok      c = 0",
+            "dimension-drop         ok      3 -> 2",
+            "preservation           ok      entries [0, 2] match below top",
+        ]
+
+    def test_corpus(self, tmp_path, capsys):
+        flags = ("--count", "2", "--seed", "3")
+        code, lines = table(capsys, tmp_path, "corpus", {}, (), *flags)
+        assert code == 0
+        assert lines == [
+            "task      corpus",
+            "seed      3",
+            "generated 2 problems",
+            "  single-0: I=(y, x^2*z, x*z^3)",
+            "  single-1: I=(x*z, x*y^2, z^4); K=(z)",
+        ]
+        out_dir = tmp_path / "bundle"
+        code, lines = table(
+            capsys, tmp_path, "corpus", {}, (), *flags, "--out-dir", str(out_dir)
+        )
+        assert code == 0
+        assert lines[2:] == [
+            "written   2 files",
+            f"  {out_dir / 'problem-000.json'}",
+            f"  {out_dir / 'problem-001.json'}",
+        ]
+
+
 class TestVerdictExits:
     def test_formula_match_exits_zero(self, tmp_path, capsys):
         code, out, _ = run(
@@ -623,6 +720,53 @@ class TestUsage:
         assert "input error" in err and str(path) in err
 
 
+    @pytest.mark.parametrize(
+        "field, replacement",
+        [
+            ('"variables"', '"characteristic": 1' + "0" * 4999 + ', "variables"'),
+            ('"schema"', '"params": {"seed": 1' + "0" * 4999 + '}, "schema"'),
+            ('"I": [\n      "x"', '"I": [\n      "1' + "0" * 4999 + '*x"'),
+            ('"I": [\n      "x"', '"I": [\n      "1/' + "3" * 5000 + '*x"'),
+            ('"I": [\n      "x"', '"I": [\n      "x^' + "2" * 5000 + '"'),
+        ],
+        ids=["characteristic", "seed", "coefficient", "denominator", "exponent"],
+    )
+    def test_literal_past_the_digit_limit(self, tmp_path, capsys, field, replacement):
+        # Python refuses to convert integers of more than 4,300 digits
+        path = Path(golden(tmp_path))
+        text = path.read_text()
+        assert field in text
+        path.write_text(text.replace(field, replacement, 1))
+        code, out, err = run(capsys, ["--task", "compute", "--input", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "task, code", [("compute", 0), ("verify-formula", 0), ("superficial", 0)]
+    )
+    def test_large_prime_characteristic(self, tmp_path, capsys, task, code):
+        def document(p):
+            return write(
+                tmp_path,
+                f"p{p}.json",
+                {
+                    "schema": 1,
+                    "ring": {"variables": ["x", "y", "z"], "characteristic": p},
+                    "ideals": {"I": ["x*z", "y*z"], "K": []},
+                },
+            )
+
+        got, out, _ = run(capsys, ["--task", task, "--input", document(2**61 - 1)])
+        assert got == code
+        assert json.loads(out)["inputs"]["ring"]["characteristic"] == 2**61 - 1
+        got, out, err = run(
+            capsys, ["--task", task, "--input", document(399165290221 * 798330580441)]
+        )
+        assert (got, out) == (3, "")
+        assert "prime below" in err
+
+
 # a one-cell window would read (0, 45, 6, 0) here, since it certifies
 # any table
 UNSTABLE = {
@@ -706,6 +850,11 @@ class TestCorpusTask:
             (["--n-vars", "5"], "--n-vars"),
             (["--max-degree", "0"], "--max-degree"),
             (["--max-degree", "6"], "--max-degree"),
+            # 399165290221 * 798330580441, which every prime base below
+            # 41 passes
+            (["--char", "318665857834031151167461"], "--char"),
+            # 2^89 - 1 is prime, past the range the test is exact on
+            (["--char", str(2**89 - 1)], "--char"),
         ],
     )
     def test_out_of_range_flags_exit_three(self, capsys, flags, named):
@@ -726,6 +875,25 @@ class TestCorpusTask:
         assert code == 5
         assert out == ""
         assert "internal error: ValueError: engine fault" in err
+
+    def test_large_prime_char(self, capsys):
+        code, out, _ = run(
+            capsys, ["--task", "corpus", "--count", "2", "--char", str(2**61 - 1)]
+        )
+        assert code == 0
+        docs = json.loads(out)["documents"]
+        assert [d["ring"]["characteristic"] for d in docs] == [2**61 - 1] * 2
+
+    def test_out_dir_that_is_a_file_exits_three(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out_dir in (taken, taken / "below"):
+            code, out, err = run(
+                capsys, ["--task", "corpus", "--count", "1", "--out-dir", str(out_dir)]
+            )
+            assert code == 3
+            assert out == ""
+            assert err.startswith("usage error: --out-dir")
 
     def test_inline_documents_deterministic(self, capsys):
         argv = ["--task", "corpus", "--count", "4", "--seed", "5"]

@@ -333,3 +333,14 @@ class TestMinimalPrimes:
                 for drop in chosen:
                     smaller = chosen - {drop}
                     assert not all(s & smaller for s in supports)
+
+    def test_engine_reads_the_same_primes(self):
+        # the strata map and the star condition read `mo.minimal_primes`;
+        # the oracle finds the primes by brute force
+        rng = random.Random(37)
+        for n in (2, 3, 4) * 20:
+            r = ring(*"xyzw"[:n])
+            a = random_monomial_ideal(r, rng)
+            lay = mo.layout(n)
+            engine = [tuple(sorted(p)) for p in mo.minimal_primes(lay, a.packed())]
+            assert engine == minimal_primes_monomial(a), a

@@ -22,14 +22,26 @@ from multseq import (
     diagnostics,
     generate_corpus,
     height_on_module,
+    krull_dimension,
     multiplicity_sequence,
     problem_from_dict,
     grevlex,
     verify_formula,
 )
+from multseq import multiplicity
 from multseq.errors import PreconditionError
 from multseq.localization import moving_residual
 from oracles import local_c0, localize, minimal_primes_monomial
+
+
+def random_monomials(rng, r, count):
+    """`count` seeded monomials of r, each of positive degree."""
+    out = []
+    for _ in range(count):
+        e = [rng.randrange(3) for _ in range(r.arity)]
+        e[rng.randrange(r.arity)] += 1
+        out.append("*".join(f"{v}^{k}" for v, k in zip(r.variables, e)))
+    return out
 
 
 class TestLocalize:
@@ -126,17 +138,8 @@ class TestHeight:
         heights = []
         for n_vars in (3, 4) * 30:
             r = ring(*("x", "y", "z", "w")[:n_vars])
-
-            def monomials(count):
-                out = []
-                for _ in range(count):
-                    e = [rng.randrange(3) for _ in range(n_vars)]
-                    e[rng.randrange(n_vars)] += 1
-                    out.append("*".join(f"{v}^{k}" for v, k in zip(r.variables, e)))
-                return out
-
-            a = ideal(r, *monomials(rng.randint(1, 3)))
-            m = module(r, *monomials(rng.randint(0, 2)))
+            a = ideal(r, *random_monomials(rng, r, rng.randint(1, 3)))
+            m = module(r, *random_monomials(rng, r, rng.randint(0, 2)))
             joined = a.add(m.relations)
             want = min(
                 localize(a, m, tuple(r.variables[i] for i in p))[1].dim
@@ -145,6 +148,83 @@ class TestHeight:
             assert height_on_module(a, m) == want, (a, m)
             heights.append(want)
         assert 0 in heights and max(heights) > 1
+
+
+class TestStrataReadings:
+    """The strata map and the star condition against localized pairs.
+
+    The engine reads dim M_p off the minimal primes of K, and the star
+    condition off the minimal primes of one saturation K : I^∞; the
+    oracles localize the pair at every prime of the map and read the
+    dimension of the localized module, and of the localized pair's own
+    saturation, from `Ideal.saturate`.
+    """
+
+    @staticmethod
+    def names(a, kept):
+        return tuple(a.ring.variables[i] for i in kept)
+
+    def star_by_localizing(self, a, m, strata):
+        for kept, d_local in strata.items():
+            local_i, local_m = localize(a, m, self.names(a, kept))
+            colon = local_m.relations.saturate(local_i)
+            # a unit saturation: a power of I kills M_p
+            if (krull_dimension(colon) if colon.is_proper() else 0) != d_local:
+                return False
+        return True
+
+    @staticmethod
+    def corpus_pairs():
+        for n_vars in (3, 4):
+            for relations in ("zero", "monomial"):
+                for doc in generate_corpus(
+                    10, n_vars=n_vars, seed=13, mode="single", relations=relations
+                ):
+                    problem = problem_from_dict(doc)
+                    yield problem.ideal, problem.module()
+
+    @staticmethod
+    def height_zero_pairs():
+        r = ring("x", "y")
+        yield ideal(r, "x"), module(r, "x^7")
+        yield ideal(r, "x"), module(r, "x*y")
+        rng = random.Random(47)
+        for _ in range(120):
+            n = rng.randint(2, 4)
+            r = ring(*("x", "y", "z", "w")[:n])
+            a = ideal(r, *random_monomials(rng, r, rng.randint(1, 3)))
+            m = module(r, *random_monomials(rng, r, 2))
+            if a.add(m.relations).is_proper() and not height_on_module(a, m):
+                yield a, m
+
+    def test_every_stratum_is_the_localized_dimension(self):
+        for a, m in [*self.corpus_pairs(), *self.height_zero_pairs()]:
+            strata = multiplicity._monomial_strata(a, m)
+            assert strata
+            for kept, d_local in strata.items():
+                assert localize(a, m, self.names(a, kept))[1].dim == d_local, (a, m)
+
+    def test_star_on_corpus_pairs_reads_every_stratum(self):
+        # corpus pairs have positive height; passing height 0 makes the
+        # star condition read every stratum all the same
+        seen = 0
+        for a, m in self.corpus_pairs():
+            strata = multiplicity._monomial_strata(a, m)
+            assert multiplicity._star(a, m, strata, 0) is True
+            assert self.star_by_localizing(a, m, strata), (a, m)
+            seen += 1
+        assert seen == 40
+
+    def test_star_at_height_zero(self):
+        outcomes = []
+        for a, m in self.height_zero_pairs():
+            strata = multiplicity._monomial_strata(a, m)
+            star = multiplicity._star(a, m, strata, 0)
+            assert star == self.star_by_localizing(a, m, strata), (a, m)
+            outcomes.append(star)
+        # (x) on k[x, y]/(x^7) fails, (x) on k[x, y]/(xy) holds
+        assert outcomes[:2] == [False, True]
+        assert outcomes.count(True) > 2 and outcomes.count(False) > 1, outcomes
 
 
 class TestLocalMultiplicity:

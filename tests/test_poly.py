@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, and the string grammar."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from multseq import (
     parse_polynomial,
 )
 from multseq.orders import MonomialOrder, weight_order
+from multseq.poly import _is_prime
 from oracles import compare
 
 
@@ -22,6 +24,44 @@ class TestRing:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(ValueError):
             ring("x", char=4)
+
+    # 399165290221 * 798330580441, a strong pseudoprime to every prime
+    # base up to 37: only the base 41 rejects it
+    PSEUDOPRIME = 318665857834031151167461
+
+    def test_primality_matches_a_sieve(self):
+        n = 5000
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, n):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+        assert [_is_prime(i) for i in range(n)] == sieve
+        assert not _is_prime(-7)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the first k prime bases, and
+        # Carmichael numbers
+        for p in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  self.PSEUDOPRIME, 561, 1105, 41041):
+            assert not _is_prime(p), p
+
+    def test_large_prime_characteristic_is_fast(self):
+        started = time.perf_counter()
+        for p in (2**61 - 1, 10**14 + 31, 2**31 - 1, 1000000007):
+            assert _is_prime(p), p
+            assert ring("x", char=p).characteristic == p
+        assert time.perf_counter() - started < 2
+        assert not _is_prime(1000000007 * 998244353)
+
+    def test_rejects_a_product_of_two_large_primes(self):
+        with pytest.raises(ValueError, match="prime"):
+            ring("x", char=self.PSEUDOPRIME)
+
+    def test_rejects_characteristics_past_the_exact_range(self):
+        # 2^89 - 1 is prime, but past the range where the test is exact
+        with pytest.raises(ValueError, match="below 3.3e24"):
+            ring("x", char=2**89 - 1)
 
     def test_rejects_duplicate_variables(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,19 @@ class TestRejection:
             problem_from_dict(bad)
         assert info.value.location == "ring"
 
+    def test_large_prime_characteristic(self):
+        big = doc(ring={"variables": ["x", "y"], "characteristic": 2**61 - 1})
+        assert problem_from_dict(big).ring.characteristic == 2**61 - 1
+
+    @pytest.mark.parametrize(
+        "characteristic", [399165290221 * 798330580441, 2**89 - 1]
+    )
+    def test_large_composite_or_past_range_characteristic(self, characteristic):
+        bad = doc(ring={"variables": ["x", "y"], "characteristic": characteristic})
+        with pytest.raises(ProblemError, match="prime below") as info:
+            problem_from_dict(bad)
+        assert info.value.location == "ring"
+
     def test_unknown_order(self):
         bad = doc(ring={"variables": ["x"], "order": "degrevlexish"})
         with pytest.raises(ProblemError, match="order"):
@@ -242,6 +255,26 @@ class TestLoading:
         path.write_text("{not json")
         with pytest.raises(ProblemError, match="invalid JSON"):
             load_problem(str(path))
+
+    def test_number_past_the_digit_limit(self, tmp_path):
+        # json.load raises a bare ValueError past Python's 4,300 digits
+        path = tmp_path / "huge.json"
+        huge = '"characteristic": 1' + "0" * 4999
+        path.write_text(canonical_json(doc()).replace('"characteristic": 0', huge))
+        with pytest.raises(ProblemError) as info:
+            load_problem(str(path))
+        assert info.value.location == str(path)
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("1" + "0" * 4999 + "*x", 0), ("x^" + "7" * 5000, 2), ("1/" + "3" * 5000, 2)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_polynomial_literal_past_the_digit_limit(self, text, offset):
+        with pytest.raises(ProblemError) as info:
+            problem_from_dict(doc(ideals={"I": [text], "K": []}))
+        assert info.value.location == "ideals.I[0]"
+        assert str(info.value).endswith(f"integer too long (at offset {offset})")
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ok.json"
