@@ -16,6 +16,12 @@ local c_0 over variable-subset primes.  The moving components are not
 primes of any finite list; `moving_residual` counts them by residual
 intersection (Fulton, Intersection Theory, Ch. 9) on the rows where
 that count is derived, and the remaining rows are reported incomplete.
+
+c_0(I, M) != 0 exactly when the analytic spread of I on M is dim M
+(Achilles and Manaresi, J. Math. Kyoto Univ. 33, 1993), and the fiber,
+the sum of the I^j M / m I^j M, is cyclic over k[T_i : f_i not in K]:
+the spread is at most mu, the number of generators of I outside K.
+So c_0 = 0 when mu < dim M, and no table is built for it.
 """
 
 from __future__ import annotations
@@ -36,12 +42,6 @@ from .orders import grevlex
 from .poly import PolyRing
 
 
-def _restricted_ring(ring: PolyRing, keep: tuple[int, ...]) -> PolyRing:
-    # the localized picture lives in the prime's own variables
-    names = tuple(ring.variables[i] for i in keep)
-    return PolyRing(names, ring.characteristic, grevlex())
-
-
 @dataclass(frozen=True)
 class Contribution:
     prime: tuple[str, ...]
@@ -56,8 +56,8 @@ class Contribution:
 def moving_residual(ideal: Ideal, module: CyclicModule, k: int) -> int | None:
     """Degree of the moving part of the k-dimensional Stuckrad-Vogel cycle.
 
-    Computed from the generators of I and K alone; None where no
-    derivation covers the row.  Monomial input only.
+    Computed from the generators of I and K alone, for 0 <= k <= dim M;
+    None where no derivation covers the row.  Monomial input only.
 
     A moving component at index k lies in V(I + K) but is not torus
     invariant, so it sits inside a component of Supp(M/IM) of dimension
@@ -95,27 +95,31 @@ def moving_residual(ideal: Ideal, module: CyclicModule, k: int) -> int | None:
     0 < k < q and k >= d - mu) can carry moving components that do not
     lie on a divisorial factor of I; they are not derived here.
     """
-    ip = ideal.packed()
-    kp = module.relations.packed()
+    return _moving_residuals(ideal, module)[k]
+
+
+def _moving_residuals(ideal: Ideal, module: CyclicModule) -> list[int | None]:
+    """`moving_residual` for k = 0..d, reading I + K, mu and q once."""
+    d, ip, kp = module.dim, ideal.packed(), module.relations.packed()
     if ip is None or kp is None:
-        return None
+        return [None] * (d + 1)
     lay = mo.layout(ideal.ring.arity)
     joined = mo.add(lay, ip, kp)
     mu = sum(1 for w in joined if not mo.member(lay, w, kp))
-    if k == 0 or k >= mo.dimension(lay, joined) or k < module.dim - mu:
-        return 0
-    if kp or k != module.dim - 2:
-        return None
+    q = mo.dimension(lay, joined)
+    rows = [0 if k == 0 or k >= q or k < d - mu else None for k in range(d + 1)]
+    if kp or d < 2 or rows[d - 2] is not None:
+        return rows
     gens = [mo.unpack(lay, w) for w in ip]
-    total = 0
+    rows[d - 2] = 0
     for i in range(lay.arity):
         a = min(e[i] for e in gens)
         if not a:
             continue
         level = [e[:i] + e[i + 1 :] for e in gens if e[i] == a]
         gcd_degree = sum(min(column) for column in zip(*level))
-        total += a * (min(sum(e) for e in level) - gcd_degree)
-    return total
+        rows[d - 2] += a * (min(sum(e) for e in level) - gcd_degree)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -163,15 +167,16 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     input it holds every variable-subset prime over I + K, so each Λ_k
     is listed in full, its fixed components all, and Λ_0 is the maximal
     ideal alone.  There the localization is the pair itself, so row 0
-    reads c_0 off the pair's sequence; every other prime's c_0 is the
-    leading entry of the sequence of the pair built from the words its
-    key restricts, once per distinct localized pair.  Primes over
-    non-monomial data are not enumerated, so every row lists none.  A
-    row is complete when the stratum is fully enumerated and the
-    residual is derived for it.  With the star condition in force and
-    every row complete, c_k must equal rhs + residual exactly;
-    otherwise the rows are reported as a lower-bound certificate rather
-    than a verification.
+    reads c_0 off the pair's sequence; every other prime's c_0 is 0 by
+    the generator bound of the module docstring when mu < dim M_p on
+    the words its key restricts, and otherwise the leading entry of the
+    sequence of the pair built from them, once per distinct localized
+    pair.  Primes over non-monomial data are not enumerated, so every
+    row lists none.  A row is complete when the stratum is fully
+    enumerated and the residual is derived for it.  With the star
+    condition in force and every row complete, c_k must equal
+    rhs + residual exactly; otherwise the rows are reported as a
+    lower-bound certificate rather than a verification.
     """
     seq, _ = multiplicity_sequence(ideal, module)
     strata = _monomial_strata(ideal, module)
@@ -185,13 +190,18 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     # have the same local pair, up to the names of its variables
     local: dict[tuple, int] = {}
 
-    def c0(keep: tuple[int, ...]) -> int:
+    def c0(keep: tuple[int, ...], local_dim: int) -> int:
         i_words, k_words = mo.restrict(lay, ip, keep), mo.restrict(lay, kp, keep)
+        sub_lay = mo.layout(len(keep))
+        # the spread of I_p on M_p is at most mu, the words outside K_p
+        if sum(1 for w in i_words if not mo.member(sub_lay, w, k_words)) < local_dim:
+            return 0
         key = (len(keep), i_words, k_words)
         if key not in local:
-            sub = _restricted_ring(ring, keep)
-            # keep is a prime over I + K: I_p is neither (1) nor 0, and
-            # K_p is proper
+            # in the prime's own variables; keep is a prime over I + K,
+            # so I_p is neither (1) nor 0, and K_p is proper
+            names = tuple(ring.variables[i] for i in keep)
+            sub = PolyRing(names, ring.characteristic, grevlex())
             local_seq, _ = multiplicity_sequence(
                 Ideal.from_packed(sub, i_words),
                 CyclicModule(sub, Ideal.from_packed(sub, k_words)),
@@ -201,17 +211,16 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
 
     rows = []
     all_complete = True
-    for k in range(d + 1):
+    for k, residual in enumerate(_moving_residuals(ideal, module)):
         contribs = tuple(
             Contribution(
                 tuple(ring.variables[i] for i in keep),
-                c0(keep) if k else seq.entries[0],
+                c0(keep, local_dim) if k else seq.entries[0],
                 1,
             )
             for keep, local_dim in (strata or {}).items()
             if len(keep) == n - k and local_dim == d - k
         )
-        residual = moving_residual(ideal, module, k)
         complete = strata is not None and residual is not None
         rows.append(
             KSummary(

@@ -34,9 +34,11 @@ read off it; `diagnostics` and `verify_formula` build it once per pair
 and pass it to all of them.
 
 The sequence is read off Q, once per pair, as a proof.  h(u, v) is
-the sum of Q_pq C(u-p+n, n) C(v-q+r, r), so it equals a polynomial P,
-expanded in exact integers, at and past the proof point
-(max p - n, max q - r), and c_k = k!(d-k)! [u^k v^(d-k)] P.  The
+the sum of Q_pq C(u-p+n, n) C(v-q+r, r), so it equals a polynomial P
+at and past the proof point (max p - n, max q - r).  With Q written as
+the sum of gamma_ij (1-s)^i (1-t)^j, gamma_ij being the integer
+(-1)^(i+j) sum Q_pq C(p, i) C(q, j), c_k = k!(d-k)! [u^k v^(d-k)] P is
+gamma_(n-k, r-d+k), and gamma_ij = 0 when i + j < n + r - d.  The
 report keeps the growth rounds of the grid route, whose certificate
 is constant (k, d-k) differences over a corner window plus vanishing
 (d+1)-order differences, with the table grown geometrically until it
@@ -314,50 +316,39 @@ def _hilbert_top(
 ) -> tuple[list[int], tuple[int, int]]:
     """Exact c_0..c_d of the Hilbert polynomial, and its proof point.
 
-    h(u, v) = sum Q_pq C(u-p+n, n) C(v-q+r, r), the coefficient of s^u
-    t^v in Q / ((1-s)^(n+1) (1-t)^(r+1)), and the binomials are
-    polynomials in u and v from u >= p - n and v >= q - r on.  So h
-    equals the polynomial P with n! r! P = sum Q_pq (u-p+1)..(u-p+n)
-    (v-q+1)..(v-q+r) at and past the proof point (max p - n, max q - r),
-    and c_k = k!(d-k)! [u^k v^(d-k)] P.  P has total degree d: a
-    coefficient above it is an engine bug.
+    h(u, v) is [s^u t^v] Q / ((1-s)^(n+1) (1-t)^(r+1)), and with Q the
+    sum of gamma_ij (1-s)^i (1-t)^j, the terms with i > n or j > r add
+    nothing at and past the proof point (max p - n, max q - r).  There h
+    is P, the sum over i <= n, j <= r of
+    gamma_ij C(u+n-i, n-i) C(v+r-j, r-j), of top monomial
+    u^(n-i) v^(r-j) / (n-i)!(r-j)!.  P has total degree d, so
+    gamma_ij = 0 when i + j < n + r - d (else an engine bug), and
+    c_k = k!(d-k)! [u^k v^(d-k)] P = gamma_(n-k, r-d+k).
     """
-    rising_v = {q: _rising(1 - q, r) for q in {q for _, q in numerator}}
+    # gamma[i][j] = sum Q_pq C(p, i) C(q, j), the sign of gamma_ij
+    # left off, and only for i + j <= n + r - d
+    top = n + r - d
     across: dict[int, list[int]] = {}
     for (p, q), c in numerator.items():
         row = across.get(p)
         if row is None:
-            row = across[p] = [0] * (r + 1)
-        for b, y in enumerate(rising_v[q]):
-            row[b] += c * y
-    scaled = [[0] * (r + 1) for _ in range(n + 1)]
+            row = across[p] = [0] * (min(r, top) + 1)
+        for j in range(min(q, r, top) + 1):
+            row[j] += c * math.comb(q, j)
+    gamma = [[0] * (min(r, top - i) + 1) for i in range(min(n, top) + 1)]
     for p, row in across.items():
-        for a, x in enumerate(_rising(1 - p, n)):
-            line = scaled[a]
-            for b, y in enumerate(row):
-                line[b] += x * y
-    if any(c for a, line in enumerate(scaled) for c in line[max(0, d + 1 - a):]):
-        raise RuntimeError(
-            f"Hilbert polynomial of degree above dim {d}: engine bug"
-        )
-    scale = math.factorial(n) * math.factorial(r)
-    entries = []
-    for k in range(d + 1):
-        top = scaled[k][d - k] if k <= n and d - k <= r else 0
-        c, rest = divmod(math.factorial(k) * math.factorial(d - k) * top, scale)
-        if rest:
-            raise RuntimeError(f"non-integral multiplicity entry at {k}: engine bug")
-        entries.append(c)
+        for i, line in enumerate(gamma[: p + 1]):
+            x = math.comb(p, i)
+            for j in range(len(line)):
+                line[j] += x * row[j]
+    if any(c for i, line in enumerate(gamma) for c in line[: top - i]):
+        raise RuntimeError(f"Hilbert polynomial of degree above dim {d}: engine bug")
+    sign = -1 if top & 1 else 1
+    entries = [
+        sign * gamma[n - k][r - d + k] if r - d + k >= 0 else 0 for k in range(d + 1)
+    ]
     proof = (max(p for p, _ in numerator) - n, max(q for _, q in numerator) - r)
     return entries, proof
-
-
-def _rising(start: int, count: int) -> list[int]:
-    """Coefficients, lowest first, of (x + start)..(x + start + count - 1)."""
-    poly = [1]
-    for c in range(start, start + count):
-        poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
-    return poly
 
 
 def _cell(n: int, r: int, numerator: dict, a: int, b: int, i: int, j: int) -> int:

@@ -34,6 +34,11 @@ from multseq.localization import moving_residual
 from oracles import local_c0, localize, minimal_primes_monomial
 
 
+def generators_outside(local_i, local_m) -> int:
+    """mu: the generators of I_p that are not in K_p."""
+    return sum(not local_m.relations.contains(g) for g in local_i.gens)
+
+
 def random_monomials(rng, r, count):
     """`count` seeded monomials of r, each of positive degree."""
     out = []
@@ -243,6 +248,50 @@ class TestLocalMultiplicity:
         assert local_c0(a, module(r), ("x", "y")) == 4
 
 
+class TestGeneratorBound:
+    def test_zero_below_the_bound_with_no_table(self, monkeypatch):
+        # mu, the generators of I_p outside K_p, bounds the analytic
+        # spread of the local pair; below dim M_p its c_0 is 0, which
+        # the full table route confirms, and `verify_formula` builds no
+        # table for it.  With two variables the bound cannot fire: a
+        # local ring of row k >= 1 has one variable, so mu < dim M_p
+        # would need I_p = 0
+        tabled = set()
+        real = multiplicity._gr_numerator
+
+        def recorded(a, m, *rest):
+            tabled.add((a.ring.arity, a.packed(), m.relations.packed()))
+            return real(a, m, *rest)
+
+        kinds = (("single", "zero"), ("single", "monomial"), ("primary", "zero"))
+        fired = dict.fromkeys((2, 3, 4), 0)
+        for n_vars in fired:
+            for seed in (0, 1):
+                for mode, relations in kinds:
+                    for doc in generate_corpus(
+                        8, n_vars=n_vars, seed=seed, mode=mode, relations=relations
+                    ):
+                        problem = problem_from_dict(doc)
+                        a, m = problem.ideal, problem.module()
+                        tabled.clear()
+                        with monkeypatch.context() as patched:
+                            patched.setattr(multiplicity, "_gr_numerator", recorded)
+                            rep = verify_formula(a, m)
+                        for c in (c for row in rep.rows[1:] for c in row.contributions):
+                            local_i, local_m = localize(a, m, c.prime)
+                            if generators_outside(local_i, local_m) >= local_m.dim:
+                                continue
+                            fired[n_vars] += 1
+                            assert c.local_c0 == 0 == local_c0(a, m, c.prime), doc
+                            key = (
+                                len(c.prime),
+                                local_i.packed(),
+                                local_m.relations.packed(),
+                            )
+                            assert key not in tabled, doc
+        assert fired[2] == 0 and fired[3] and fired[4], fired
+
+
 class TestFormula:
     def test_principal_on_plane_rows(self):
         r = ring("x", "y")
@@ -303,8 +352,8 @@ class TestFormula:
     def test_one_strata_map_and_no_sequence_at_the_maximal_ideal(self, monkeypatch):
         # the height, the star condition and the strata read one map, in
         # `verify-formula` and in `compute`; row 0 reads c_0 off the
-        # pair's sequence, and each distinct localized pair has one
-        # sequence
+        # pair's sequence, and each distinct localized pair whose
+        # generator bound leaves c_0 open has one sequence
         from multseq import localization, multiplicity
 
         calls = {"strata": 0, "sequence": 0}
@@ -337,11 +386,12 @@ class TestFormula:
                 localize(a, m, c.prime) for row in rep.rows[1:] for c in row.contributions
             ]
             assert pairs
-            local_pairs = {
+            open_pairs = {
                 (len(i.ring.variables), i.packed(), k.relations.packed())
                 for i, k in pairs
+                if generators_outside(i, k) >= k.dim
             }
-            assert calls == {"strata": 1, "sequence": 1 + len(local_pairs)}
+            assert calls == {"strata": 1, "sequence": 1 + len(open_pairs)}
             assert rep.rows[0].contributions[0].prime == r.variables
             assert rep.rows[0].rhs == rep.sequence.entries[0]
             calls.update(strata=0)
@@ -351,8 +401,9 @@ class TestFormula:
             assert (diag.height, diag.star) == (rep.height, rep.star)
 
     def test_each_localized_pair_once(self, monkeypatch):
-        # (x, y) and (x, z) both localize I to (x) and K to 0, so the
-        # three primes of Λ_1 and the one of Λ_2 need three local
+        # (x, y) and (x, z) both localize I to (x) and K to 0, one
+        # generator on a plane, so c_0 there is 0 by the generator bound
+        # with no table; (y, z) and the one prime of Λ_2 need two local
         # numerators besides the pair's own
         from multseq import monomials
 
@@ -371,7 +422,7 @@ class TestFormula:
             ("x", "y"), ("x", "z"), ("y", "z")
         ]
         assert [c.local_c0 for c in rep.rows[1].contributions] == [0, 0, 4]
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_verify_document_builds_no_monomials(self, monkeypatch, tmp_path):
         # a monomial document is parsed to packed words and each local

@@ -609,6 +609,20 @@ class TestGridOracle:
         with pytest.raises(RuntimeError, match="disagrees with the Hilbert polynomial"):
             multiplicity_sequence(ideal(r, "x", "y"), free_module(r))
 
+    def test_hilbert_polynomial_above_dim_trips_the_degree_check(self):
+        # Q = 1 with one variable and one generator has P = (u+1)(v+1),
+        # of degree 2 > 0; a pair's own Q read with d one short has a
+        # nonzero gamma_ij below the band, and at d it has none
+        with pytest.raises(RuntimeError, match="degree above dim 0"):
+            multiplicity._hilbert_top(0, 1, 1, {(0, 0): 1})
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x^2", "x*y", "y^3"), module(r, "x*z^2")
+        n, s, numerator = _gr_numerator(a, m)
+        with pytest.raises(RuntimeError, match="degree above dim"):
+            multiplicity._hilbert_top(m.dim - 1, n, s, numerator)
+        entries, _ = multiplicity._hilbert_top(m.dim, n, s, numerator)
+        assert tuple(entries) == multiplicity_sequence(a, m)[0].entries
+
 
 class TestShiftStability:
     def shifted(self, values, n, u, v):
