@@ -3,10 +3,12 @@
 The series of a graded quotient is stored as an integer numerator over
 (1-t)^arity.  `HilbertSeries.reduced` is the one division by (1-t):
 the exponent it leaves is the dimension, which the analytic spread
-reads off the fiber's series.  `krull_dimension` reads a monomial
+reads off the fiber's series, and when it leaves none the numerator
+at 1 is the length, which `localization` reads for a monomial ideal
+primary to the maximal ideal.  `krull_dimension` reads a monomial
 ideal directly and any other homogeneous ideal through its initial
-ideal, which has the same series.  The series of a quotient itself,
-and the lengths and degree read off it, are test oracles in
+ideal, which has the same series.  The series of any homogeneous
+quotient, and the lengths and degree read off it, are test oracles in
 `tests/oracles.py`.
 """
 

@@ -4,7 +4,8 @@ For monomial input the localization at a prime generated by a subset of
 the variables is again monomial data: the outside variables become
 units, so generators simply forget their outside exponents.  That turns
 each local leading coefficient into a small instance of the same table
-pipeline.
+pipeline, unless one of the two readings at the end of this docstring
+decides it without a table.
 
 In the framework of Achilles and Manaresi, c_k is the degree of the
 k-dimensional part of the Stuckrad-Vogel cycle of I on M, built by
@@ -22,13 +23,24 @@ c_0(I, M) != 0 exactly when the analytic spread of I on M is dim M
 the sum of the I^j M / m I^j M, is cyclic over k[T_i : f_i not in K]:
 the spread is at most mu, the number of generators of I outside K.
 So c_0 = 0 when mu < dim M, and no table is built for it.
+
+When I is generated by a pure power x_v^(a_v) of each variable, a
+monomial system of parameters, c_0 is the Samuel multiplicity e(I, M),
+and the associativity formula (Matsumura, Commutative Ring Theory,
+Thm 14.7) gives it as the sum over the minimal primes q of K with
+dim R/q = dim M of length(R_q/K_q) * e(I, R/q).  R/q is regular and
+I's image there is generated by the x_v^(a_v) with v outside q, so
+e(I, R/q) is its colength, the product of those a_v (Lech), and no
+table is built for it either.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import monomials as mo
+from .hilbert import HilbertSeries
 from .ideals import Ideal
 from .multiplicity import (
     CyclicModule,
@@ -122,6 +134,35 @@ def _moving_residuals(ideal: Ideal, module: CyclicModule) -> list[int | None]:
     return rows
 
 
+def _parameter_c0(
+    lay: mo.Layout,
+    exps: list[tuple[int, ...]],
+    k_words: tuple[int, ...],
+    local_dim: int,
+) -> int:
+    """c_0 of I_p = (x_v^(a_v) : v in p) on R_p/K_p, by associativity.
+
+    The sum of the module docstring, with `exps` the exponents of the
+    x_v^(a_v).  K_q is K_p on q's variables, primary to their maximal
+    ideal, so length(R_q/K_q) is its Hilbert numerator at 1 once every
+    (1-t) is cancelled.
+    """
+    powers = [sum(column) for column in zip(*exps)]
+    total = 0
+    for q in mo.minimal_primes(lay, k_words):
+        if lay.arity - len(q) != local_dim:
+            continue
+        q_vars = tuple(sorted(q))
+        q_lay = mo.layout(len(q_vars))
+        numer = mo.bigraded_numerator(q_lay, mo.restrict(lay, k_words, q_vars), 0)
+        flat = [0] * (1 + max(b for _, b in numer))
+        for (_, b), c in numer.items():
+            flat[b] = c
+        length = sum(HilbertSeries(tuple(flat), len(q_vars)).reduced()[0])
+        total += length * math.prod(a for v, a in enumerate(powers) if v not in q)
+    return total
+
+
 @dataclass(frozen=True)
 class KSummary:
     """One row: c_k against the fixed-prime sum plus the moving residual."""
@@ -169,14 +210,16 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     ideal alone.  There the localization is the pair itself, so row 0
     reads c_0 off the pair's sequence; every other prime's c_0 is 0 by
     the generator bound of the module docstring when mu < dim M_p on
-    the words its key restricts, and otherwise the leading entry of the
-    sequence of the pair built from them, once per distinct localized
-    pair.  Primes over non-monomial data are not enumerated, so every
-    row lists none.  A row is complete when the stratum is fully
-    enumerated and the residual is derived for it.  With the star
-    condition in force and every row complete, c_k must equal
-    rhs + residual exactly; otherwise the rows are reported as a
-    lower-bound certificate rather than a verification.
+    the words its key restricts, the associativity sum of the module
+    docstring when those words of I_p are a pure power of each of the
+    prime's variables, and otherwise the leading entry of the sequence
+    of the pair built from them, once per distinct localized pair.
+    Primes over non-monomial data are not enumerated, so every row
+    lists none.  A row is complete when the stratum is fully enumerated
+    and the residual is derived for it.  With the star condition in
+    force and every row complete, c_k must equal rhs + residual
+    exactly; otherwise the rows are reported as a lower-bound
+    certificate rather than a verification.
     """
     seq, _ = multiplicity_sequence(ideal, module)
     strata = _monomial_strata(ideal, module)
@@ -196,6 +239,10 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
         # the spread of I_p on M_p is at most mu, the words outside K_p
         if sum(1 for w in i_words if not mo.member(sub_lay, w, k_words)) < local_dim:
             return 0
+        # a pure power of each variable: a monomial system of parameters
+        exps = [mo.unpack(sub_lay, w) for w in i_words]
+        if len(exps) == len(keep) and all(sum(map(bool, e)) == 1 for e in exps):
+            return _parameter_c0(sub_lay, exps, k_words, local_dim)
         key = (len(keep), i_words, k_words)
         if key not in local:
             # in the prime's own variables; keep is a prime over I + K,

@@ -7,6 +7,7 @@ irrelevant prime; mixed-support examples split across strata.
 
 import contextlib
 import io
+import itertools
 import json
 import random
 
@@ -31,12 +32,25 @@ from multseq import (
 from multseq import multiplicity
 from multseq.errors import PreconditionError
 from multseq.localization import moving_residual
-from oracles import local_c0, localize, minimal_primes_monomial
+from oracles import (
+    classical_multiplicity,
+    local_c0,
+    localize,
+    minimal_primes_monomial,
+)
 
 
 def generators_outside(local_i, local_m) -> int:
     """mu: the generators of I_p that are not in K_p."""
     return sum(not local_m.relations.contains(g) for g in local_i.gens)
+
+
+def pure_power_parameters(local_i) -> bool:
+    """I_p is generated by one pure power of each variable of R_p."""
+    exps = [next(iter(g.terms)) for g in local_i.gens]
+    return len(exps) == local_i.ring.arity and all(
+        sum(map(bool, e)) == 1 for e in exps
+    )
 
 
 def random_monomials(rng, r, count):
@@ -248,6 +262,39 @@ class TestLocalMultiplicity:
         assert local_c0(a, module(r), ("x", "y")) == 4
 
 
+def corpus_local_pairs(monkeypatch):
+    """Every row-k >= 1 contribution of `verify_formula` on seeded corpora.
+
+    `single` corpora with `zero` and `monomial` relations and `primary`
+    corpora, 2-4 variables, seeds 0 and 1.  Yields the variable count,
+    the document, the pair, the contribution, its localized pair, and
+    whether a `_gr_numerator` call was made for that localized pair
+    while the document was verified.
+    """
+    tabled = set()
+    real = multiplicity._gr_numerator
+
+    def recorded(a, m, *rest):
+        tabled.add((a.ring.arity, a.packed(), m.relations.packed()))
+        return real(a, m, *rest)
+
+    kinds = (("single", "zero"), ("single", "monomial"), ("primary", "zero"))
+    for n_vars, seed, (mode, relations) in itertools.product((2, 3, 4), (0, 1), kinds):
+        for doc in generate_corpus(
+            8, n_vars=n_vars, seed=seed, mode=mode, relations=relations
+        ):
+            problem = problem_from_dict(doc)
+            a, m = problem.ideal, problem.module()
+            tabled.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(multiplicity, "_gr_numerator", recorded)
+                rep = verify_formula(a, m)
+            for c in (c for row in rep.rows[1:] for c in row.contributions):
+                local_i, local_m = localize(a, m, c.prime)
+                key = (len(c.prime), local_i.packed(), local_m.relations.packed())
+                yield n_vars, doc, (a, m), c, (local_i, local_m), key in tabled
+
+
 class TestGeneratorBound:
     def test_zero_below_the_bound_with_no_table(self, monkeypatch):
         # mu, the generators of I_p outside K_p, bounds the analytic
@@ -256,40 +303,95 @@ class TestGeneratorBound:
         # table for it.  With two variables the bound cannot fire: a
         # local ring of row k >= 1 has one variable, so mu < dim M_p
         # would need I_p = 0
-        tabled = set()
-        real = multiplicity._gr_numerator
-
-        def recorded(a, m, *rest):
-            tabled.add((a.ring.arity, a.packed(), m.relations.packed()))
-            return real(a, m, *rest)
-
-        kinds = (("single", "zero"), ("single", "monomial"), ("primary", "zero"))
         fired = dict.fromkeys((2, 3, 4), 0)
-        for n_vars in fired:
-            for seed in (0, 1):
-                for mode, relations in kinds:
-                    for doc in generate_corpus(
-                        8, n_vars=n_vars, seed=seed, mode=mode, relations=relations
-                    ):
-                        problem = problem_from_dict(doc)
-                        a, m = problem.ideal, problem.module()
-                        tabled.clear()
-                        with monkeypatch.context() as patched:
-                            patched.setattr(multiplicity, "_gr_numerator", recorded)
-                            rep = verify_formula(a, m)
-                        for c in (c for row in rep.rows[1:] for c in row.contributions):
-                            local_i, local_m = localize(a, m, c.prime)
-                            if generators_outside(local_i, local_m) >= local_m.dim:
-                                continue
-                            fired[n_vars] += 1
-                            assert c.local_c0 == 0 == local_c0(a, m, c.prime), doc
-                            key = (
-                                len(c.prime),
-                                local_i.packed(),
-                                local_m.relations.packed(),
-                            )
-                            assert key not in tabled, doc
+        for n_vars, doc, (a, m), c, local, tabled in corpus_local_pairs(monkeypatch):
+            if generators_outside(*local) >= local[1].dim:
+                continue
+            fired[n_vars] += 1
+            assert c.local_c0 == 0 == local_c0(a, m, c.prime), doc
+            assert not tabled, doc
         assert fired[2] == 0 and fired[3] and fired[4], fired
+
+
+class TestParameterClosedForm:
+    """c_0 at a monomial system of parameters, by the associativity formula.
+
+    When I_p is (x_v^(a_v) : v in p), `verify_formula` reads c_0 as the
+    sum over the minimal primes q of K_p with dim R_p/q = dim M_p of
+    length(R_q/K_q) times the product of the a_v with v outside q, and
+    builds no table for the pair.
+    """
+
+    @staticmethod
+    def row_one(gens, relations, names, prime, char=0):
+        r = ring(*names, char=char)
+        rep = verify_formula(ideal(r, *gens), module(r, *relations))
+        row = {row.k: row for row in rep.rows}[1]
+        return {c.prime: c.local_c0 for c in row.contributions}[prime]
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_lower_dimensional_prime_of_k_is_skipped(self, char):
+        # at (x, y, z), w is a unit: I_p = (x^2, y^3, z^5) on
+        # k[x, y, z]/(xy, xz), whose minimal primes are (x), of
+        # dimension 2 = dim M_p, and (y, z), of dimension 1; only (x)
+        # counts, with length 1 and 3 * 5 from y and z
+        gens, relations = ("x^2*w", "y^3", "z^5"), ("x*y", "x*z")
+        names = ("x", "y", "z", "w")
+        assert self.row_one(gens, relations, names, ("x", "y", "z"), char) == 15
+        r = ring(*names, char=char)
+        assert local_c0(ideal(r, *gens), module(r, *relations), ("x", "y", "z")) == 15
+
+    def test_length_at_the_prime_of_k(self):
+        # at (x, y): I_p = (x^3, y^2) on k[x, y]/(x^2); R_(x)/(x^2) has
+        # length 2, and y^2 gives 2
+        gens, relations = ("x^3*w", "y^2"), ("x^2",)
+        names = ("x", "y", "w")
+        assert self.row_one(gens, relations, names, ("x", "y")) == 4
+        r = ring(*names)
+        assert local_c0(ideal(r, *gens), module(r, *relations), ("x", "y")) == 4
+
+    def test_pure_power_pairs_read_with_no_table(self, monkeypatch):
+        fired = dict.fromkeys((2, 3, 4), 0)
+        relations_seen = set()
+        for n_vars, doc, (a, m), c, local, tabled in corpus_local_pairs(monkeypatch):
+            if not pure_power_parameters(local[0]):
+                continue
+            fired[n_vars] += 1
+            relations_seen.add(local[1].relations.is_zero())
+            assert c.local_c0 == local_c0(a, m, c.prime), doc
+            assert c.local_c0 == classical_multiplicity(*local), doc
+            assert not tabled, doc
+        # K_p = 0 and K_p != 0 both occur
+        assert all(fired.values()) and relations_seen == {True, False}, fired
+
+    def test_permuting_variables_permutes_contributions(self):
+        # the closed form matches each exponent a_v to the primes q by
+        # variable index; reordering the ring's variables must move the
+        # contributions with the names and leave every local c_0 alone
+        rng = random.Random(61)
+        seen = 0
+        for n_vars in (3, 4):
+            for relations in ("zero", "monomial"):
+                for doc in generate_corpus(
+                    8, n_vars=n_vars, seed=0, mode="single", relations=relations
+                ):
+                    names = list(doc["ring"]["variables"])
+                    rng.shuffle(names)
+                    shuffled = {**doc, "ring": {**doc["ring"], "variables": names}}
+                    reports = []
+                    for document in (doc, shuffled):
+                        problem = problem_from_dict(document)
+                        reports.append(verify_formula(problem.ideal, problem.module()))
+                    before, after = reports
+                    assert before.sequence.entries == after.sequence.entries
+                    for row, moved in zip(before.rows, after.rows):
+                        assert {
+                            frozenset(c.prime): c.local_c0 for c in row.contributions
+                        } == {
+                            frozenset(c.prime): c.local_c0 for c in moved.contributions
+                        }, (doc, names)
+                        seen += len(row.contributions)
+        assert seen > 50
 
 
 class TestFormula:
@@ -352,8 +454,9 @@ class TestFormula:
     def test_one_strata_map_and_no_sequence_at_the_maximal_ideal(self, monkeypatch):
         # the height, the star condition and the strata read one map, in
         # `verify-formula` and in `compute`; row 0 reads c_0 off the
-        # pair's sequence, and each distinct localized pair whose
-        # generator bound leaves c_0 open has one sequence
+        # pair's sequence, and each distinct localized pair whose c_0
+        # neither the generator bound nor the parameter closed form
+        # decides has one sequence
         from multseq import localization, multiplicity
 
         calls = {"strata": 0, "sequence": 0}
@@ -378,6 +481,7 @@ class TestFormula:
             (ideal(r, "x*z", "y*z", "w^2"), module(r)),
             (ideal(r, "x^2", "y*z", "z*w"), module(r, "x*y*w")),
         )
+        opened = []
         for a, m in cases:
             calls.update(strata=0, sequence=0)
             rep = verify_formula(a, m)
@@ -389,9 +493,10 @@ class TestFormula:
             open_pairs = {
                 (len(i.ring.variables), i.packed(), k.relations.packed())
                 for i, k in pairs
-                if generators_outside(i, k) >= k.dim
+                if generators_outside(i, k) >= k.dim and not pure_power_parameters(i)
             }
             assert calls == {"strata": 1, "sequence": 1 + len(open_pairs)}
+            opened.append(len(open_pairs))
             assert rep.rows[0].contributions[0].prime == r.variables
             assert rep.rows[0].rhs == rep.sequence.entries[0]
             calls.update(strata=0)
@@ -399,12 +504,15 @@ class TestFormula:
             diag = diagnostics(a, m, table)
             assert calls["strata"] == 1
             assert (diag.height, diag.star) == (rep.height, rep.star)
+        # the first case's local pairs are all pure powers
+        assert opened == [0, 2]
 
     def test_each_localized_pair_once(self, monkeypatch):
-        # (x, y) and (x, z) both localize I to (x) and K to 0, one
-        # generator on a plane, so c_0 there is 0 by the generator bound
-        # with no table; (y, z) and the one prime of Λ_2 need two local
-        # numerators besides the pair's own
+        # (x, y, z) and (x, y, w) both localize I to (x^2, xy, y^2, z)
+        # on three variables and K to 0: four generators, none a pure
+        # power of its own variable, so neither the generator bound nor
+        # the parameter closed form decides c_0, and the two primes
+        # share one local numerator besides the pair's own
         from multseq import monomials
 
         calls = []
@@ -415,14 +523,14 @@ class TestFormula:
             return real(*args)
 
         monkeypatch.setattr(monomials, "bigraded_numerator", counted)
-        r = ring("x", "y", "z")
-        rep = verify_formula(ideal(r, "x*y^2", "x*z^2"), module(r))
+        r = ring("x", "y", "z", "w")
+        rep = verify_formula(ideal(r, "x^2", "x*y", "y^2", "z*w"), module(r))
         assert rep.verified
         assert [c.prime for c in rep.rows[1].contributions] == [
-            ("x", "y"), ("x", "z"), ("y", "z")
+            ("x", "y", "z"), ("x", "y", "w")
         ]
-        assert [c.local_c0 for c in rep.rows[1].contributions] == [0, 0, 4]
-        assert len(calls) == 3
+        assert [c.local_c0 for c in rep.rows[1].contributions] == [4, 4]
+        assert len(calls) == 2
 
     def test_verify_document_builds_no_monomials(self, monkeypatch, tmp_path):
         # a monomial document is parsed to packed words and each local
