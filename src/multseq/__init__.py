@@ -14,7 +14,7 @@ from .errors import (
     PreconditionError,
     SearchExhausted,
 )
-from .orders import MonomialOrder, elimination_order, grevlex, lex
+from .orders import MonomialOrder, elimination_order, grevlex
 from .poly import Polynomial, PolyRing
 from .parse import ParseError, format_polynomial, parse_polynomial
 from .groebner import buchberger, normal_form
@@ -83,7 +83,6 @@ __all__ = [
     "grevlex",
     "height_on_module",
     "krull_dimension",
-    "lex",
     "load_problem",
     "multiplicity_sequence",
     "normal_form",

@@ -16,7 +16,6 @@ import random
 
 from . import monomials as mo
 from .errors import EngineLimit
-from .orders import grevlex
 from .poly import PolyRing
 
 _VARIABLE_POOL = ("x", "y", "z", "w")
@@ -25,7 +24,7 @@ MAX_DEGREE = 5
 
 
 def _ring(n_vars: int, characteristic: int) -> PolyRing:
-    return PolyRing(_VARIABLE_POOL[:n_vars], characteristic, grevlex())
+    return PolyRing(_VARIABLE_POOL[:n_vars], characteristic)
 
 
 def _random_exponent_of_degree(rng: random.Random, n_vars: int, degree: int):

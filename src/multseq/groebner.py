@@ -92,9 +92,10 @@ DEFAULT_BASIS_LIMIT = 4000
 
 
 def divide(
-    f: Polynomial, divisors, order: MonomialOrder | None = None
+    f: Polynomial, divisors, order: MonomialOrder = MonomialOrder()
 ) -> tuple[list[Polynomial], Polynomial]:
-    """Quotients and remainder of f by `divisors`, in their order.
+    """Quotients and remainder of f by `divisors`, in their order, under
+    `order`, grevlex unless given.
 
     The largest term left is reduced by the first nonzero divisor whose
     lead divides it and otherwise moves to the remainder, so
@@ -102,7 +103,6 @@ def divide(
     divisor gets a zero quotient.
     """
     ring = f.ring
-    order = order or ring.order
     p = ring.characteristic
     reducers = []
     for k, g in enumerate(divisors):
@@ -133,7 +133,7 @@ def divide(
 
 
 def normal_form(
-    f: Polynomial, basis, order: MonomialOrder | None = None
+    f: Polynomial, basis, order: MonomialOrder = MonomialOrder()
 ) -> Polynomial:
     """Full remainder of f against a list of polynomials."""
     return divide(f, basis, order)[1]

@@ -5,7 +5,8 @@ combinatorial one on packed exponent vectors when every generator is a
 single term, and the Gröbner engine otherwise.  Results agree; tests
 pin the two routes against each other.  Ideals are immutable.
 
-The generators of a monomial ideal are a Gröbner basis under every
+An ideal's Gröbner basis is its reduced grevlex basis.  The
+generators of a monomial ideal are a Gröbner basis under every
 order, so its normal form drops exactly the terms the ideal holds
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, §2.3-2.4):
 `normal_form` and `contains` test each term by exponent-tuple
@@ -20,7 +21,7 @@ from __future__ import annotations
 from . import monomials as mo
 from .errors import NonHomogeneousInput
 from .groebner import buchberger, divide, normal_form
-from .orders import MonomialOrder, elimination_order, grevlex
+from .orders import elimination_order, grevlex
 from .poly import Polynomial, PolyRing, monomial_divides
 
 
@@ -31,11 +32,11 @@ class Ideal:
     packed operation returns) keeps only the words and builds its `gens`
     polynomials on first read; `is_zero`, `is_homogeneous`, `packed` and
     the packed arithmetic never read them.  An ideal keeps its reduced
-    basis under each order once read, so its membership, comparison and
+    grevlex basis once read, so its membership, comparison and
     dimension tests share one basis.
     """
 
-    __slots__ = ("ring", "_gens", "_packed", "_homog", "_bases")
+    __slots__ = ("ring", "_gens", "_packed", "_homog", "_basis")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
@@ -50,7 +51,7 @@ class Ideal:
         self._gens = tuple(live)
         self._packed = None
         self._homog = None
-        self._bases = {}
+        self._basis = None
 
     # -- construction -----------------------------------------------------
 
@@ -61,7 +62,7 @@ class Ideal:
         ideal._gens = None
         ideal._packed = tuple(packed)
         ideal._homog = True  # monomials are homogeneous
-        ideal._bases = {}
+        ideal._basis = None
         return ideal
 
     @property
@@ -111,15 +112,13 @@ class Ideal:
 
     # -- membership and comparisons ---------------------------------------
 
-    def groebner(self, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
-        """Reduced basis under `order`, by default the ring's."""
-        order = order or self.ring.order
-        basis = self._bases.get(order.key)
-        if basis is None:
-            basis = self._bases[order.key] = buchberger(self.gens, order)
-        return basis
+    def groebner(self) -> tuple[Polynomial, ...]:
+        """Reduced grevlex basis."""
+        if self._basis is None:
+            self._basis = buchberger(self.gens, grevlex())
+        return self._basis
 
-    def normal_form(self, f: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         packed = self.packed()
         if packed is not None:
             lay = mo.layout(self.ring.arity)
@@ -128,8 +127,7 @@ class Ideal:
                 e: c for e, c in f.terms.items()
                 if not any(monomial_divides(g, e) for g in gens)
             })
-        order = order or self.ring.order
-        return normal_form(f, self.groebner(order), order)
+        return normal_form(f, self.groebner())
 
     def contains(self, f: Polynomial) -> bool:
         return f.is_zero() or self.normal_form(f).is_zero()
@@ -172,14 +170,6 @@ class Ideal:
             self.ring, dict.fromkeys(f * g for f in self.gens for g in other.gens)
         )
 
-    def power(self, n: int) -> Ideal:
-        if n < 0:
-            raise ValueError("negative ideal power")
-        out = Ideal(self.ring, [self.ring.one()])
-        for _ in range(n):
-            out = out.multiply(self)
-        return out
-
     def intersect(self, other: Ideal) -> Ideal:
         self._same_ring(other)
         a, b = self.packed(), other.packed()
@@ -193,12 +183,12 @@ class Ideal:
     def _intersect_general(self, other: Ideal) -> Ideal:
         ring = self.ring
         aux = ring.fresh_names("t_aux_", 1)
-        ext = ring.extend_front(aux, elimination_order(1))
+        ext = ring.extend_front(aux)
         t = ext.variable(aux[0])
         one = ext.one()
         gens = [t * _lift(ext, f) for f in self.gens]
         gens += [(one - t) * _lift(ext, g) for g in other.gens]
-        gb = buchberger(gens, ext.order)
+        gb = buchberger(gens, elimination_order(1))
         found = []
         for g in gb:
             if all(e[0] == 0 for e in g.terms):
@@ -250,15 +240,12 @@ class Ideal:
             current = widened
 
     def initial_ideal(self) -> Ideal:
-        """Monomial ideal of grevlex leading terms (order fixed for
-        dimension and series use, independent of the ring's own order)."""
+        """Monomial ideal of the leading terms of the grevlex basis."""
         packed = self.packed()
         if packed is not None:
             return Ideal.from_packed(self.ring, packed)
-        order = grevlex()
-        gb = self.groebner(order)
         lay = mo.layout(self.ring.arity)
-        words = [mo.pack(lay, g.leading_monomial(order)) for g in gb if not g.is_zero()]
+        words = [mo.pack(lay, g.leading_monomial()) for g in self.groebner()]
         return Ideal.from_packed(self.ring, mo.minimalize(lay, words))
 
     def _same_ring(self, other: Ideal) -> None:

@@ -14,7 +14,7 @@ same for every general choice) or moving (they vary with the choice).
 For monomial data the fixed components are torus invariant, hence
 generated by variables, and their part of c_k is the finite sum of
 local c_0 over variable-subset primes.  The moving components are not
-primes of any finite list; `moving_residual` counts them by residual
+primes of any finite list; `moving_residuals` counts them by residual
 intersection (Fulton, Intersection Theory, Ch. 9) on the rows where
 that count is derived, and the remaining rows are reported incomplete.
 
@@ -50,7 +50,6 @@ from .multiplicity import (
     _star,
     multiplicity_sequence,
 )
-from .orders import grevlex
 from .poly import PolyRing
 
 
@@ -65,11 +64,13 @@ class Contribution:
         return self.local_c0 * self.degree
 
 
-def moving_residual(ideal: Ideal, module: CyclicModule, k: int) -> int | None:
-    """Degree of the moving part of the k-dimensional Stuckrad-Vogel cycle.
+def moving_residuals(ideal: Ideal, module: CyclicModule) -> list[int | None]:
+    """Degree of the moving part of the k-dimensional Stuckrad-Vogel
+    cycle, for k = 0..dim M.
 
-    Computed from the generators of I and K alone, for 0 <= k <= dim M;
-    None where no derivation covers the row.  Monomial input only.
+    Computed from the generators of I and K alone, reading I + K, mu and
+    q once; None where no derivation covers the row.  Monomial input
+    only: every row is None otherwise.
 
     A moving component at index k lies in V(I + K) but is not torus
     invariant, so it sits inside a component of Supp(M/IM) of dimension
@@ -107,11 +108,6 @@ def moving_residual(ideal: Ideal, module: CyclicModule, k: int) -> int | None:
     0 < k < q and k >= d - mu) can carry moving components that do not
     lie on a divisorial factor of I; they are not derived here.
     """
-    return _moving_residuals(ideal, module)[k]
-
-
-def _moving_residuals(ideal: Ideal, module: CyclicModule) -> list[int | None]:
-    """`moving_residual` for k = 0..d, reading I + K, mu and q once."""
     d, ip, kp = module.dim, ideal.packed(), module.relations.packed()
     if ip is None or kp is None:
         return [None] * (d + 1)
@@ -202,7 +198,7 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
     Stuckrad-Vogel cycle.  Its fixed part is `rhs`, the sum over the
     stratum Λ_k of the local leading coefficient times the degree of
     the residue ring; its moving part is `residual`, from
-    `moving_residual`.  Λ_k holds the primes p over I + K with
+    `moving_residuals`.  Λ_k holds the primes p over I + K with
     dim R/p = k and dim M_p = d - k.  One `_monomial_strata` map gives
     the height, the star condition and every stratum: for monomial
     input it holds every variable-subset prime over I + K, so each Λ_k
@@ -248,7 +244,7 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
             # in the prime's own variables; keep is a prime over I + K,
             # so I_p is neither (1) nor 0, and K_p is proper
             names = tuple(ring.variables[i] for i in keep)
-            sub = PolyRing(names, ring.characteristic, grevlex())
+            sub = PolyRing(names, ring.characteristic)
             local_seq, _ = multiplicity_sequence(
                 Ideal.from_packed(sub, i_words),
                 CyclicModule(sub, Ideal.from_packed(sub, k_words)),
@@ -258,7 +254,7 @@ def verify_formula(ideal: Ideal, module: CyclicModule) -> FormulaReport:
 
     rows = []
     all_complete = True
-    for k, residual in enumerate(_moving_residuals(ideal, module)):
+    for k, residual in enumerate(moving_residuals(ideal, module)):
         contribs = tuple(
             Contribution(
                 tuple(ring.variables[i] for i in keep),

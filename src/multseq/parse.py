@@ -4,7 +4,7 @@ Accepted syntax: signed sums of terms, a term being an optional integer
 or rational coefficient followed by variable powers, with optional `*`
 separators, e.g. ``x^2 - 2*x*y`` or ``3/4 x y^2``.  Identifiers match
 [a-zA-Z][a-zA-Z0-9_]*, so ``xy`` is one variable named xy, not x*y.
-Printing is canonical: terms in descending ring order, explicit ``*``
+Printing is canonical: terms in descending grevlex order, explicit ``*``
 between factors; parse(format(p)) == p.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .orders import grevlex
 from .poly import Polynomial, PolyRing, add_term
 
 
@@ -156,8 +157,7 @@ def format_polynomial(poly: Polynomial) -> str:
     if poly.is_zero():
         return "0"
     ring = poly.ring
-    order = ring.order
-    exps_sorted = sorted(poly.terms, key=order.sort_key, reverse=True)
+    exps_sorted = sorted(poly.terms, key=grevlex().sort_key, reverse=True)
     pieces = []
     for exps in exps_sorted:
         c = poly.terms[exps]

@@ -1,7 +1,8 @@
 """Polynomial rings with exact coefficient arithmetic.
 
-A ring fixes a variable tuple, a coefficient field (rationals, or a
-prime field chosen for speed) and a monomial order.  Polynomials are
+A ring fixes a variable tuple and a coefficient field (rationals, or a
+prime field chosen for speed); a monomial order is an argument of the
+few routines that need one, grevlex unless stated.  Polynomials are
 dicts from exponent tuples to nonzero coefficients; all values are
 treated as immutable once built.  Rational coefficients are stdlib
 Fractions, prime-field coefficients are ints in [0, p).
@@ -10,10 +11,10 @@ Fractions, prime-field coefficients are ints in [0, p).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .orders import MonomialOrder, grevlex
+from .orders import MonomialOrder
 
 _NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
@@ -66,7 +67,6 @@ def add_term(terms: dict, exps: tuple[int, ...], c, p: int) -> None:
 class PolyRing:
     variables: tuple[str, ...]
     characteristic: int = 0
-    order: MonomialOrder = field(default_factory=grevlex)
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -155,15 +155,15 @@ class PolyRing:
             names.append(name)
         return tuple(names)
 
-    def extend_front(self, names: tuple[str, ...], order: MonomialOrder) -> PolyRing:
+    def extend_front(self, names: tuple[str, ...]) -> PolyRing:
         for name in names:
             if name in self.variables:
                 raise ValueError(f"variable {name!r} already present")
-        return PolyRing(tuple(names) + self.variables, self.characteristic, order)
+        return PolyRing(tuple(names) + self.variables, self.characteristic)
 
     @property
     def key(self) -> tuple:
-        return (self.variables, self.characteristic, self.order.key)
+        return (self.variables, self.characteristic)
 
 
 class Polynomial:
@@ -198,14 +198,14 @@ class Polynomial:
 
     # -- leading data -----------------------------------------------------
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> tuple[int, ...]:
+    def leading_monomial(
+        self, order: MonomialOrder = MonomialOrder()
+    ) -> tuple[int, ...]:
+        """The largest exponent tuple of a term under `order`, grevlex
+        unless given."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        order = order or self.ring.order
         return max(self.terms, key=order.sort_key)
-
-    def leading_coefficient(self, order: MonomialOrder | None = None):
-        return self.terms[self.leading_monomial(order)]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -254,19 +254,6 @@ class Polynomial:
         if p:
             return Polynomial(self.ring, {e: (v * c) % p for e, v in self.terms.items()})
         return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
-
-    def mul_term(self, exponents: tuple[int, ...], coefficient) -> Polynomial:
-        c = self.ring.coeff(coefficient)
-        if c == 0:
-            return self.ring.zero()
-        p = self.ring.characteristic
-        out = {}
-        for e, v in self.terms.items():
-            s = v * c
-            if p:
-                s %= p
-            out[tuple(x + y for x, y in zip(e, exponents))] = s
-        return Polynomial(self.ring, out)
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:

@@ -20,7 +20,6 @@ from .errors import EngineLimit
 from .ideals import Ideal
 from .localization import Contribution, FormulaReport, KSummary
 from .multiplicity import CyclicModule, Diagnostics, MultiplicitySequence
-from .orders import grevlex, lex
 from .parse import ParseError, parse_terms
 from .poly import Polynomial, PolyRing
 from .reduction import ReductionReport, SuperficialCandidate
@@ -28,8 +27,6 @@ from .reduction import ReductionReport, SuperficialCandidate
 MAX_PROBLEM_VARIABLES = 8
 
 _PARAM_FIELDS = frozenset(f.name for f in fields(Params))
-
-_ORDERS = {"grevlex": grevlex, "lex": lex}
 
 
 class ProblemError(ValueError):
@@ -96,16 +93,17 @@ def _build_ring(doc, location: str) -> PolyRing:
         "characteristic must be an integer",
         f"{location}.characteristic",
     )
-    order_name = doc.get("order", "grevlex")
+    # no answer depends on a monomial order: the one accepted is the
+    # grevlex order every basis is read under
     _expect(
-        order_name in _ORDERS,
-        f"order must be one of {sorted(_ORDERS)}",
+        doc.get("order", "grevlex") == "grevlex",
+        "order must be 'grevlex'",
         f"{location}.order",
     )
     unknown = set(doc) - {"variables", "characteristic", "order"}
     _expect(not unknown, f"unknown keys {sorted(unknown)}", location)
     try:
-        return PolyRing(tuple(variables), characteristic, _ORDERS[order_name]())
+        return PolyRing(tuple(variables), characteristic)
     except ValueError as exc:
         raise ProblemError(str(exc), location)
 

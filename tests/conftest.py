@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from multseq import CyclicModule, Ideal, PolyRing, grevlex, parse_polynomial
+from multseq import CyclicModule, Ideal, PolyRing, parse_polynomial
 
 
 def ring(*names: str, char: int = 0) -> PolyRing:
-    return PolyRing(tuple(names), char, grevlex())
+    return PolyRing(tuple(names), char)
 
 
 def poly(r: PolyRing, text: str):

@@ -23,8 +23,10 @@ in its imports:
   `quotient_degree` read off it;
 - `minimal_primes_monomial` finds the minimal primes of a monomial
   ideal by brute force over variable subsets;
-- `s_polynomial` and `compare` state the S-polynomial and each monomial
-  order on exponent tuples, for the packed Gröbner kernel and
+- `power`, `leading_coefficient` and `mul_term` are the ideal power
+  and the term arithmetic that only the tests use;
+- `s_polynomial` and `compare` state the S-polynomial and the monomial
+  orders on exponent tuples, for the packed Gröbner kernel and
   `MonomialOrder.sort_key`;
 - `is_reduction` scans n = 0..n_max for the least n with
   J^(n+1)M = I·J^nM, the direct route the exact reduction number of
@@ -52,8 +54,29 @@ from multseq import (
 from multseq import monomials as mo
 from multseq.ideals import require_homogeneous
 from multseq.multiplicity import WINDOW_WIDTH
-from multseq.orders import GREVLEX, LEX, WEIGHT
 from multseq.poly import monomial_div
+
+# -- powers and terms -----------------------------------------------------
+
+
+def power(ideal: Ideal, n: int) -> Ideal:
+    """I^n, one factor at a time; I^0 is the unit ideal."""
+    if n < 0:
+        raise ValueError("negative ideal power")
+    out = Ideal(ideal.ring, [ideal.ring.one()])
+    for _ in range(n):
+        out = out.multiply(ideal)
+    return out
+
+
+def leading_coefficient(f, order=grevlex()):
+    return f.terms[f.leading_monomial(order)]
+
+
+def mul_term(f, exponents: tuple[int, ...], coefficient):
+    """f times the term coefficient * x^exponents."""
+    return f * f.ring.monomial(exponents, coefficient)
+
 
 # -- bigraded components --------------------------------------------------
 
@@ -61,10 +84,10 @@ from multseq.poly import monomial_div
 def component_ideal(ideal, module, i: int, j: int) -> Ideal:
     """m^i I^j + I^(j+1) + K, the numerator ideal of the (i, j) piece."""
     ring = ideal.ring
-    m_i = Ideal(ring, [ring.variable(name) for name in ring.variables]).power(i)
+    m_i = power(Ideal(ring, [ring.variable(name) for name in ring.variables]), i)
     return (
-        m_i.multiply(ideal.power(j))
-        .add(ideal.power(j + 1))
+        m_i.multiply(power(ideal, j))
+        .add(power(ideal, j + 1))
         .add(module.relations)
     )
 
@@ -210,7 +233,7 @@ def classical_multiplicity(ideal, module) -> int:
     count = d + width + 3
     while True:
         colengths = [
-            total_length(ideal.power(n + 1).add(module.relations))
+            total_length(power(ideal, n + 1).add(module.relations))
             for n in range(count + 1)
         ]
         diffs = colengths
@@ -243,7 +266,7 @@ def localize(ideal, module, variables: tuple[str, ...]):
     if ip is None or kp is None:
         raise PreconditionError("localization needs monomial generators")
     keep = tuple(ring.variables.index(v) for v in variables)
-    sub = PolyRing(tuple(variables), ring.characteristic, grevlex())
+    sub = PolyRing(tuple(variables), ring.characteristic)
     lay = mo.layout(ring.arity)
     local_i = Ideal.from_packed(sub, mo.restrict(lay, ip, keep))
     local_k = Ideal.from_packed(sub, mo.restrict(lay, kp, keep))
@@ -368,11 +391,11 @@ def s_polynomial(f, g, order):
     ltf = f.leading_monomial(order)
     ltg = g.leading_monomial(order)
     common = tuple(map(max, ltf, ltg))
-    a = f.mul_term(
-        monomial_div(common, ltf), f.ring.coeff_inv(f.leading_coefficient(order))
+    a = mul_term(
+        f, monomial_div(common, ltf), f.ring.coeff_inv(leading_coefficient(f, order))
     )
-    b = g.mul_term(
-        monomial_div(common, ltg), g.ring.coeff_inv(g.leading_coefficient(order))
+    b = mul_term(
+        g, monomial_div(common, ltg), g.ring.coeff_inv(leading_coefficient(g, order))
     )
     return a - b
 
@@ -381,16 +404,11 @@ def compare(order, a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """+1 if a is larger under `order`, -1 if b is larger, 0 if equal."""
     if len(a) != len(b):
         raise ValueError("exponent tuples of different arity")
-    if order.kind == GREVLEX:
-        return _grevlex(a, b)
-    if order.kind == LEX:
-        return _lex(a, b)
     k = order.block
-    # the weights cover the trailing block, all of a when k is None
+    # the weights cover the trailing block, all of a when k is 0
     if order.weights is not None and len(a[k:]) != len(order.weights):
         raise ValueError("exponent tuple and weights of different arity")
-    if order.kind == WEIGHT:
-        return _weighted(order.weights, a, b)
+    # the eliminated block first, grevlex; an empty one ties
     c = _grevlex(a[:k], b[:k])
     if c:
         return c
@@ -407,13 +425,6 @@ def _grevlex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
         if a[i] != b[i]:
             # smaller exponent in the latest differing slot wins
             return 1 if a[i] < b[i] else -1
-    return 0
-
-
-def _lex(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
     return 0
 
 
@@ -446,7 +457,7 @@ def is_reduction(small: Ideal, large: Ideal, module, n_max: int) -> int | None:
         """J^(n+1) + K = I·J^n + K, given J^n and J^(n+1)."""
         return upper.add(k).equals(small.multiply(lower).add(k))
 
-    lower = large.power(0)  # J^n
+    lower = power(large, 0)  # J^n
     for n in range(n_max + 1):
         upper = lower.multiply(large)
         if equal_at(lower, upper):

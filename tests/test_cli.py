@@ -591,7 +591,7 @@ class TestOneProcess:
         # the front end builds its parser and reads its version once
         run(capsys, ["--task", "compute", "--input", golden(tmp_path)])
         before = tables()
-        assert {"config.MINIMUMS", "problem._ORDERS", "cli._version"} <= set(before)
+        assert {"config.MINIMUMS", "cli._version"} <= set(before)
         for task, variables, ideals, extra in TestOptimizedInterpreter.CASES.values():
             document = {"schema": 1, "ring": {"variables": variables}, "ideals": ideals}
             path = write(tmp_path, f"{task}.json", document)
@@ -635,6 +635,9 @@ class TestOneProcess:
         ("HilbertSeries", "expansion"): "expansion",
         ("HilbertSeries", "length"): "length",
         ("MonomialOrder", "compare"): "compare",
+        ("Ideal", "power"): "power",
+        ("Polynomial", "leading_coefficient"): "leading_coefficient",
+        ("Polynomial", "mul_term"): "mul_term",
         ("ReductionReport", "sequences_equal"): "sequences_equal",
     }
     DELETED = (
@@ -649,6 +652,13 @@ class TestOneProcess:
         "_lambda_sets",
         "_c0",
         "_local_module",
+        "moving_residual",
+        "_moving_residuals",
+        "lex",
+        "weight_order",
+        "_ORDERS",
+        "LEX",
+        "WEIGHT",
     )
 
     def test_the_engine_ships_no_oracle(self):
@@ -765,6 +775,28 @@ class TestUsage:
         )
         assert (got, out) == (3, "")
         assert "prime below" in err
+
+    def test_only_the_grevlex_order_is_accepted(self, tmp_path, capsys):
+        # no answer depends on the monomial order: a document may still
+        # name grevlex, and naming lex is bad input, as a removed
+        # parameter is
+        def document(order):
+            return write(
+                tmp_path,
+                f"{order}.json",
+                {
+                    "schema": 1,
+                    "ring": {"variables": ["x", "y"], "order": order},
+                    "ideals": {"I": ["x^2 + y^2", "x*y"], "K": []},
+                },
+            )
+
+        code, out, _ = run(capsys, ["--task", "compute", "--input", document("grevlex")])
+        assert code == 0
+        assert json.loads(out)["inputs"]["ring"]["order"] == "grevlex"
+        code, out, err = run(capsys, ["--task", "compute", "--input", document("lex")])
+        assert (code, out) == (3, "")
+        assert "ring.order" in err
 
 
 # a one-cell window would read (0, 45, 6, 0) here, since it certifies

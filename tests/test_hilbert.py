@@ -21,6 +21,7 @@ from oracles import (
     hilbert_series,
     length_subquotient,
     minimal_primes_monomial,
+    power,
     quotient_degree,
     total_length,
 )
@@ -163,7 +164,7 @@ class TestPacking:
         with pytest.raises(EngineLimit):
             mo.multiply(lay, a, (mo.pack(lay, (0, half)),))
         with pytest.raises(EngineLimit):
-            Ideal.from_packed(ring("x", "y"), a).power(2)
+            power(Ideal.from_packed(ring("x", "y"), a), 2)
         assert mo.multiply(lay, a, (mo.pack(lay, (0, 1)),)) == (
             mo.pack(lay, (half, 1)),
         )

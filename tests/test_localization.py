@@ -26,12 +26,11 @@ from multseq import (
     krull_dimension,
     multiplicity_sequence,
     problem_from_dict,
-    grevlex,
     verify_formula,
 )
 from multseq import multiplicity
 from multseq.errors import PreconditionError
-from multseq.localization import moving_residual
+from multseq.localization import moving_residuals
 from oracles import (
     classical_multiplicity,
     local_c0,
@@ -568,7 +567,7 @@ class TestFormula:
             for row in verify_formula(a, m).rows[1:]:
                 for c in row.contributions:
                     local_i, local_m = localize(a, m, c.prime)
-                    sub = PolyRing(c.prime, a.ring.characteristic, grevlex())
+                    sub = PolyRing(c.prime, a.ring.characteristic)
                     old_i = localized(a, c.prime, sub)
                     old_k = localized(m.relations, c.prime, sub)
                     assert local_i.ring == sub
@@ -679,7 +678,7 @@ class TestMovingResidual:
         r = ring("x", "y", "z")
         a, m = ideal(r, *gens), module(r)
         # derived from the generators alone, before any table is built
-        assert moving_residual(a, m, 1) == residual
+        assert moving_residuals(a, m)[1] == residual
         rep = verify_formula(a, m)
         assert rep.verdict == "verified"
         row1 = {row.k: row for row in rep.rows}[1]
@@ -724,4 +723,4 @@ class TestMovingResidual:
         assert (by_k[2].lhs, by_k[2].rhs, by_k[2].residual) == (1, 0, 1)
         assert by_k[2].complete
         assert not by_k[1].complete
-        assert moving_residual(a, m, 1) is None
+        assert moving_residuals(a, m)[1] is None

@@ -23,7 +23,6 @@ from multseq import (
     Polynomial,
     diagnostics,
     generate_corpus,
-    grevlex,
     height_on_module,
     krull_dimension,
     multiplicity_sequence,
@@ -43,7 +42,7 @@ from oracles import (
     total_length,
     window_cells,
 )
-from multseq.orders import elimination_order, weight_order
+from multseq.orders import MonomialOrder, elimination_order
 
 
 def free_module(r):
@@ -66,7 +65,7 @@ def rees_relations(a, m):
     gens = multiplicity._minimal_generators(a)
     tags = r.fresh_names("g", len(gens))
     (aux,) = r.fresh_names("t", 1)
-    ext = PolyRing((aux,) + r.variables + tags, r.characteristic, elimination_order(1))
+    ext = PolyRing((aux,) + r.variables + tags, r.characteristic)
     pad = (0,) * len(tags)
 
     def lift(p):
@@ -78,7 +77,7 @@ def rees_relations(a, m):
     grading = (1,) * (1 + r.arity) + tuple(1 + g.total_degree() for g in gens)
     rees = [
         {e[1:]: c for e, c in p.terms.items()}
-        for p in buchberger(relations, ext.order, grading)
+        for p in buchberger(relations, elimination_order(1), grading)
         if not any(e[0] for e in p.terms)
     ]
     return gens, tags, rees
@@ -93,8 +92,8 @@ def reference_numerator(a, m):
     """
     gens, tags, rees = rees_relations(a, m)
     n, r = a.ring.arity, len(gens)
-    order = weight_order((0,) * n + tuple(g.total_degree() for g in gens))
-    s_ring = PolyRing(a.ring.variables + tags, a.ring.characteristic, order)
+    order = MonomialOrder(weights=(0,) * n + tuple(g.total_degree() for g in gens))
+    s_ring = PolyRing(a.ring.variables + tags, a.ring.characteristic)
     pad = (0,) * r
     presentation = [Polynomial(s_ring, terms) for terms in rees]
     presentation += [
@@ -118,7 +117,7 @@ def fiber_ring_spread(a, m):
     """
     _, tags, rees = rees_relations(a, m)
     n = a.ring.arity
-    tag_ring = PolyRing(tags, a.ring.characteristic, grevlex())
+    tag_ring = PolyRing(tags, a.ring.characteristic)
     fiber = [
         Polynomial(tag_ring, {e[n:]: c for e, c in terms.items() if not any(e[:n])})
         for terms in rees
@@ -739,12 +738,12 @@ class TestReesGrading:
         def spy(basis, grading=None, done=0):
             if any(e[0] for e in basis.exps):
                 names = tuple(f"v{i}" for i in range(basis.lay.arity))
-                ext = PolyRing(names, basis.p, basis.order)
+                ext = PolyRing(names, basis.p)
                 relations = [
                     basis.polynomial(ext, k, basis.tails[k])
                     for k in range(len(basis.leads))
                 ]
-                seen.append((relations, ext.order, grading))
+                seen.append((relations, basis.order, grading))
             return real(basis, grading, done)
 
         monkeypatch.setattr(multiplicity, "pair_loop", spy)

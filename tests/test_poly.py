@@ -12,12 +12,11 @@ from multseq import (
     elimination_order,
     format_polynomial,
     grevlex,
-    lex,
     parse_polynomial,
 )
-from multseq.orders import MonomialOrder, weight_order
+from multseq.orders import MonomialOrder
 from multseq.poly import _is_prime
-from oracles import compare
+from oracles import compare, leading_coefficient
 
 
 class TestRing:
@@ -65,7 +64,7 @@ class TestRing:
 
     def test_rejects_duplicate_variables(self):
         with pytest.raises(ValueError):
-            PolyRing(("x", "x"), 0, grevlex())
+            PolyRing(("x", "x"), 0)
 
     def test_constant_and_variable(self):
         r = ring("x", "y")
@@ -152,34 +151,29 @@ class TestOrders:
         assert compare(o, (1, 1, 0), (1, 0, 1)) > 0
         assert compare(o, (1, 1), (1, 1)) == 0
 
-    def test_lex_ignores_degree(self):
-        o = lex()
-        assert compare(o, (1, 0), (0, 5)) > 0
-
-    def test_grevlex_vs_lex_disagree(self):
-        assert compare(grevlex(), (0, 2), (1, 0)) > 0
-        assert compare(lex(), (0, 2), (1, 0)) < 0
-
     def test_elimination_block_dominates(self):
         o = elimination_order(1)
         assert compare(o, (1, 0, 0), (0, 9, 9)) > 0
         assert compare(o, (1, 2, 0), (1, 0, 1)) > 0  # ties fall to grevlex
 
     def test_weight_dominates_then_grevlex(self):
-        o = weight_order((0, 0, 1))
+        o = MonomialOrder(weights=(0, 0, 1))
         assert compare(o, (0, 0, 1), (5, 0, 0)) > 0
         assert compare(o, (2, 0, 1), (0, 1, 1)) > 0  # equal weight: grevlex
         assert compare(o, (1, 0, 0), (0, 0, 0)) > 0  # 1 stays the least
+        assert MonomialOrder() == grevlex()
         with pytest.raises(ValueError):
-            weight_order((0, -1))
+            MonomialOrder(weights=(0, -1))
         with pytest.raises(ValueError):
-            MonomialOrder("grevlex", weights=(1, 1))
+            MonomialOrder(weights=[1, 1])
+        with pytest.raises(ValueError):
+            MonomialOrder(-1)
 
     def test_leading_monomial_respects_order(self):
         r = ring("x", "y")
         f = poly(r, "x^2*y + x*y^2")
         assert f.leading_monomial() == (2, 1)
-        assert f.leading_monomial(lex()) == (2, 1)
+        assert f.leading_monomial(elimination_order(1)) == (2, 1)
 
     def test_leading_monomial_follows_each_order(self):
         # the lead is remembered per polynomial; asking under another
@@ -187,10 +181,10 @@ class TestOrders:
         r = ring("x", "y", "z")
         f = poly(r, "x + y^2 + z^3")
         for _ in range(2):
-            assert f.leading_monomial(lex()) == (1, 0, 0)
-            assert f.leading_monomial() == (0, 0, 3)
             assert f.leading_monomial(elimination_order(1)) == (1, 0, 0)
-            assert f.leading_coefficient(lex()) == 1
+            assert f.leading_monomial() == (0, 0, 3)
+            assert f.leading_monomial(MonomialOrder(weights=(0, 1, 0))) == (0, 2, 0)
+            assert leading_coefficient(f, elimination_order(1)) == 1
 
     def test_multiplicative_invariance(self):
         # a well order on monomials must be stable under common factors
@@ -224,7 +218,7 @@ class TestParsing:
     def test_rational_coefficients(self):
         r = ring("x")
         f = poly(r, "2/3*x")
-        assert f.leading_coefficient() == Fraction(2, 3)
+        assert leading_coefficient(f) == Fraction(2, 3)
 
     def test_error_offsets(self):
         r = ring("x", "y")

@@ -119,10 +119,14 @@ class TestRejection:
             problem_from_dict(bad)
         assert info.value.location == "ring"
 
-    def test_unknown_order(self):
-        bad = doc(ring={"variables": ["x"], "order": "degrevlexish"})
-        with pytest.raises(ProblemError, match="order"):
+    @pytest.mark.parametrize("order", ["degrevlexish", "lex"])
+    def test_unknown_order(self, order):
+        # no answer depends on the monomial order, so grevlex is the
+        # only one a document may name
+        bad = doc(ring={"variables": ["x"], "order": order})
+        with pytest.raises(ProblemError, match="order") as info:
             problem_from_dict(bad)
+        assert info.value.location == "ring.order"
 
     def test_primes_key_exits_bad_input(self, tmp_path, capsys):
         # candidate primes are not part of the schema: like any unknown

@@ -19,6 +19,7 @@ from multseq import (
     PolyRing,
     buchberger,
     generate_corpus,
+    grevlex,
     problem_from_dict,
     rees_criterion,
     revalidate,
@@ -73,7 +74,7 @@ class TestWitnessScan:
             ring = small.ring
 
             def basis(gens):
-                return buchberger(list(gens) + list(relations.gens), ring.order)
+                return buchberger(list(gens) + list(relations.gens), grevlex())
 
             lower = [ring.one()]
             for n in range(n_max + 1):
