@@ -11,12 +11,15 @@ order, so its normal form drops exactly the terms the ideal holds
 (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, §2.3-2.4):
 `normal_form` and `contains` test each term by exponent-tuple
 divisibility and never run Buchberger nor pack the polynomial.  The
-exact quotients of `colon_poly` come from `groebner.divide`, and
-`saturate` repeats `colon_ideal` until the ascending chain of colons
-stops rising.
+exact quotients of `colon_poly` come from `groebner.divide`.  The
+general intersection and saturation each eliminate one fresh variable
+t (§3.1, §4.3-4.4): A ∩ B = (t·A, (1 - t)·B) ∩ R, and A : B^∞ is the
+intersection over the generators g of B of (A, 1 - t·g) ∩ R.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from . import monomials as mo
 from .errors import NonHomogeneousInput
@@ -32,7 +35,7 @@ class Ideal:
     packed operation returns) keeps only the words and builds its `gens`
     polynomials on first read; `is_zero`, `is_homogeneous`, `packed` and
     the packed arithmetic never read them.  An ideal keeps its reduced
-    grevlex basis once read, so its membership, comparison and
+    grevlex basis once read, so its membership, containment and
     dimension tests share one basis.
     """
 
@@ -110,7 +113,7 @@ class Ideal:
         gb = self.groebner()
         return not any(g.is_constant() for g in gb)
 
-    # -- membership and comparisons ---------------------------------------
+    # -- membership and containment ---------------------------------------
 
     def groebner(self) -> tuple[Polynomial, ...]:
         """Reduced grevlex basis."""
@@ -137,16 +140,6 @@ class Ideal:
         if a is not None and b is not None:
             return mo.contains(mo.layout(self.ring.arity), b, a)
         return all(other.contains(g) for g in self.gens)
-
-    def equals(self, other: Ideal) -> bool:
-        if self.ring != other.ring:
-            return False
-        a, b = self.packed(), other.packed()
-        if a is not None and b is not None:
-            return a == b
-        ga = tuple(p.key() for p in self.groebner())
-        gb = tuple(p.key() for p in other.groebner())
-        return ga == gb
 
     # -- arithmetic -------------------------------------------------------
 
@@ -178,22 +171,11 @@ class Ideal:
             return Ideal.from_packed(self.ring, mo.intersect(lay, a, b))
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, [])
-        return self._intersect_general(other)
-
-    def _intersect_general(self, other: Ideal) -> Ideal:
-        ring = self.ring
-        aux = ring.fresh_names("t_aux_", 1)
-        ext = ring.extend_front(aux)
-        t = ext.variable(aux[0])
-        one = ext.one()
-        gens = [t * _lift(ext, f) for f in self.gens]
-        gens += [(one - t) * _lift(ext, g) for g in other.gens]
-        gb = buchberger(gens, elimination_order(1))
-        found = []
-        for g in gb:
-            if all(e[0] == 0 for e in g.terms):
-                found.append(_drop_first(ring, g))
-        return Ideal(ring, found)
+        zero = self.ring.zero()
+        return _eliminate(
+            self.ring,
+            [(zero, f) for f in self.gens] + [(g, -g) for g in other.gens],
+        )
 
     def colon_poly(self, f: Polynomial) -> Ideal:
         """(self : f)."""
@@ -213,31 +195,23 @@ class Ideal:
             quotients.append(q)
         return Ideal(self.ring, quotients)
 
-    def colon_ideal(self, other: Ideal) -> Ideal:
-        if other.is_zero():
-            raise ValueError("colon by the zero ideal")
-        a, b = self.packed(), other.packed()
-        if a is not None and b is not None:
-            lay = mo.layout(self.ring.arity)
-            return Ideal.from_packed(self.ring, mo.colon_ideal(lay, a, b))
-        result: Ideal | None = None
-        for g in other.gens:
-            piece = self.colon_poly(g)
-            result = piece if result is None else result.intersect(piece)
-        return result
-
     def saturate(self, other: Ideal) -> Ideal:
-        """(self : other^∞), where the chain self : other^n stops rising."""
+        """(self : other^∞), one elimination per generator g of other.
+
+        self : g^∞ = (self, 1 - t·g) ∩ R, and a power of other lies in
+        the colon exactly when a power of each of its generators does.
+        """
         a, b = self.packed(), other.packed()
         if a is not None and b is not None:
             lay = mo.layout(self.ring.arity)
             return Ideal.from_packed(self.ring, mo.saturate(lay, a, b))
-        current = self
-        while True:
-            widened = current.colon_ideal(other)
-            if widened.equals(current):
-                return current
-            current = widened
+        if other.is_zero():
+            raise ValueError("saturation by the zero ideal")
+        one = self.ring.one()
+        return reduce(Ideal.intersect, [
+            _eliminate(self.ring, [(f,) for f in self.gens] + [(one, -g)])
+            for g in other.gens
+        ])
 
     def initial_ideal(self) -> Ideal:
         """Monomial ideal of the leading terms of the grevlex basis."""
@@ -253,12 +227,26 @@ class Ideal:
             raise ValueError("ideals from different rings")
 
 
-def _lift(ext: PolyRing, f: Polynomial) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in f.terms.items()})
+def _eliminate(ring: PolyRing, gens) -> Ideal:
+    """(gens) ∩ ring, for gens in ring[t] with t a fresh variable.
 
-
-def _drop_first(ring: PolyRing, f: Polynomial) -> Polynomial:
-    return Polynomial(ring, {e[1:]: c for e, c in f.terms.items()})
+    Each generator is given by its coefficients in `ring`, from t^0 up,
+    so (f, -f) stands for (1 - t)·f.  The t-free elements of the basis
+    under the order that eliminates t generate the intersection
+    (Cox-Little-O'Shea, §3.1).
+    """
+    ext = ring.extend_front(ring.fresh_names("t_aux_", 1))
+    lifted = []
+    for coefficients in gens:
+        terms = {}
+        for i, f in enumerate(coefficients):
+            terms.update(((i,) + e, c) for e, c in f.terms.items())
+        lifted.append(Polynomial(ext, terms))
+    return Ideal(ring, [
+        Polynomial(ring, {e[1:]: c for e, c in g.terms.items()})
+        for g in buchberger(lifted, elimination_order(1))
+        if all(e[0] == 0 for e in g.terms)
+    ])
 
 
 def require_homogeneous(ideal: Ideal, what: str) -> None:

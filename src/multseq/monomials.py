@@ -188,17 +188,6 @@ def colon_monomial(lay: Layout, gens: tuple[int, ...], word: int) -> tuple[int, 
     return minimalize(lay, quotients)
 
 
-def colon_ideal(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a) : (b), intersecting over the generators of b."""
-    if not b:
-        raise ValueError("colon by the zero ideal")
-    result: tuple[int, ...] | None = None
-    for w in b:
-        piece = colon_monomial(lay, a, w)
-        result = piece if result is None else intersect(lay, result, piece)
-    return result
-
-
 def saturate(lay: Layout, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """(a) : (b)^∞, intersecting the saturations by the generators of b.
 

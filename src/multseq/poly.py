@@ -255,18 +255,6 @@ class Polynomial:
             return Polynomial(self.ring, {e: (v * c) % p for e, v in self.terms.items()})
         return Polynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("negative power")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

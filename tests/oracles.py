@@ -23,8 +23,13 @@ in its imports:
   `quotient_degree` read off it;
 - `minimal_primes_monomial` finds the minimal primes of a monomial
   ideal by brute force over variable subsets;
-- `power`, `leading_coefficient` and `mul_term` are the ideal power
-  and the term arithmetic that only the tests use;
+- `power`, `polynomial_power`, `leading_coefficient` and `mul_term`
+  are the ideal and polynomial powers and the term arithmetic that
+  only the tests use;
+- `equals` compares two ideals by their reduced bases, and
+  `monomial_colon`, `colon_ideal` and `saturate_by_colons` take
+  colons, and the saturation as the last colon of the rising chain
+  A : B^n, the route the elimination of `Ideal.saturate` is held to;
 - `s_polynomial` and `compare` state the S-polynomial and the monomial
   orders on exponent tuples, for the packed Gröbner kernel and
   `MonomialOrder.sort_key`;
@@ -73,9 +78,69 @@ def leading_coefficient(f, order=grevlex()):
     return f.terms[f.leading_monomial(order)]
 
 
+def polynomial_power(f, n: int):
+    """f^n by repeated squaring; f^0 is 1."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = f.ring.one()
+    while n:
+        if n & 1:
+            result = result * f
+        f = f * f if n > 1 else f
+        n >>= 1
+    return result
+
+
 def mul_term(f, exponents: tuple[int, ...], coefficient):
     """f times the term coefficient * x^exponents."""
     return f * f.ring.monomial(exponents, coefficient)
+
+
+# -- equality, colons and saturation -------------------------------------
+
+
+def equals(a: Ideal, b: Ideal) -> bool:
+    """Same ring, and the same minimal monomial words or reduced basis."""
+    if a.ring != b.ring:
+        return False
+    pa, pb = a.packed(), b.packed()
+    if pa is not None and pb is not None:
+        return pa == pb
+    return [f.key() for f in a.groebner()] == [g.key() for g in b.groebner()]
+
+
+def monomial_colon(lay, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """(a) : (b) on packed words, intersecting over the generators of b."""
+    if not b:
+        raise ValueError("colon by the zero ideal")
+    result = mo.colon_monomial(lay, a, b[0])
+    for w in b[1:]:
+        result = mo.intersect(lay, result, mo.colon_monomial(lay, a, w))
+    return result
+
+
+def colon_ideal(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b), intersecting the colons by the generators of b."""
+    if b.is_zero():
+        raise ValueError("colon by the zero ideal")
+    pa, pb = a.packed(), b.packed()
+    if pa is not None and pb is not None:
+        lay = mo.layout(a.ring.arity)
+        return Ideal.from_packed(a.ring, monomial_colon(lay, pa, pb))
+    result = a.colon_poly(b.gens[0])
+    for g in b.gens[1:]:
+        result = result.intersect(a.colon_poly(g))
+    return result
+
+
+def saturate_by_colons(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b^∞), where the chain a : b^n stops rising."""
+    current = a
+    while True:
+        widened = colon_ideal(current, b)
+        if equals(widened, current):
+            return current
+        current = widened
 
 
 # -- bigraded components --------------------------------------------------
@@ -455,7 +520,7 @@ def is_reduction(small: Ideal, large: Ideal, module, n_max: int) -> int | None:
 
     def equal_at(lower: Ideal, upper: Ideal) -> bool:
         """J^(n+1) + K = I·J^n + K, given J^n and J^(n+1)."""
-        return upper.add(k).equals(small.multiply(lower).add(k))
+        return equals(upper.add(k), small.multiply(lower).add(k))
 
     lower = power(large, 0)  # J^n
     for n in range(n_max + 1):

@@ -627,6 +627,7 @@ class TestOneProcess:
         "local_c0": "local_c0",
         "localize_ideal": "localize",
         "localize_module": "localize",
+        "colon_ideal": "monomial_colon",
     }
     MOVED_METHODS = {
         ("BigradedTable", "components"): "components",
@@ -636,8 +637,11 @@ class TestOneProcess:
         ("HilbertSeries", "length"): "length",
         ("MonomialOrder", "compare"): "compare",
         ("Ideal", "power"): "power",
+        ("Ideal", "colon_ideal"): "colon_ideal",
+        ("Ideal", "equals"): "equals",
         ("Polynomial", "leading_coefficient"): "leading_coefficient",
         ("Polynomial", "mul_term"): "mul_term",
+        ("Polynomial", "__pow__"): "polynomial_power",
         ("ReductionReport", "sequences_equal"): "sequences_equal",
     }
     DELETED = (

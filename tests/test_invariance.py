@@ -33,6 +33,7 @@ from multseq import (
     problem_from_dict,
 )
 from multseq.multiplicity import _gr_numerator
+from oracles import polynomial_power
 
 # (variables, corpus mode, relations, count)
 CORPORA = (
@@ -96,7 +97,7 @@ def substitute(f, images):
     for exps, c in f.terms.items():
         term = r.one().scale(c)
         for image, e in zip(images, exps):
-            term = term * image**e
+            term = term * polynomial_power(image, e)
         out = out + term
     return out
 

@@ -33,6 +33,7 @@ from multseq.errors import PreconditionError
 from multseq.localization import moving_residuals
 from oracles import (
     classical_multiplicity,
+    equals,
     local_c0,
     localize,
     minimal_primes_monomial,
@@ -69,7 +70,7 @@ class TestLocalize:
         local, _ = localize(a, module(r), ("x",))
         # y and z become units at (x), leaving (x^2, x) = (x)
         assert local.ring.variables == ("x",)
-        assert local.equals(ideal(local.ring, "x"))
+        assert equals(local, ideal(local.ring, "x"))
 
     def test_unit_when_ideal_misses_prime(self):
         r = ring("x", "y")

@@ -39,6 +39,8 @@ from oracles import (
     diff_v,
     extract_top_coefficients,
     hilbert_table,
+    monomial_colon,
+    polynomial_power,
     total_length,
     window_cells,
 )
@@ -642,7 +644,7 @@ class TestShiftStability:
             m = module(r, *relations)
             big = oracles.values(hilbert_table(a, m, 6, 9))
             for n in (1, 2, 3):
-                g_n = poly(r, gen) ** n
+                g_n = polynomial_power(poly(r, gen), n)
                 surrogate = CyclicModule(
                     r, ideal(r, *relations).colon_poly(g_n)
                 )
@@ -675,7 +677,7 @@ class TestShiftStability:
         m = free_module(r)
         base, _ = multiplicity_sequence(a, m)
         for n in (1, 2):
-            surrogate = CyclicModule(r, ideal(r).colon_poly(poly(r, "x") ** n))
+            surrogate = CyclicModule(r, ideal(r).colon_poly(polynomial_power(poly(r, "x"), n)))
             shifted, _ = multiplicity_sequence(a, surrogate)
             assert shifted.entries[: base.dim - 1] == base.entries[: base.dim - 1]
             assert shifted.entries[base.dim] == 0
@@ -960,9 +962,7 @@ class TestInvariantsOfThePair:
             power = (0,)
             for _ in range(self.last_power(lay, b, a)):
                 power = monomials.multiply(lay, power, b)
-            assert monomials.saturate(lay, a, b) == monomials.colon_ideal(
-                lay, a, power
-            ), (a, b)
+            assert monomials.saturate(lay, a, b) == monomial_colon(lay, a, power), (a, b)
 
     def star_by_powers(self, a, m):
         """The star condition from the colons K : I^n, n <= r(e-1)+1."""
@@ -975,7 +975,7 @@ class TestInvariantsOfThePair:
             power = (0,)
             for _ in range(self.last_power(sub, i_local, k_local)):
                 power = monomials.multiply(sub, power, i_local)
-                colon = monomials.colon_ideal(sub, k_local, power)
+                colon = monomial_colon(sub, k_local, power)
                 if monomials.is_unit(colon):
                     if d_local:
                         return False

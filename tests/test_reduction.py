@@ -8,6 +8,7 @@ comparison, never an unverified ground truth.
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -25,9 +26,15 @@ from multseq import (
     revalidate,
     superficial_search,
 )
-from multseq import monomials, multiplicity, reduction
+from multseq import ideals, monomials, multiplicity, reduction
 from multseq.errors import PreconditionError, SearchExhausted
-from oracles import is_reduction, local_c0, sequences_equal
+from oracles import (
+    equals,
+    is_reduction,
+    local_c0,
+    saturate_by_colons,
+    sequences_equal,
+)
 
 
 class TestWitnessScan:
@@ -435,10 +442,69 @@ class TestNonzerodivisorStep:
             "no nonzerodivisor power: (K : x) is not inside K : I^∞"
         )
 
+    @pytest.mark.parametrize("char", [0, 32003])
+    def test_power_past_ten_on_non_monomial_relations(self, char):
+        # x^3 + x^2*y lies in (x^2), so K is the ideal above, but its
+        # generators send the saturation down the elimination route
+        r = ring("x", "y", "z", char=char)
+        a, m = ideal(r, "y"), module(r, "x^2", "x*y^12", "x^3 + x^2*y")
+        assert m.relations.packed() is None
+        cand = superficial_search(a, m, Params())
+        assert cand.c_exponent == 12
+        assert revalidate(cand, a, m, Params())
+
+    def test_annihilator_outside_a_non_monomial_saturation_rejects(self):
+        # K = (x*z, x^2*z + x*y*z) is (x*z) with a redundant binomial
+        r = ring("x", "y", "z")
+        a, m = ideal(r, "x", "y^2"), module(r, "x*z", "x^2*z + x*y*z")
+        with pytest.raises(SearchExhausted) as info:
+            superficial_search(a, m, Params(trials=1))
+        (record,) = info.value.trials
+        assert record.outcome == (
+            "no nonzerodivisor power: (K : x) is not inside K : I^∞"
+        )
+
     def test_saturation_of_a_binomial(self):
         r = ring("x", "y")
         got = ideal(r, "x^2 + x*y").saturate(ideal(r, "x"))
-        assert got.equals(ideal(r, "x + y"))
+        assert equals(got, ideal(r, "x + y"))
+
+    def test_saturation_pins_on_non_monomial_ideals(self):
+        r = ring("x", "y", "z", "w")
+        # the twisted cubic's cone with a thickened line w = 0 removed
+        cubic = ideal(r, "x*z - y^2", "x*w - y*z", "y*w - z^2", "x^2*w^3")
+        got = cubic.saturate(ideal(r, "w"))
+        assert equals(got, ideal(r, "x^2", "y^2 - x*z", "y*z - x*w", "z^2 - y*w"))
+        # (x*y, x*z) : (y, z)^∞ = (x), through two eliminations
+        got = ideal(r, "x*y", "x*z", "x*y + x*z").saturate(ideal(r, "y", "y + z"))
+        assert equals(got, ideal(r, "x"))
+        # a unit saturation: a power of (x, y) lies in (x^2, x*y + y^2)
+        got = ideal(r, "x^2", "x*y + y^2").saturate(ideal(r, "x", "y"))
+        assert equals(got, ideal(r, "1"))
+
+    def test_one_elimination_per_generator(self, monkeypatch):
+        calls = []
+
+        def counted(ring, gens):
+            calls.append(gens[-1])
+            return eliminate(ring, gens)
+
+        eliminate = ideals._eliminate
+        monkeypatch.setattr(ideals, "_eliminate", counted)
+        r = ring("x", "y", "z")
+        k = ideal(r, "x^2*y", "x*z^2 + x^2*z")
+        b = ideal(r, "y", "z", "y + z")
+        k.saturate(b)
+        # the last coefficient list of a saturation's generators is
+        # (1, -g); an intersection of two pieces ends in (g, -g)
+        tails = [tail for tail in calls if tail[0] == r.one()]
+        assert [-tail[1] for tail in tails] == list(b.gens)
+
+    def test_saturation_by_the_zero_ideal_raises(self):
+        r = ring("x", "y")
+        for k in (ideal(r, "x*y"), ideal(r, "x*y", "x^2 + x*y")):
+            with pytest.raises(ValueError):
+                k.saturate(ideal(r))
 
     @staticmethod
     def disguised(r, words):
@@ -449,12 +515,11 @@ class TestNonzerodivisorStep:
         spare = first * (r.variable(r.variables[0]) + r.variable(r.variables[1]))
         return Ideal(r, [*mono.gens, spare])
 
-    def test_colon_chain_equals_the_monomial_saturation(self):
+    def test_elimination_matches_the_colon_chain_and_the_monomial_saturation(self):
         rng = random.Random(43)
-        checked = 0
-        for _ in range(60):
-            n = rng.randint(2, 3)
-            r = ring(*"xyz"[:n])
+        checked = Counter()
+        for _ in range(110):
+            n = rng.randint(2, 4)
             lay = monomials.layout(n)
             k, i = (
                 monomials.minimalize(lay, [
@@ -465,8 +530,13 @@ class TestNonzerodivisorStep:
             )
             if not k or not i or monomials.is_unit(k) or monomials.is_unit(i):
                 continue
-            got = self.disguised(r, k).saturate(self.disguised(r, i))
-            want = Ideal.from_packed(r, monomials.saturate(lay, k, i))
-            assert got.equals(want), (k, i)
-            checked += 1
-        assert checked > 40
+            for char in (0, 32003):
+                r = ring(*"xyzw"[:n], char=char)
+                big, small = self.disguised(r, k), self.disguised(r, i)
+                got = big.saturate(small)
+                want = Ideal.from_packed(r, monomials.saturate(lay, k, i))
+                assert equals(got, want), (char, k, i)
+                assert equals(got, saturate_by_colons(big, small)), (char, k, i)
+                checked[char, n] += 1
+        assert sum(checked.values()) >= 180
+        assert {n for _, n in checked} == {2, 3, 4}

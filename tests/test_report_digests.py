@@ -27,13 +27,13 @@ def tool(monkeypatch):
     return module
 
 
-def test_cases_are_656_distinct_labels(tool):
+def test_cases_are_662_distinct_labels(tool):
     import workloads
 
     labels = [label for label, _, _ in tool._cases(workloads)]
-    assert len(labels) == len(set(labels)) == 656
+    assert len(labels) == len(set(labels)) == 662
     # one report per case and format
-    assert len(labels) * len(tool.FORMATS) == 1312
+    assert len(labels) * len(tool.FORMATS) == 1324
 
 
 def test_digest_is_stable(tool, tmp_path):

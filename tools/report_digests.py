@@ -5,19 +5,23 @@
 
 Runs every document of the three benchmark workloads at seeds 0 and 7,
 plus a fixed seeded corpus grid in characteristic 0 and in a prime
-field, through `multseq.cli.main` of CHECKOUT in-process, once with
-`--format json` and once with `--format table`.  The grid adds
-documents the workloads do not run, among them four-variable
-`verify-formula` and `check-reduction` documents, whose Rees bases
-are the largest of the grid, four-variable
+field, then a few hand documents, through `multseq.cli.main` of
+CHECKOUT in-process, once with `--format json` and once with
+`--format table`.  The grid adds documents the workloads do not run,
+among them four-variable `verify-formula` and `check-reduction`
+documents, whose Rees bases are the largest of the grid, four-variable
 `superficial` documents, whose principal relations `colon_poly`
 divides out, and the prime-field rows, where the Groebner kernel
-reduces mod p.  Each report prints as
-one line,
-`label sha256(exit code, stdout, stderr)`.  The engine comes from
-CHECKOUT/src and the workload documents from CHECKOUT/perfbench; the
-documents are written to a temporary directory and nothing under the
-checkout is changed.
+reduces mod p.  The hand documents reach what the corpus never draws:
+`superficial` inputs whose drawn element is a zerodivisor on M, so the
+nonzerodivisor step saturates K by I (by elimination when K or I has a
+non-monomial generator, on packed words otherwise), and a `compute`
+input of height zero, where the star condition runs.  They come after
+the grid, so the earlier lines keep their order.  Each report prints
+as one line, `label sha256(exit code, stdout, stderr)`.  The engine
+comes from CHECKOUT/src and the workload documents from
+CHECKOUT/perfbench; the documents are written to a temporary directory
+and nothing under the checkout is changed.
 """
 
 from __future__ import annotations
@@ -59,6 +63,21 @@ PRIME_GRID = (
     ("superficial", "superficial", 4, "mixed"),
 )
 
+# (label, task, characteristic, I, K, params) over k[x, y, z]
+HAND = (
+    ("superficial-nzd-general-k", "superficial", 0,
+     ["y"], ["x^2", "x*y^12", "x^3 + x^2*y"], {}),
+    ("superficial-nzd-general-k-p32003", "superficial", PRIME,
+     ["y"], ["x^2", "x*y^12", "x^3 + x^2*y"], {}),
+    ("superficial-annihilator-outside", "superficial", 0,
+     ["x", "y^2"], ["x*z", "x^2*z + x*y*z"], {"trials": 1}),
+    ("superficial-nzd-general-i", "superficial", 0,
+     ["y", "y^2 + y*z"], ["x^2", "x*y^12"], {}),
+    ("superficial-nzd-monomial", "superficial", 0,
+     ["y"], ["x^2", "x*y^12"], {}),
+    ("compute-height-zero", "compute", 0, ["x"], ["x*y"], {}),
+)
+
 
 def _cases(workloads):
     """(label, task, document) for every document digested."""
@@ -79,6 +98,14 @@ def _cases(workloads):
         for index, document in enumerate(documents):
             label = f"grid-{task}-{mode}{n_vars}-{relations}{field}-{index:02d}"
             yield label, task, document
+    for label, task, characteristic, i_gens, k_gens, params in HAND:
+        document = {
+            "schema": 1,
+            "ring": {"variables": ["x", "y", "z"], "characteristic": characteristic},
+            "ideals": {"I": i_gens, "K": k_gens},
+            "params": params,
+        }
+        yield f"hand-{label}", task, document
 
 
 def _digest(cli, argv) -> str:
