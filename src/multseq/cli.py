@@ -33,17 +33,7 @@ from .localization import verify_formula
 from .multiplicity import diagnostics, multiplicity_sequence
 from .parse import ParseError
 from .poly import _is_prime
-from .problem import (
-    Problem,
-    ProblemError,
-    canonical_json,
-    candidate_dict,
-    diagnostics_dict,
-    formula_dict,
-    load_problem,
-    reduction_dict,
-    sequence_dict,
-)
+from .problem import Problem, ProblemError, canonical_json, load_problem, report_fields
 from .reduction import rees_criterion, revalidate, superficial_search
 
 EXIT_OK = 0
@@ -60,7 +50,7 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # keep exit codes under our control
         raise _UsageError(message)
 
@@ -68,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
 # built on first use, not at import, and kept: a caller may run `main`
 # once per document in one process
 @functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> _ArgumentParser:
+    parser = _ArgumentParser(
         prog="multseq",
         description="multiplicity sequences of homogeneous ideals",
     )
@@ -136,8 +126,8 @@ def _run_compute(problem: Problem, params: Params) -> tuple[dict, int]:
     seq, table = multiplicity_sequence(problem.ideal, module)
     diag = diagnostics(problem.ideal, module, table)
     report = _base_report("compute", params, problem.source)
-    report["sequence"] = sequence_dict(seq)
-    report["diagnostics"] = diagnostics_dict(diag)
+    report["sequence"] = report_fields(seq)
+    report["diagnostics"] = report_fields(diag)
     return report, EXIT_OK if diag.consistent else EXIT_MISMATCH
 
 
@@ -145,7 +135,7 @@ def _run_verify(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
     rep = verify_formula(problem.ideal, module)
     report = _base_report("verify-formula", params, problem.source)
-    report["formula"] = formula_dict(rep)
+    report["formula"] = report_fields(rep)
     if rep.verdict == "verified":
         code = EXIT_OK
     elif rep.verdict == "mismatch":
@@ -162,7 +152,7 @@ def _run_reduction(problem: Problem, params: Params) -> tuple[dict, int]:
     module = problem.module()
     rep = rees_criterion(problem.ideal, large, module)
     report = _base_report("check-reduction", params, problem.source)
-    report["reduction"] = reduction_dict(rep)
+    report["reduction"] = report_fields(rep)
     if not rep.consistent:
         code = EXIT_MISMATCH
     elif rep.criterion_verdict == "indeterminate":
@@ -177,7 +167,7 @@ def _run_superficial(problem: Problem, params: Params) -> tuple[dict, int]:
     candidate = superficial_search(problem.ideal, module, params)
     replayed = revalidate(candidate, problem.ideal, module, params)
     report = _base_report("superficial", params, problem.source)
-    report["candidate"] = candidate_dict(candidate)
+    report["candidate"] = report_fields(candidate)
     report["revalidated"] = replayed
     return report, EXIT_OK if replayed else EXIT_MISMATCH
 

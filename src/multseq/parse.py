@@ -30,7 +30,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str | None, str, int]]:
+    """(kind, text, offset) of each token, closed by an end token."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -44,109 +45,82 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
+    tokens.append((None, "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, ring: PolyRing, text: str):
-        self.ring = ring
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _integer(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit
+        raise ParseError(f"{len(digits)}-digit integer too long", offset) from None
 
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return (None, "", len(self.text))
 
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+def parse_terms(ring: PolyRing, text: str) -> dict:
+    """{exponents: coefficient} of the polynomial, zero terms dropped.
 
-    def integer(self, digits: str, offset: int) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # past the interpreter's digit limit
-            raise ParseError(f"{len(digits)}-digit integer too long", offset) from None
-
-    def parse(self) -> dict:
-        if not self.tokens:
-            raise ParseError("empty polynomial", 0)
-        terms: dict = {}
-        p = self.ring.characteristic
-        sign = 1
-        kind, value, offset = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        while True:
-            exponents, coefficient = self.term(sign)
-            add_term(terms, exponents, self.ring.coeff(coefficient), p)
-            kind, value, offset = self.peek()
-            if kind is None:
-                return terms
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
-                continue
-            raise ParseError(f"expected + or - before {value!r}", offset)
-
-    def term(self, sign: int) -> tuple[tuple[int, ...], Fraction]:
-        num, den = sign, 1
-        exponents = [0] * self.ring.arity
-        saw_anything = False
-        kind, value, offset = self.peek()
-        if kind == "int":
-            self.take()
-            num *= self.integer(value, offset)
-            kind2, value2, offset2 = self.peek()
-            if kind2 == "op" and value2 == "/":
-                self.take()
-                kind3, value3, offset3 = self.peek()
-                if kind3 != "int":
-                    raise ParseError("expected denominator digits", offset3)
-                self.take()
-                den = self.integer(value3, offset3)
+    One pass over the tokens: a sign, optional before the first term;
+    an optional int[/int] coefficient; then [*]name[^int] factors.  An
+    operator is matched by its text, which no other token has, and the
+    end token closes every lookahead, so no bounds check is needed.
+    """
+    tokens = _tokenize(text)
+    if tokens[0][0] is None:
+        raise ParseError("empty polynomial", 0)
+    p = ring.characteristic
+    terms: dict = {}
+    i = 0
+    while True:
+        num = den = 1
+        if tokens[i][1] in ("+", "-"):
+            num = -1 if tokens[i][1] == "-" else 1
+            i += 1
+        exponents = [0] * ring.arity
+        kind, value, offset = tokens[i]
+        saw_anything = kind == "int"
+        if saw_anything:
+            num *= _integer(value, offset)
+            i += 1
+            if tokens[i][1] == "/":
+                kind, value, offset = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected denominator digits", offset)
+                i += 2
+                den = _integer(value, offset)
                 if den == 0:
-                    raise ParseError("zero denominator", offset3)
-                p = self.ring.characteristic
+                    raise ParseError("zero denominator", offset)
                 if p and Fraction(num, den).denominator % p == 0:
-                    raise ParseError("denominator vanishes in prime field", offset3)
-            saw_anything = True
+                    raise ParseError("denominator vanishes in prime field", offset)
         while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                kind, value, offset = self.peek()
+            kind, value, offset = tokens[i]
+            if value == "*":
+                i += 1
+                kind, value, offset = tokens[i]
                 if kind != "name":
                     raise ParseError("expected variable after *", offset)
             if kind != "name":
                 break
-            self.take()
+            i += 1
             try:
-                var_index = self.ring.variables.index(value)
+                var_index = ring.variables.index(value)
             except ValueError:
                 raise ParseError(f"unknown variable {value!r}", offset) from None
             power = 1
-            kind2, value2, offset2 = self.peek()
-            if kind2 == "op" and value2 == "^":
-                self.take()
-                kind3, value3, offset3 = self.peek()
-                if kind3 != "int":
-                    raise ParseError("expected exponent digits", offset3)
-                self.take()
-                power = self.integer(value3, offset3)
+            if tokens[i][1] == "^":
+                kind, value, offset = tokens[i + 1]
+                if kind != "int":
+                    raise ParseError("expected exponent digits", offset)
+                i += 2
+                power = _integer(value, offset)
             exponents[var_index] += power
             saw_anything = True
         if not saw_anything:
             raise ParseError("expected coefficient or variable", offset)
-        return tuple(exponents), Fraction(num, den)
-
-
-def parse_terms(ring: PolyRing, text: str) -> dict:
-    """{exponents: coefficient} of the polynomial, zero terms dropped."""
-    return _Parser(ring, text).parse()
+        add_term(terms, tuple(exponents), ring.coeff(Fraction(num, den)), p)
+        if kind is None:
+            return terms
+        if value not in ("+", "-"):
+            raise ParseError(f"expected + or - before {value!r}", offset)
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:

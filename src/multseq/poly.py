@@ -161,10 +161,6 @@ class PolyRing:
                 raise ValueError(f"variable {name!r} already present")
         return PolyRing(tuple(names) + self.variables, self.characteristic)
 
-    @property
-    def key(self) -> tuple:
-        return (self.variables, self.characteristic)
-
 
 class Polynomial:
     """Immutable sparse polynomial over a PolyRing."""
@@ -261,7 +257,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.ring.key, self.key()))
+        return hash((self.ring, self.key()))
 
     def key(self) -> tuple:
         """Canonical hashable form, for caches."""

@@ -3,8 +3,9 @@
 A problem file is one JSON object naming a ring, ideals I (and
 optionally J and K) as polynomial strings, an unmixedness assertion,
 and parameter overrides.  Validation errors carry a dotted location
-into the document.  Reports serialize to canonical JSON (sorted keys,
-two-space indent) so repeated runs are byte-identical.
+into the document.  A report's keys are the fields of the result
+types (`report_fields`), and reports serialize to canonical JSON
+(sorted keys, two-space indent) so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .localization import Contribution, FormulaReport, KSummary
 from .multiplicity import CyclicModule, Diagnostics, MultiplicitySequence
 from .parse import ParseError, parse_terms
 from .poly import Polynomial, PolyRing
-from .reduction import ReductionReport, SuperficialCandidate
+from .reduction import EvidenceItem, ReductionReport, SuperficialCandidate
 
 MAX_PROBLEM_VARIABLES = 8
 
@@ -295,84 +296,41 @@ def _emit(value, newline: str, out: list[str]) -> None:
     out.append(newline + brackets[1])
 
 
-def sequence_dict(seq: MultiplicitySequence) -> dict:
-    return {
-        "entries": list(seq.entries),
-        "dim": seq.dim,
-        "window": seq.window,
-        "table_shape": list(seq.table_shape),
-    }
+# the report keys of each result type: its fields, less the low entries
+# only the replay reads, plus the two properties a report reader would
+# otherwise recompute
+_REPORT_KEYS = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in drop) + extra
+    for cls, drop, extra in (
+        (MultiplicitySequence, (), ()),
+        (Diagnostics, (), ()),
+        (Contribution, (), ("product",)),
+        (KSummary, (), ("matches",)),
+        (FormulaReport, (), ()),
+        (ReductionReport, (), ()),
+        (EvidenceItem, (), ()),
+        (SuperficialCandidate, ("low_entries",), ()),
+    )
+}
 
 
-def diagnostics_dict(diag: Diagnostics) -> dict:
-    return {
-        "dim": diag.dim,
-        "colength_dim": diag.colength_dim,
-        "height": diag.height,
-        "star": diag.star,
-        "finite_colength": diag.finite_colength,
-        "spread": diag.spread,
-        "consistent": diag.consistent,
-    }
+def report_fields(result) -> dict:
+    """The report form of a result: a dict of its report keys.
 
-
-def _contribution_dict(c: Contribution) -> dict:
-    return {
-        "prime": list(c.prime),
-        "local_c0": c.local_c0,
-        "degree": c.degree,
-        "product": c.product,
-    }
-
-
-def _row_dict(row: KSummary) -> dict:
-    return {
-        "k": row.k,
-        "lhs": row.lhs,
-        "rhs": row.rhs,
-        "residual": row.residual,
-        "complete": row.complete,
-        "matches": row.matches,
-        "contributions": [_contribution_dict(c) for c in row.contributions],
-    }
-
-
-def formula_dict(report: FormulaReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "height": report.height,
-        "star": report.star,
-        "complete": report.complete,
-        "sequence": sequence_dict(report.sequence),
-        "rows": [_row_dict(r) for r in report.rows],
-    }
-
-
-def reduction_dict(report: ReductionReport) -> dict:
-    return {
-        "contained": report.contained,
-        "reduced_at": report.reduced_at,
-        "checked_to": report.checked_to,
-        "sequence_small": sequence_dict(report.sequence_small),
-        "sequence_large": sequence_dict(report.sequence_large),
-        "criterion_verdict": report.criterion_verdict,
-        "height": report.height,
-        "equidimensional": report.equidimensional,
-        "consistent": report.consistent,
-        "note": report.note,
-    }
-
-
-def candidate_dict(candidate: SuperficialCandidate) -> dict:
-    return {
-        "element": str(candidate.element),
-        "c_exponent": candidate.c_exponent,
-        "trial": candidate.trial,
-        "degree": candidate.degree,
-        "coefficients": list(candidate.coefficients),
-        "seed": candidate.seed,
-        "evidence": [
-            {"check": e.check, "detail": e.detail, "passed": e.passed}
-            for e in candidate.evidence
-        ],
-    }
+    A result among the values becomes its own dict, a tuple of results
+    a list of them, and a polynomial its text; plain values, and tuples
+    of them, pass through, since `canonical_json` writes a tuple as a
+    list.
+    """
+    out = {}
+    for key in _REPORT_KEYS[type(result)]:
+        value = getattr(result, key)
+        kind = type(value)
+        if kind in _REPORT_KEYS:
+            value = report_fields(value)
+        elif kind is tuple and value and type(value[0]) in _REPORT_KEYS:
+            value = [report_fields(item) for item in value]
+        elif kind is Polynomial:
+            value = str(value)
+        out[key] = value
+    return out

@@ -36,20 +36,26 @@ in its imports:
 - `is_reduction` scans n = 0..n_max for the least n with
   J^(n+1)M = I·J^nM, the direct route the exact reduction number of
   `rees_criterion` is held to, and `sequences_equal` compares the two
-  sequences of a reduction report.
+  sequences of a reduction report;
+- `reference_parse_terms` is the polynomial reader as a recursive
+  descent with a cursor and peek/take lookahead, the route the one
+  loop of `parse_terms` is held to, message for message.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import zip_longest
 
 from multseq import (
     CyclicModule,
     HilbertSeries,
     Ideal,
+    ParseError,
     PolyRing,
     PreconditionError,
     grevlex,
@@ -59,7 +65,7 @@ from multseq import (
 from multseq import monomials as mo
 from multseq.ideals import require_homogeneous
 from multseq.multiplicity import WINDOW_WIDTH
-from multseq.poly import monomial_div
+from multseq.poly import add_term, monomial_div
 
 # -- powers and terms -----------------------------------------------------
 
@@ -536,3 +542,129 @@ def is_reduction(small: Ideal, large: Ideal, module, n_max: int) -> int | None:
 
 def sequences_equal(report) -> bool:
     return report.sequence_small.entries == report.sequence_large.entries
+
+
+# -- polynomial text ------------------------------------------------------
+
+TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<op>[-+*/^()]))"
+)
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, ring: PolyRing, text: str):
+        self.ring = ring
+        self.text = text
+        self.tokens = tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        return (None, "", len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def integer(self, digits: str, offset: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError(f"{len(digits)}-digit integer too long", offset) from None
+
+    def parse(self) -> dict:
+        if not self.tokens:
+            raise ParseError("empty polynomial", 0)
+        terms: dict = {}
+        p = self.ring.characteristic
+        sign = 1
+        kind, value, offset = self.peek()
+        if kind == "op" and value in "+-":
+            self.take()
+            sign = -1 if value == "-" else 1
+        while True:
+            exponents, coefficient = self.term(sign)
+            add_term(terms, exponents, self.ring.coeff(coefficient), p)
+            kind, value, offset = self.peek()
+            if kind is None:
+                return terms
+            if kind == "op" and value in "+-":
+                self.take()
+                sign = -1 if value == "-" else 1
+                continue
+            raise ParseError(f"expected + or - before {value!r}", offset)
+
+    def term(self, sign: int) -> tuple[tuple[int, ...], Fraction]:
+        num, den = sign, 1
+        exponents = [0] * self.ring.arity
+        saw_anything = False
+        kind, value, offset = self.peek()
+        if kind == "int":
+            self.take()
+            num *= self.integer(value, offset)
+            kind2, value2, offset2 = self.peek()
+            if kind2 == "op" and value2 == "/":
+                self.take()
+                kind3, value3, offset3 = self.peek()
+                if kind3 != "int":
+                    raise ParseError("expected denominator digits", offset3)
+                self.take()
+                den = self.integer(value3, offset3)
+                if den == 0:
+                    raise ParseError("zero denominator", offset3)
+                p = self.ring.characteristic
+                if p and Fraction(num, den).denominator % p == 0:
+                    raise ParseError("denominator vanishes in prime field", offset3)
+            saw_anything = True
+        while True:
+            kind, value, offset = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+                kind, value, offset = self.peek()
+                if kind != "name":
+                    raise ParseError("expected variable after *", offset)
+            if kind != "name":
+                break
+            self.take()
+            try:
+                var_index = self.ring.variables.index(value)
+            except ValueError:
+                raise ParseError(f"unknown variable {value!r}", offset) from None
+            power = 1
+            kind2, value2, offset2 = self.peek()
+            if kind2 == "op" and value2 == "^":
+                self.take()
+                kind3, value3, offset3 = self.peek()
+                if kind3 != "int":
+                    raise ParseError("expected exponent digits", offset3)
+                self.take()
+                power = self.integer(value3, offset3)
+            exponents[var_index] += power
+            saw_anything = True
+        if not saw_anything:
+            raise ParseError("expected coefficient or variable", offset)
+        return tuple(exponents), Fraction(num, den)
+
+
+def reference_parse_terms(ring: PolyRing, text: str) -> dict:
+    """{exponents: coefficient} of the polynomial, by recursive descent."""
+    return ReferenceParser(ring, text).parse()

@@ -500,6 +500,74 @@ class TestOptimizedInterpreter:
         assert run_fresh(argv, "-O") == want
 
 
+def key_paths(value, prefix=""):
+    """Each dict key under value as a dotted path, `[]` marking a list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            path = f"{prefix}.{key}" if prefix else key
+            yield path
+            # the inputs echo the problem document, whose schema is its own
+            if path != "inputs":
+                yield from key_paths(item, path)
+    elif isinstance(value, list):
+        for item in value:
+            yield from key_paths(item, prefix + "[]")
+
+
+class TestReportSchema:
+    """The key paths of one report per task.
+
+    Report keys are the field names of the result types, so a field
+    added to, renamed in or dropped from one shows here.
+    """
+
+    # {path: the keys under it}; "" is the report itself
+    SEQUENCE = "dim entries table_shape window window.u window.v window.width"
+    KEYS = {
+        "compute": {
+            "": "diagnostics engine inputs seed sequence task",
+            "diagnostics": "colength_dim consistent dim finite_colength height"
+            " spread star",
+            "sequence": SEQUENCE,
+        },
+        "verify-formula": {
+            "": "engine formula inputs seed task",
+            "formula": "complete height rows sequence star verdict",
+            "formula.rows[]": "complete contributions k lhs matches residual rhs",
+            "formula.rows[].contributions[]": "degree local_c0 prime product",
+            "formula.sequence": SEQUENCE,
+        },
+        "check-reduction": {
+            "": "engine inputs reduction seed task",
+            "reduction": "checked_to consistent contained criterion_verdict"
+            " equidimensional height note reduced_at sequence_large sequence_small",
+            "reduction.sequence_large": SEQUENCE,
+            "reduction.sequence_small": SEQUENCE,
+        },
+        "superficial": {
+            "": "candidate engine inputs revalidated seed task",
+            "candidate": "c_exponent coefficients degree element evidence seed trial",
+            "candidate.evidence[]": "check detail passed",
+        },
+    }
+
+    @pytest.mark.parametrize("task", sorted(KEYS))
+    def test_report_keys(self, tmp_path, capsys, task):
+        # the documents of TestOptimizedInterpreter: the verify-formula
+        # rows carry contributions and the candidate carries evidence
+        _, variables, ideals, extra = TestOptimizedInterpreter.CASES[task]
+        document = {"schema": 1, "ring": {"variables": variables}, "ideals": ideals}
+        argv = ["--task", task, "--input", write(tmp_path, "p.json", document), *extra]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        want = {
+            f"{path}.{key}" if path else key
+            for path, keys in {"engine": "name version", **self.KEYS[task]}.items()
+            for key in keys.split()
+        }
+        assert sorted(set(key_paths(json.loads(out)))) == sorted(want)
+
+
 class TestOneProcess:
     """`main` called again and again in one process, as a batch caller does."""
 
@@ -663,6 +731,13 @@ class TestOneProcess:
         "_ORDERS",
         "LEX",
         "WEIGHT",
+        "sequence_dict",
+        "diagnostics_dict",
+        "formula_dict",
+        "reduction_dict",
+        "candidate_dict",
+        "_row_dict",
+        "_contribution_dict",
     )
 
     def test_the_engine_ships_no_oracle(self):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, and the string grammar."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -15,8 +16,14 @@ from multseq import (
     parse_polynomial,
 )
 from multseq.orders import MonomialOrder
+from multseq.parse import parse_terms
 from multseq.poly import _is_prime
-from oracles import compare, leading_coefficient, polynomial_power
+from oracles import (
+    compare,
+    leading_coefficient,
+    polynomial_power,
+    reference_parse_terms,
+)
 
 
 class TestRing:
@@ -226,6 +233,52 @@ class TestParsing:
             with pytest.raises(ParseError) as err:
                 parse_polynomial(r, text)
             assert err.value.offset == offset
+
+    # what the parity strings are drawn from: the ring's names, a name
+    # outside it, digits, every operator, a space and a character the
+    # tokenizer rejects
+    PIECES = ("x", "y", "z", "w", *"0123456789", *"+-*/^()", " ", "$")
+    MESSAGES = (
+        "unexpected character",
+        "digit integer too long",
+        "empty polynomial",
+        "expected + or - before",
+        "expected denominator digits",
+        "zero denominator",
+        "denominator vanishes in prime field",
+        "expected variable after *",
+        "unknown variable",
+        "expected exponent digits",
+        "expected coefficient or variable",
+    )
+
+    def test_one_loop_matches_the_reference_parser(self):
+        def outcome(parse, r, text):
+            try:
+                return parse(r, text)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "offset", None)
+
+        rng = random.Random(0)
+        texts = [
+            "".join(rng.choices(self.PIECES, k=rng.randint(0, 8)))
+            for _ in range(10_000)
+        ]
+        texts += ["7" * 5000 + "*x", "x^" + "7" * 5000]
+        accepted, messages = 0, set()
+        for char in (0, 2, 32003):
+            r = ring("x", "y", "z", char=char)
+            for text in texts:
+                got = outcome(parse_terms, r, text)
+                assert got == outcome(reference_parse_terms, r, text), (char, text)
+                if isinstance(got, dict):
+                    accepted += 1
+                else:
+                    messages.add(got[1])
+        # the strings reach accepted text and every message of the grammar
+        assert accepted > 1000
+        for stem in self.MESSAGES:
+            assert any(stem in message for message in messages), stem
 
     def test_unknown_variable_message_names_it(self):
         r = ring("x", "y")
